@@ -4,7 +4,7 @@
 //
 // The rank count is the paper's real one at every --scale: the machine is
 // always the full 1024-node Titan preset, and --scale only thins the
-// per-rank workload (fit points, pingpongs per measurement).  The ladder
+// per-rank workload (fit points, pingpongs per measurement).  The 4-ary heap
 // event queue and slab-allocated rank state keep the default run cheap at
 // this size; bench_scale extends the same sweep to 131072 ranks.
 //

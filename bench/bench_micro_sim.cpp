@@ -27,70 +27,6 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(65536);
 
-// Engine comparison (heap vs. ladder, the adaptive switchover's evidence):
-// the same workload against both engines across pending-set sizes from 1k to
-// 10M.  The heap pays O(log n) comparisons per operation; the ladder
-// amortizes O(1), so the ladder rows overtake as n grows.
-
-// Burst-drain: push n random-time events, then drain completely — the
-// "window fill + window drain" shape of the PDES engine.
-void BM_EventQueueEngineBurstDrain(benchmark::State& state) {
-  const auto impl = static_cast<sim::QueueImpl>(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
-  sim::Rng rng(1);
-  for (auto _ : state) {
-    sim::EventQueue q(impl);
-    for (std::size_t i = 0; i < n; ++i) {
-      q.push(rng.uniform() * 1e3, std::coroutine_handle<>::from_address(&q));
-    }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-  state.SetLabel(sim::queue_impl_name(impl));
-}
-BENCHMARK(BM_EventQueueEngineBurstDrain)
-    ->ArgNames({"impl", "n"})
-    ->Args({0, 1 << 10})
-    ->Args({1, 1 << 10})
-    ->Args({0, 1 << 15})
-    ->Args({1, 1 << 15})
-    ->Args({0, 1 << 20})
-    ->Args({1, 1 << 20})
-    ->Args({0, 10'000'000})
-    ->Args({1, 10'000'000});
-
-// Steady-state hold: a constant pending set of n events, each pop followed
-// by a reschedule a random distance past the frontier — the shape of a
-// long-running simulation, and where the ladder's O(1) amortized cost beats
-// the heap's O(log n) once n is large.
-void BM_EventQueueEngineSteadyState(benchmark::State& state) {
-  const auto impl = static_cast<sim::QueueImpl>(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
-  sim::EventQueue q(impl);
-  sim::Rng rng(1);
-  for (std::size_t i = 0; i < n; ++i) {
-    q.push(rng.uniform() * 10.0, std::coroutine_handle<>::from_address(&q));
-  }
-  for (auto _ : state) {
-    const auto ev = q.pop();
-    benchmark::DoNotOptimize(ev.time);
-    q.push(ev.time + rng.uniform() * 10.0, ev.handle);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel(sim::queue_impl_name(impl));
-}
-BENCHMARK(BM_EventQueueEngineSteadyState)
-    ->ArgNames({"impl", "n"})
-    ->Args({0, 1 << 10})
-    ->Args({1, 1 << 10})
-    ->Args({0, 1 << 15})
-    ->Args({1, 1 << 15})
-    ->Args({0, 1 << 20})
-    ->Args({1, 1 << 20})
-    ->Args({0, 10'000'000})
-    ->Args({1, 10'000'000});
-
 void BM_SimulationDelayChain(benchmark::State& state) {
   const int hops = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -7,8 +7,7 @@
 // (clocksync::membership), and answers a configurable stream of client
 // time queries.  Queries are evaluated host-side after the run against the
 // recorded clock-model history, so the whole binary — like every bench —
-// prints a byte-identical stdout for any --jobs/--shards/--queue
-// combination and records/replays through --record-out/--replay
+// prints a byte-identical stdout for any --jobs/--shards combination and records/replays through --record-out/--replay
 // (docs/record-replay.md).
 //
 // SLO metrics reported (and published as service.* metrics when

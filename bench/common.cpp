@@ -29,9 +29,6 @@ const BenchFlag kBenchFlags[] = {
     {"shards", "K",
      "event-loop shards inside each World (conservative PDES); 0 = one per hardware thread; "
      "output is byte-identical for any K ($HCLOCKSYNC_SHARDS)"},
-    {"queue", "IMPL",
-     "event-queue engine: heap, ladder or adaptive (default: adaptive; output is "
-     "byte-identical for any choice; $HCLOCKSYNC_QUEUE)"},
     {"csv", nullptr, "additionally emit CSV rows"},
     {"trace-out", "FILE", "write a Chrome trace (chrome://tracing / Perfetto)"},
     {"metrics-out", "FILE", "write the metrics registry as CSV"},
@@ -100,14 +97,6 @@ ParsedBench parse_common_extra(int argc, const char* const* argv, double default
     // Helpers that build Worlds internally (and don't thread opt through)
     // pick the flag up via the process-wide default.
     simmpi::set_default_shards(opt.shards);
-    const std::string queue_name = cli.queue(sim::queue_impl_name(opt.queue));
-    const auto queue = sim::queue_impl_from_string(queue_name);
-    if (!queue) {
-      throw std::invalid_argument("unknown --queue '" + queue_name +
-                                  "' (known: heap, ladder, adaptive)");
-    }
-    opt.queue = *queue;
-    sim::set_default_queue_impl(opt.queue);
     opt.csv = cli.has("csv");
     opt.trace_out = cli.trace_out();
     opt.metrics_out = cli.metrics_out();

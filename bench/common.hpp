@@ -21,7 +21,6 @@
 #include "fault/fault_plan.hpp"
 #include "replay/record.hpp"
 #include "runner/trial_runner.hpp"
-#include "sim/event_queue.hpp"
 #include "topology/presets.hpp"
 #include "trace/metrics.hpp"
 #include "trace/tracer.hpp"
@@ -36,7 +35,6 @@ struct BenchOptions {
   std::uint64_t seed = 1;
   int jobs = 1;             // worker threads for independent trials; 0 = auto
   int shards = 1;           // event-loop shards inside each World (resolved; >= 1)
-  sim::QueueImpl queue = sim::QueueImpl::kAdaptive;  // event-queue engine
   bool csv = false;
   std::string trace_out;    // empty = tracing off
   std::string metrics_out;  // empty = metrics CSV off

@@ -12,7 +12,7 @@
 // Everything here is a pure function of the fault plan: both the returning
 // rank and its reference derive the rendezvous (who, when, which view) from
 // the oracle without exchanging a message, which keeps churn runs
-// bit-identical across --jobs/--shards/--queue just like crash runs.
+// bit-identical across --jobs/--shards just like crash runs.
 #pragma once
 
 #include <vector>

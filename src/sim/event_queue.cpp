@@ -1,41 +1,8 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
 
 namespace hcs::sim {
-
-namespace {
-std::atomic<QueueImpl> g_default_queue_impl{QueueImpl::kAdaptive};
-}  // namespace
-
-void set_default_queue_impl(QueueImpl impl) noexcept {
-  g_default_queue_impl.store(impl, std::memory_order_relaxed);
-}
-
-QueueImpl default_queue_impl() noexcept {
-  return g_default_queue_impl.load(std::memory_order_relaxed);
-}
-
-std::optional<QueueImpl> queue_impl_from_string(std::string_view name) noexcept {
-  if (name == "heap") return QueueImpl::kHeap;
-  if (name == "ladder") return QueueImpl::kLadder;
-  if (name == "adaptive") return QueueImpl::kAdaptive;
-  return std::nullopt;
-}
-
-const char* queue_impl_name(QueueImpl impl) noexcept {
-  switch (impl) {
-    case QueueImpl::kHeap:
-      return "heap";
-    case QueueImpl::kLadder:
-      return "ladder";
-    case QueueImpl::kAdaptive:
-      return "adaptive";
-  }
-  return "unknown";
-}
 
 // Out of line on purpose: sift-down only runs for pops on a populated heap,
 // while push/pop stay inline in the header for the hot path.
@@ -45,13 +12,13 @@ const char* queue_impl_name(QueueImpl impl) noexcept {
 // Walking the hole straight to the bottom and then sifting the event back up
 // skips the against-the-event comparison at every level, cutting average
 // comparisons by ~a quarter on large heaps.
-void EventQueue::sift_down(std::vector<Event>& v, std::size_t hole,
-                           Event ev) noexcept {
+void EventQueue::sift_down(Event ev) noexcept {
+  std::vector<Event>& v = heap_;
   const std::size_t n = v.size();
-  const std::size_t start = hole;
+  std::size_t hole = 0;
   // Phase 1: promote the earliest of up to four adjacent children into the
   // hole until the hole reaches a leaf.
-  std::size_t first_child = hole * kArity + 1;
+  std::size_t first_child = 1;
   while (first_child < n) {
     std::size_t best = first_child;
     const std::size_t end = first_child + kArity < n ? first_child + kArity : n;
@@ -64,7 +31,7 @@ void EventQueue::sift_down(std::vector<Event>& v, std::size_t hole,
   }
   // Phase 2: sift the displaced event back up to its true position (usually
   // zero or one level).
-  while (hole > start) {
+  while (hole > 0) {
     const std::size_t parent = (hole - 1) / kArity;
     if (!before(ev, v[parent])) break;
     v[hole] = v[parent];
@@ -73,176 +40,11 @@ void EventQueue::sift_down(std::vector<Event>& v, std::size_t hole,
   v[hole] = ev;
 }
 
-void EventQueue::heapify(std::vector<Event>& v) noexcept {
-  if (v.size() < 2) return;
-  for (std::size_t i = (v.size() - 2) / kArity + 1; i-- > 0;) {
-    sift_down(v, i, v[i]);
-  }
-}
-
-void EventQueue::shrink(std::vector<Event>& v) {
+void EventQueue::shrink() {
   std::vector<Event> smaller;
-  smaller.reserve(std::max<std::size_t>(v.size() * 2, 64));
-  smaller.insert(smaller.end(), v.begin(), v.end());
-  v.swap(smaller);
-}
-
-void EventQueue::clear() noexcept {
-  heap_ = {};
-  top_ = {};
-  rungs_ = {};
-  bottom_ = {};
-  ladder_size_ = 0;
-  next_seq_ = 0;
-  top_start_ = std::numeric_limits<Time>::lowest();
-  ladder_active_ = configured_ == QueueImpl::kLadder;
-}
-
-std::size_t EventQueue::backing_capacity() const noexcept {
-  std::size_t cap = heap_.capacity() + top_.capacity() + bottom_.capacity();
-  for (const Rung& r : rungs_) {
-    for (const auto& bucket : r.buckets) cap += bucket.capacity();
-  }
-  return cap;
-}
-
-// The adaptive switch: dump the heap array — order is irrelevant — into the
-// ladder's unsorted top tier and let the first refill spread it into rungs.
-// O(n) moves, no comparisons.
-void EventQueue::migrate_to_ladder() {
-  ladder_size_ = heap_.size();
-  top_ = std::move(heap_);
-  heap_ = {};
-  // lowest(): everything (rungs and bottom are empty) accumulates in top
-  // until the first transfer establishes a real threshold.
-  top_start_ = std::numeric_limits<Time>::lowest();
-  ladder_active_ = true;
-}
-
-void EventQueue::ladder_push(const Event& ev) {
-  ++ladder_size_;
-  if (ev.time >= top_start_) {
-    top_.push_back(ev);
-    return;
-  }
-  // Walk rungs coarsest-first.  An event lands in the first rung whose
-  // not-yet-drained bucket range covers it; otherwise it keeps descending
-  // and ultimately joins the bottom heap.  Bucket edges are FP-monotone in
-  // time, so two events can never invert across a bucket boundary.
-  for (Rung& r : rungs_) {
-    const std::size_t nb = r.buckets.size();
-    const double off = (ev.time - r.start) / r.width;
-    std::size_t idx;
-    if (!(off > 0)) {
-      idx = 0;
-    } else if (off >= static_cast<double>(nb)) {
-      idx = nb - 1;
-    } else {
-      idx = static_cast<std::size_t>(off);
-    }
-    if (idx >= r.cur) {
-      r.buckets[idx].push_back(ev);
-      return;
-    }
-  }
-  heap_push(bottom_, ev);
-}
-
-EventQueue::Event EventQueue::ladder_pop() {
-  if (bottom_.empty()) refill_bottom();
-  Event top = bottom_.front();
-  if (bottom_.size() > 1) {
-    const Event last = bottom_.back();
-    bottom_.pop_back();
-    sift_down(bottom_, 0, last);
-  } else {
-    bottom_.pop_back();
-  }
-  --ladder_size_;
-  maybe_shrink(bottom_);
-  return top;
-}
-
-Time EventQueue::ladder_next_time() noexcept {
-  if (bottom_.empty()) refill_bottom();
-  return bottom_.front().time;
-}
-
-// Moves the next batch of events into the (empty) bottom heap: drain the
-// innermost rung's next bucket, subdividing oversized buckets into fresh
-// rungs, and fall back to spreading the top tier when the rungs run dry.
-void EventQueue::refill_bottom() {
-  while (bottom_.empty()) {
-    if (!rungs_.empty()) {
-      Rung& r = rungs_.back();
-      const std::size_t nb = r.buckets.size();
-      while (r.cur < nb && r.buckets[r.cur].empty()) ++r.cur;
-      if (r.cur == nb) {
-        rungs_.pop_back();
-        continue;
-      }
-      std::vector<Event> bucket = std::move(r.buckets[r.cur]);
-      ++r.cur;  // before any spawn: pushes must now route below this bucket
-      if (bucket.size() > kSpawnThreshold && try_spawn_rung(bucket)) {
-        continue;
-      }
-      bottom_ = std::move(bucket);
-      heapify(bottom_);
-    } else if (!top_.empty()) {
-      transfer_top();
-    } else {
-      return;  // queue empty; callers guard on that
-    }
-  }
-}
-
-void EventQueue::transfer_top() {
-  std::vector<Event> moved = std::move(top_);
-  top_ = {};
-  Time mx = moved.front().time;
-  for (const Event& e : moved) mx = std::max(mx, e.time);
-  // Events pushed from now on at or above mx stay in the top tier.  Events
-  // already at mx went into the new rung's last bucket with strictly smaller
-  // sequence numbers than any future push, so draining the rung before the
-  // next transfer preserves the (time, seq) order.
-  top_start_ = mx;
-  if (!try_spawn_rung(moved)) {
-    bottom_ = std::move(moved);
-    heapify(bottom_);
-  }
-}
-
-bool EventQueue::try_spawn_rung(std::vector<Event>& events) {
-  if (rungs_.size() >= kMaxRungs) return false;
-  Time mn = events.front().time;
-  Time mx = mn;
-  for (const Event& e : events) {
-    mn = std::min(mn, e.time);
-    mx = std::max(mx, e.time);
-  }
-  if (!(mx > mn)) return false;  // all-equal timestamps cannot subdivide
-  const std::size_t nb = std::clamp(events.size(), kMinBuckets, kMaxBuckets);
-  const double width = (mx - mn) / static_cast<double>(nb);
-  if (!(width > 0) || !std::isfinite(width)) return false;
-  Rung r;
-  r.start = mn;
-  r.width = width;
-  r.cur = 0;
-  r.buckets.resize(nb);
-  for (const Event& e : events) {
-    const double off = (e.time - mn) / width;
-    std::size_t idx;
-    if (!(off > 0)) {
-      idx = 0;
-    } else if (off >= static_cast<double>(nb)) {
-      idx = nb - 1;
-    } else {
-      idx = static_cast<std::size_t>(off);
-    }
-    r.buckets[idx].push_back(e);
-  }
-  rungs_.push_back(std::move(r));
-  return true;
+  smaller.reserve(std::max<std::size_t>(heap_.size() * 2, 64));
+  smaller.insert(smaller.end(), heap_.begin(), heap_.end());
+  heap_.swap(smaller);
 }
 
 }  // namespace hcs::sim

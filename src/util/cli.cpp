@@ -1,10 +1,31 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 
 namespace hcs::util {
+
+namespace {
+
+// Whole-string numeric parse: "2x", "0.5abc", "" and out-of-range values
+// throw, naming `what` (an option or environment variable) and the text.
+template <typename T>
+T parse_number(const std::string& text, const std::string& what) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::invalid_argument(what + ": value '" + text + "' is out of range");
+  }
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument(what + ": invalid number '" + text + "'");
+  }
+  return value;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv, std::vector<std::string> known_flags) {
   if (argc > 0) program_ = argv[0];
@@ -52,13 +73,13 @@ std::string Cli::get(const std::string& key, const std::string& fallback) const 
 double Cli::get_double(const std::string& key, double fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  return std::stod(it->second);
+  return parse_number<double>(it->second, "--" + key);
 }
 
 std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  return std::stoll(it->second);
+  return parse_number<std::int64_t>(it->second, "--" + key);
 }
 
 std::vector<std::string> Cli::get_all(const std::string& key) const {
@@ -69,10 +90,10 @@ std::vector<std::string> Cli::get_all(const std::string& key) const {
 double Cli::scale(double fallback) const {
   double s = fallback;
   if (const char* env = std::getenv("HCLOCKSYNC_SCALE")) {
-    s = std::stod(env);
+    s = parse_number<double>(env, "$HCLOCKSYNC_SCALE");
   }
   s = get_double("scale", s);
-  if (s <= 0.0 || s > 4.0) {
+  if (!(s > 0.0 && s <= 4.0)) {
     throw std::invalid_argument("scale must be in (0, 4], got " + std::to_string(s));
   }
   return s;
@@ -85,7 +106,7 @@ std::uint64_t Cli::seed(std::uint64_t fallback) const {
 int Cli::jobs(int fallback) const {
   std::int64_t j = fallback;
   if (const char* env = std::getenv("HCLOCKSYNC_JOBS")) {
-    j = std::stoll(env);
+    j = parse_number<std::int64_t>(env, "$HCLOCKSYNC_JOBS");
   }
   j = get_int("jobs", j);
   if (j < 0) {
@@ -95,18 +116,10 @@ int Cli::jobs(int fallback) const {
   return static_cast<int>(j);
 }
 
-std::string Cli::queue(const std::string& fallback) const {
-  std::string q = fallback;
-  if (const char* env = std::getenv("HCLOCKSYNC_QUEUE")) {
-    q = env;
-  }
-  return get("queue", q);
-}
-
 int Cli::shards(int fallback) const {
   std::int64_t s = fallback;
   if (const char* env = std::getenv("HCLOCKSYNC_SHARDS")) {
-    s = std::stoll(env);
+    s = parse_number<std::int64_t>(env, "$HCLOCKSYNC_SHARDS");
   }
   s = get_int("shards", s);
   if (s < 0) {

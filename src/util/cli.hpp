@@ -5,8 +5,9 @@
 // option set call reject_unknown() after construction, turning typos like
 // "--job 4" into an error instead of a silently ignored option.  The scale
 // factor used by every bench binary is also read from the HCLOCKSYNC_SCALE
-// environment variable, and the worker count from HCLOCKSYNC_JOBS (command
-// line wins in both cases).
+// environment variable, the worker count from HCLOCKSYNC_JOBS and the shard
+// count from HCLOCKSYNC_SHARDS (command line wins in each case; a malformed
+// environment value is an error naming the variable).
 #pragma once
 
 #include <cstdint>
@@ -28,6 +29,9 @@ class Cli {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// Numeric accessors: the whole value must be the number ("2x", "" and
+  /// out-of-range values throw std::invalid_argument naming the option and
+  /// the value).
   double get_double(const std::string& key, double fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
 
@@ -55,11 +59,6 @@ class Cli {
   /// runner::resolve_jobs); negative values throw.  Orthogonal to jobs():
   /// jobs parallelizes across independent trials, shards inside one World.
   int shards(int fallback = 1) const;
-
-  /// Event-queue engine name: --queue beats $HCLOCKSYNC_QUEUE beats
-  /// fallback.  Returned verbatim; callers validate against the engine set
-  /// (sim::queue_impl_from_string) so the error can name the binary.
-  std::string queue(const std::string& fallback) const;
 
   /// Observability outputs: "--trace-out run.json" requests a Chrome-trace
   /// dump, "--metrics-out run.csv" a metrics CSV.  Empty = disabled.

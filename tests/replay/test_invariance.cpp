@@ -1,6 +1,6 @@
 // Recorder invariance: the property that makes a recording a trustworthy
 // divergence oracle.  Recording the same scenario must produce byte-identical
-// files across --shards 1/2/8, --queue heap/ladder, and --jobs 1/4 — on a
+// files across --shards 1/2/8 and --jobs 1/4 — on a
 // ring World and a hierarchical Titan slice, clean and under a crash plan.
 #include <gtest/gtest.h>
 
@@ -12,36 +12,28 @@
 #include "replay/record.hpp"
 #include "replay/scenario.hpp"
 #include "runner/trial_runner.hpp"
-#include "sim/event_queue.hpp"
 #include "simmpi/world.hpp"
 
 namespace hcs::replay {
 namespace {
 
-// Restores the process-wide engine defaults (tests in this binary share
-// them) after each recording pass.
-class EngineDefaults {
+// Restores the process-wide shard default (tests in this binary share it)
+// after each recording pass.
+class ShardDefault {
  public:
-  EngineDefaults(int shards, sim::QueueImpl queue)
-      : prev_shards_(simmpi::default_shards()), prev_queue_(sim::default_queue_impl()) {
+  explicit ShardDefault(int shards) : prev_shards_(simmpi::default_shards()) {
     simmpi::set_default_shards(shards);
-    sim::set_default_queue_impl(queue);
   }
-  ~EngineDefaults() {
-    simmpi::set_default_shards(prev_shards_);
-    sim::set_default_queue_impl(prev_queue_);
-  }
-  EngineDefaults(const EngineDefaults&) = delete;
-  EngineDefaults& operator=(const EngineDefaults&) = delete;
+  ~ShardDefault() { simmpi::set_default_shards(prev_shards_); }
+  ShardDefault(const ShardDefault&) = delete;
+  ShardDefault& operator=(const ShardDefault&) = delete;
 
  private:
   int prev_shards_;
-  sim::QueueImpl prev_queue_;
 };
 
-std::string record_bytes(const std::string& scenario, std::uint64_t seed, int shards,
-                         sim::QueueImpl queue) {
-  const EngineDefaults defaults(shards, queue);
+std::string record_bytes(const std::string& scenario, std::uint64_t seed, int shards) {
+  const ShardDefault defaults(shards);
   Recorder recorder;
   {
     const ScopedRecorder install(&recorder);
@@ -52,32 +44,28 @@ std::string record_bytes(const std::string& scenario, std::uint64_t seed, int sh
 
 void expect_invariant(const std::string& scenario, std::uint64_t seed,
                       const std::vector<int>& shard_counts) {
-  const std::string reference = record_bytes(scenario, seed, 1, sim::QueueImpl::kHeap);
+  const std::string reference = record_bytes(scenario, seed, 1);
   ASSERT_FALSE(reference.empty());
   for (const int shards : shard_counts) {
-    for (const sim::QueueImpl queue : {sim::QueueImpl::kHeap, sim::QueueImpl::kLadder}) {
-      if (shards == 1 && queue == sim::QueueImpl::kHeap) continue;
-      EXPECT_EQ(record_bytes(scenario, seed, shards, queue), reference)
-          << scenario << " seed " << seed << " shards " << shards << " queue "
-          << sim::queue_impl_name(queue);
-    }
+    EXPECT_EQ(record_bytes(scenario, seed, shards), reference)
+        << scenario << " seed " << seed << " shards " << shards;
   }
 }
 
-TEST(RecorderInvariance, Ring8CleanAcrossShardsAndQueues) {
-  expect_invariant("ring8", 3, {1, 2, 8});
+TEST(RecorderInvariance, Ring8CleanAcrossShards) {
+  expect_invariant("ring8", 3, {2, 8});
 }
 
-TEST(RecorderInvariance, Ring8CrashAcrossShardsAndQueues) {
-  expect_invariant("ring8-crash", 3, {1, 2, 8});
+TEST(RecorderInvariance, Ring8CrashAcrossShards) {
+  expect_invariant("ring8-crash", 3, {2, 8});
 }
 
-TEST(RecorderInvariance, TitanSmallCleanAcrossShardsAndQueues) {
-  expect_invariant("titan-small", 5, {1, 2});
+TEST(RecorderInvariance, TitanSmallCleanAcrossShards) {
+  expect_invariant("titan-small", 5, {2});
 }
 
-TEST(RecorderInvariance, TitanSmallCrashAcrossShardsAndQueues) {
-  expect_invariant("titan-small-crash", 5, {1, 2});
+TEST(RecorderInvariance, TitanSmallCrashAcrossShards) {
+  expect_invariant("titan-small-crash", 5, {2});
 }
 
 // --jobs invariance goes through runner::TrialRunner: each concurrent trial

@@ -1,9 +1,8 @@
-# Determinism guard for bench_scale across engine configurations.
+# Determinism guard for bench_scale across shard counts.
 #
-# Runs BINARY at smoke size under every (queue engine x shard count)
-# combination the scaling work touches and fails unless stdout is
-# byte-identical across all runs: simulation output may not depend on the
-# event-queue engine (heap / ladder / adaptive) or on the PDES shard count.
+# Runs BINARY at smoke size with --shards 1 and --shards 2 and fails unless
+# stdout is byte-identical: simulation output may not depend on the PDES
+# shard count.
 # Host metrics (wall-clock, RSS) go to the binary's stderr, which this guard
 # deliberately ignores.
 #
@@ -30,23 +29,13 @@ function(run_once tag)
   endif()
 endfunction()
 
-run_once(heap1 --queue heap --shards 1)
-run_once(heap2 --queue heap --shards 2)
-run_once(ladder1 --queue ladder --shards 1)
-run_once(ladder2 --queue ladder --shards 2)
-run_once(adaptive2 --queue adaptive --shards 2)
+run_once(shards1 --shards 1)
+run_once(shards2 --shards 2)
 
-function(expect_same tag why)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                  ${OUT_DIR}/${OUT_NAME}_heap1.out ${OUT_DIR}/${OUT_NAME}_${tag}.out
-                  RESULT_VARIABLE differs)
-  if(NOT differs EQUAL 0)
-    message(FATAL_ERROR "${why} (${OUT_DIR}/${OUT_NAME}_heap1.out vs "
-                        "${OUT_DIR}/${OUT_NAME}_${tag}.out)")
-  endif()
-endfunction()
-
-expect_same(heap2 "output differs between --shards 1 and --shards 2 (heap engine)")
-expect_same(ladder1 "output differs between the heap and ladder queue engines")
-expect_same(ladder2 "output differs between heap --shards 1 and ladder --shards 2")
-expect_same(adaptive2 "output differs between the heap and adaptive queue engines")
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${OUT_DIR}/${OUT_NAME}_shards1.out ${OUT_DIR}/${OUT_NAME}_shards2.out
+                RESULT_VARIABLE differs)
+if(NOT differs EQUAL 0)
+  message(FATAL_ERROR "output differs between --shards 1 and --shards 2 "
+                      "(${OUT_DIR}/${OUT_NAME}_shards1.out vs ${OUT_DIR}/${OUT_NAME}_shards2.out)")
+endif()

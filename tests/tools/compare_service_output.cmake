@@ -1,7 +1,7 @@
 # Determinism guard for bench_service across engine configurations.
 #
-# Runs BINARY at smoke size twice — serial heap engine vs. jobs 4 /
-# shards 2 / ladder engine — with --record-out, and fails unless both the
+# Runs BINARY at smoke size twice — serial vs. jobs 4 / shards 2 — with
+# --record-out, and fails unless both the
 # stdout SLO tables and the event-order recordings are byte-identical;
 # BISECT (tools/hcs_bisect) must additionally report the recordings as
 # identical runs.  This is the end-to-end churn determinism gate: the soak
@@ -27,8 +27,8 @@ function(run_once tag)
   endif()
 endfunction()
 
-run_once(serial --queue heap --shards 1 --jobs 1)
-run_once(parallel --queue ladder --shards 2 --jobs 4)
+run_once(serial --shards 1 --jobs 1)
+run_once(parallel --shards 2 --jobs 4)
 
 # The stdout tables must match modulo the "wrote recording: <path>" line,
 # which embeds the (deliberately different) recording filename.
@@ -37,8 +37,8 @@ foreach(tag serial parallel)
   string(REGEX REPLACE "wrote recording [^\n]*\n" "" ${tag}_out "${${tag}_out}")
 endforeach()
 if(NOT serial_out STREQUAL parallel_out)
-  message(FATAL_ERROR "bench_service stdout differs between serial-heap and "
-                      "jobs4-shards2-ladder (${OUT_DIR}/service_serial.out vs "
+  message(FATAL_ERROR "bench_service stdout differs between serial and "
+                      "jobs4-shards2 (${OUT_DIR}/service_serial.out vs "
                       "${OUT_DIR}/service_parallel.out)")
 endif()
 
@@ -46,8 +46,8 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
                 ${OUT_DIR}/service_serial.hcsr ${OUT_DIR}/service_parallel.hcsr
                 RESULT_VARIABLE differs)
 if(NOT differs EQUAL 0)
-  message(FATAL_ERROR "bench_service recording differs between serial-heap and "
-                      "jobs4-shards2-ladder (${OUT_DIR}/service_serial.hcsr vs "
+  message(FATAL_ERROR "bench_service recording differs between serial and "
+                      "jobs4-shards2 (${OUT_DIR}/service_serial.hcsr vs "
                       "${OUT_DIR}/service_parallel.hcsr)")
 endif()
 

@@ -6,14 +6,13 @@
 //
 // Usage:
 //   hcs_capture --scenario NAME [--seed N] [--out FILE] [--expect FILE]
-//               [--shards K] [--queue IMPL] [--perturb SPEC] [--replay-rank R]
+//               [--shards K] [--perturb SPEC] [--replay-rank R]
 //     --scenario NAME   capture scenario to run (--list prints the registry)
 //     --seed N          World seed (default 1)
 //     --out FILE        write the recording here
 //     --expect FILE     write one describe_outcome() line per rank (hexfloat;
 //                       bit-exact round-trip) for incident sidecars
 //     --shards K        event-loop shards (recordings are shard-invariant)
-//     --queue IMPL      event-queue engine: heap, ladder or adaptive
 //     --perturb SPEC    add one extra fault spec (e.g. a straggler nudge) on
 //                       top of the scenario's plan before recording
 //     --replay-rank R   after recording, replay rank R against the in-memory
@@ -32,7 +31,6 @@
 #include "replay/harness.hpp"
 #include "replay/record.hpp"
 #include "replay/scenario.hpp"
-#include "sim/event_queue.hpp"
 #include "simmpi/world.hpp"
 #include "util/cli.hpp"
 
@@ -51,11 +49,11 @@ int main(int argc, char** argv) {
   using namespace hcs;
   try {
     const util::Cli cli(argc, argv, {"list", "help"});
-    cli.reject_unknown({"scenario", "seed", "out", "expect", "shards", "queue", "perturb",
-                        "replay-rank", "list", "help"});
+    cli.reject_unknown({"scenario", "seed", "out", "expect", "shards", "perturb", "replay-rank",
+                        "list", "help"});
     if (cli.has("help")) {
       std::cout << "usage: hcs_capture --scenario NAME [--seed N] [--out FILE] [--expect FILE]\n"
-                   "                   [--shards K] [--queue IMPL] [--perturb SPEC]\n"
+                   "                   [--shards K] [--perturb SPEC]\n"
                    "                   [--replay-rank R] [--list]\n";
       return 0;
     }
@@ -75,13 +73,6 @@ int main(int argc, char** argv) {
                                   std::to_string(shards) + ")");
     }
     simmpi::set_default_shards(shards);
-    const std::string queue_name = cli.queue(sim::queue_impl_name(sim::QueueImpl::kAdaptive));
-    const auto queue = sim::queue_impl_from_string(queue_name);
-    if (!queue) {
-      throw std::invalid_argument("unknown --queue '" + queue_name +
-                                  "' (known: heap, ladder, adaptive)");
-    }
-    sim::set_default_queue_impl(*queue);
     const std::uint64_t seed = cli.seed(1);
 
     replay::Recorder recorder;
