@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <latch>
 #include <set>
 #include <thread>
 #include <vector>
@@ -70,26 +71,36 @@ TEST(FramePool, ChurnDoesNotGrowReservation) {
 // Worker-thread lifecycle (TrialRunner, PDES shard workers): each thread
 // churns its own frames; exiting threads return chains to the arena, so a
 // second generation of threads reuses them instead of carving new slabs.
+//
+// A thread keeps its cached chains until it exits, so each generation's
+// footprint depends on how many of its threads are alive at once.  The
+// latch holds every thread of a generation until all have churned: both
+// generations then peak with four live caches, and the second needs no
+// more blocks than the first returned, whatever the scheduler does.
 TEST(FramePool, ThreadsRecycleThroughTheArena) {
-  auto churn = [] {
-    std::vector<void*> live;
-    live.reserve(256);
-    for (int i = 0; i < 5000; ++i) {
-      live.push_back(FramePool::allocate(96 + (i % 8) * 64));
-      if (live.size() == 256) {
-        for (void* p : live) FramePool::deallocate(p);
-        live.clear();
+  constexpr int kThreads = 4;
+  auto generation = [] {
+    std::latch all_churned(kThreads);
+    auto churn = [&all_churned] {
+      std::vector<void*> live;
+      live.reserve(256);
+      for (int i = 0; i < 5000; ++i) {
+        live.push_back(FramePool::allocate(96 + (i % 8) * 64));
+        if (live.size() == 256) {
+          for (void* p : live) FramePool::deallocate(p);
+          live.clear();
+        }
       }
-    }
-    for (void* p : live) FramePool::deallocate(p);
+      for (void* p : live) FramePool::deallocate(p);
+      all_churned.arrive_and_wait();
+    };
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) threads.emplace_back(churn);
+    for (auto& t : threads) t.join();
   };
-  std::vector<std::thread> gen1;
-  for (int i = 0; i < 4; ++i) gen1.emplace_back(churn);
-  for (auto& t : gen1) t.join();
+  generation();
   const std::size_t after_gen1 = FramePool::reserved_bytes();
-  std::vector<std::thread> gen2;
-  for (int i = 0; i < 4; ++i) gen2.emplace_back(churn);
-  for (auto& t : gen2) t.join();
+  generation();
   EXPECT_EQ(FramePool::reserved_bytes(), after_gen1);
 }
 
