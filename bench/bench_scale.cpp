@@ -86,7 +86,7 @@ std::vector<int> parse_ranks(const std::string& spec) {
   std::stringstream ss(spec);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    const int r = std::stoi(tok);
+    const int r = util::parse_int(tok, "--ranks");
     if (r < 16) throw std::invalid_argument("--ranks: each entry must be >= 16, got " + tok);
     ranks.push_back(r);
   }

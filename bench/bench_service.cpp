@@ -178,9 +178,9 @@ int main(int argc, char** argv) {
   params.interval = 20.0;
   int qps = 2;
   try {
-    if (parsed.cli.has("duration")) params.duration = std::stod(parsed.cli.get("duration", ""));
-    if (parsed.cli.has("qps")) qps = std::stoi(parsed.cli.get("qps", ""));
-    if (parsed.cli.has("interval")) params.interval = std::stod(parsed.cli.get("interval", ""));
+    params.duration = parsed.cli.get_double("duration", params.duration);
+    qps = util::parse_int(parsed.cli.get("qps", "2"), "--qps");
+    params.interval = parsed.cli.get_double("interval", params.interval);
     if (params.duration < 60.0) throw std::invalid_argument("--duration: must be >= 60");
     if (qps < 1) throw std::invalid_argument("--qps: must be >= 1");
     if (params.interval <= 0.0) throw std::invalid_argument("--interval: must be > 0");

@@ -2,23 +2,14 @@
 # Run hcs-lint over the tree (src bench examples tests tools) against the
 # committed baseline.  Builds the tool if the build dir doesn't have it yet.
 #
-#   scripts/lint.sh [--changed] [BUILD_DIR] [extra hcs_lint args...]   (default: build)
+#   scripts/lint.sh [BUILD_DIR] [extra hcs_lint args...]   (default: build)
 #
-# --changed lints only the files that differ from origin/main (committed,
-# staged, unstaged and untracked), which keeps the edit loop fast; it falls
-# back to a full run when origin/main is unavailable (shallow clone, no
-# remote).  Interprocedural rules then only see the changed files, so the
-# repo-wide gate in CI remains the full run.
+# A full run takes a fraction of a second, and the interprocedural rules need
+# the whole project, so there is no partial mode.
 #
 # Exit codes follow the tool: 0 clean, 1 findings, 2 usage/I-O error.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-CHANGED=0
-if [[ "${1:-}" == "--changed" ]]; then
-  CHANGED=1
-  shift
-fi
 
 BUILD_DIR="${1:-build}"
 shift || true
@@ -26,31 +17,6 @@ shift || true
 if [[ ! -x "$BUILD_DIR/tools/hcs_lint" ]]; then
   cmake -B "$BUILD_DIR" -S . >/dev/null
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target hcs_lint_tool >/dev/null
-fi
-
-if [[ "$CHANGED" == 1 ]]; then
-  if base=$(git merge-base origin/main HEAD 2>/dev/null); then
-    mapfile -t files < <(
-      {
-        git diff --name-only "$base"
-        git diff --name-only
-        git ls-files --others --exclude-standard
-      } | sort -u \
-        | grep -E '^(src|bench|examples|tests|tools)/.*\.(cpp|hpp|h|cc|cxx|hxx)$' \
-        | grep -v '^tests/lint/fixtures/' || true
-    )
-    # Drop files that no longer exist (deletions still show up in the diff).
-    existing=()
-    for f in "${files[@]:-}"; do
-      [[ -n "$f" && -f "$f" ]] && existing+=("$f")
-    done
-    if [[ ${#existing[@]} -eq 0 ]]; then
-      echo "lint.sh: no C++ files changed relative to origin/main — nothing to lint"
-      exit 0
-    fi
-    exec "$BUILD_DIR/tools/hcs_lint" --root . --baseline .lint-baseline "$@" "${existing[@]}"
-  fi
-  echo "lint.sh: origin/main not found — falling back to a full run" >&2
 fi
 
 exec "$BUILD_DIR/tools/hcs_lint" --root . --baseline .lint-baseline "$@" \

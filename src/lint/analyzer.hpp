@@ -1,13 +1,11 @@
 // hcs-lint driver: file discovery, the two-phase whole-program pipeline,
-// incremental cache, suppression and baseline filtering.
+// suppression and baseline filtering.
 //
-// Pipeline: every file is lexed and reduced to a FileSummary (phase 1, see
-// summary.hpp) — or the summary is loaded from the content-hash cache when
-// `cache_dir` is set and the file is unchanged.  The summaries are then
-// merged into a ProjectIndex and the interprocedural rules run over the call
-// graph (phase 2, see interproc_rules.hpp).  Rule selection, suppression
-// comments and baselines are applied at assembly time so cached summaries
-// stay configuration-independent.
+// Pipeline: every file is lexed and reduced to a FileSummary, and the
+// per-file rules run over it (phase 1, see summary.hpp).  The summaries are
+// then merged into a ProjectIndex and the interprocedural rules run over the
+// call graph (phase 2, see interproc_rules.hpp).  Rule selection, suppression
+// comments and baselines are applied at assembly time.
 //
 // Suppression comment forms, each naming one or more rule ids (the examples
 // use real ids so this header lints clean against its own parser):
@@ -34,8 +32,6 @@ namespace hcs::lint {
 struct AnalyzerOptions {
   std::set<std::string> enabled_rules;  // empty = all
   std::string root;                     // paths are reported relative to this
-  std::string cache_dir;                // empty = no incremental summary cache
-  std::size_t max_call_depth = 4;       // interprocedural chain bound, in call edges
   // Host-time source (seconds) for stats.  Left empty, no timings are taken —
   // the library itself never reads a wall clock (it must lint clean under its
   // own wall-clock rule); tools/hcs_lint injects one.
@@ -49,9 +45,7 @@ struct RuleStats {
 
 struct AnalysisStats {
   int files = 0;
-  int files_lexed = 0;  // cache misses: lexed + summarized this run
-  int cache_hits = 0;
-  double summary_seconds = 0.0;    // read + hash + lex/summarize (or cache load)
+  double summary_seconds = 0.0;    // lex + summarize + per-file rules
   double interproc_seconds = 0.0;  // index build + interprocedural rules
   double total_seconds = 0.0;
   std::map<std::string, RuleStats> rules;  // per rule id, post-suppression
@@ -72,8 +66,7 @@ std::vector<Finding> analyze_source(const std::string& rel_path, const std::stri
                                     const AnalyzerOptions& options);
 
 // Full two-phase analysis over in-memory (rel_path, content) pairs — the
-// multi-file fixture sets and the cache tests drive this.  Honors
-// options.cache_dir.
+// multi-file fixture sets drive this.
 AnalysisResult analyze_sources(const std::vector<std::pair<std::string, std::string>>& sources,
                                const AnalyzerOptions& options);
 

@@ -43,39 +43,37 @@ constexpr TaintRule kTaintRules[] = {
 };
 
 void run_taint_rule(const TaintRule& tr, const std::vector<FileSummary>& files,
-                    const ProjectIndex& index, std::size_t max_call_depth,
-                    std::vector<Finding>& out) {
+                    const ProjectIndex& index, std::vector<Finding>& out) {
   const RuleInfo* ip_rule = find_rule(tr.ip_id);
   const RuleInfo* per_file = find_rule(tr.per_file_id);
   if (!ip_rule || !per_file) return;
 
-  // Sources: hazard sites the per-file rule did NOT report — the file is
-  // exempt for it, or the site sits under a suppression comment.  Reported
-  // sites already fail the gate on their own; duplicating them across every
-  // caller would only add noise.
+  // Sources: hazard sites inside a named function that the per-file rule
+  // did NOT report — the file is exempt for it, or the site sits under a
+  // suppression comment.  Reported sites already fail the gate on their own;
+  // duplicating them across every caller would only add noise.  A plain read
+  // of tl_current_shard re-points nothing, so it is no source.  The first
+  // source in a function names its chain.
   std::map<const FunctionSummary*, std::string> tainted;  // fn -> chain to the hazard
   for (const FileSummary& file : files) {
-    for (const FunctionSummary& fn : file.functions) {
-      for (const HazardSite& h : fn.hazards) {
-        if (h.kind != tr.kind) continue;
-        const Finding probe{per_file->id, per_file->severity, file.rel_path, h.line, h.col, ""};
-        const bool reported =
-            !path_exempt(*per_file, file.rel_path) && !is_suppressed(file.suppressions, probe);
-        if (reported) continue;
-        tainted.emplace(&fn, h.detail + " (" + file.rel_path + ":" + std::to_string(h.line) +
-                                 ")");
-        break;
-      }
+    for (const HazardSite& h : file.hazards) {
+      if (h.kind != tr.kind || h.fn < 0 || h.read_only) continue;
+      const Finding probe{per_file->id, per_file->severity, file.rel_path, h.line, h.col, ""};
+      const bool reported =
+          !path_exempt(*per_file, file.rel_path) && !is_suppressed(file.suppressions, probe);
+      if (reported) continue;
+      tainted.emplace(&file.functions[static_cast<std::size_t>(h.fn)],
+                      h.detail + " (" + file.rel_path + ":" + std::to_string(h.line) + ")");
     }
   }
   if (tainted.empty()) return;
 
-  // Caller-ward propagation, level-synchronous so max_call_depth is a true
+  // Caller-ward propagation, level-synchronous so kMaxCallDepth is a true
   // bound in call edges regardless of declaration order: each round only
   // consults the taint set as it stood before the round.  Taint crosses
   // exempt files (that is the laundering path); findings below do not land
   // in them.
-  for (std::size_t round = 0; round < max_call_depth; ++round) {
+  for (std::size_t round = 0; round < kMaxCallDepth; ++round) {
     std::map<const FunctionSummary*, std::string> next;
     for (const FileSummary& file : files) {
       for (const FunctionSummary& fn : file.functions) {
@@ -116,19 +114,19 @@ void run_taint_rule(const TaintRule& tr, const std::vector<FileSummary>& files,
 // ---------------------------------------------------------------------------
 
 void run_coll_rank_branch(const std::vector<FileSummary>& files, const ProjectIndex& index,
-                          std::size_t max_call_depth, std::vector<Finding>& out) {
+                          std::vector<Finding>& out) {
   const RuleInfo* rule = find_rule("ip-coll-rank-branch");
   if (!rule) return;
 
   // Transitive collective bags: colls*(f) = direct(f) ∪ colls*(callees), to a
-  // fixpoint bounded by max_call_depth rounds.
+  // fixpoint bounded by kMaxCallDepth rounds.
   std::map<const FunctionSummary*, std::set<std::string>> bags;
   for (const FileSummary& file : files) {
     for (const FunctionSummary& fn : file.functions) {
       bags[&fn].insert(fn.direct_colls.begin(), fn.direct_colls.end());
     }
   }
-  for (std::size_t round = 0; round < max_call_depth; ++round) {
+  for (std::size_t round = 0; round < kMaxCallDepth; ++round) {
     bool changed = false;
     for (const FileSummary& file : files) {
       for (const FunctionSummary& fn : file.functions) {
@@ -157,35 +155,33 @@ void run_coll_rank_branch(const std::vector<FileSummary>& files, const ProjectIn
 
   for (const FileSummary& file : files) {
     if (path_exempt(*rule, file.rel_path)) continue;
-    for (const FunctionSummary& fn : file.functions) {
-      for (const RankBranchSummary& rb : fn.rank_branches) {
-        // The per-file rule owns direct divergence; this rule only fires when
-        // the arms look identical file-locally but helpers hide collectives.
-        if (rb.then_colls != rb.else_colls) continue;
-        const std::set<std::string> then_bag = bag_through(rb.then_colls, rb.then_calls);
-        const std::set<std::string> else_bag = bag_through(rb.else_colls, rb.else_calls);
-        if (then_bag != else_bag) {
-          out.push_back(Finding{
-              rule->id, rule->severity, file.rel_path, rb.line, rb.col,
-              "collective calls diverge across a rank-dependent branch through helper calls: "
-              "then-branch transitively performs " +
-                  join_set(then_bag) + ", else-branch " + join_set(else_bag) +
-                  " — every rank must reach the same collective sequence"});
-          continue;
-        }
-        if (rb.exit_then == rb.exit_else || !rb.after_colls.empty()) continue;
-        std::set<std::string> after_bag;
-        for (const std::string& name : rb.after_calls) {
-          const FuncRef* callee = index.resolve(name);
-          if (callee) after_bag.insert(bags[callee->fn].begin(), bags[callee->fn].end());
-        }
-        if (!after_bag.empty()) {
-          out.push_back(Finding{
-              rule->id, rule->severity, file.rel_path, rb.line, rb.col,
-              "rank-dependent early exit skips collective(s) " + join_set(after_bag) +
-                  " reached through helper calls after the branch — hoist the exit below the "
-                  "collective or make it uniform"});
-        }
+    for (const RankBranchSummary& rb : file.rank_branches) {
+      // The per-file rule owns direct divergence; this rule only fires when
+      // the arms look identical file-locally but helpers hide collectives.
+      if (rb.fn < 0 || rb.then_colls != rb.else_colls) continue;
+      const std::set<std::string> then_bag = bag_through(rb.then_colls, rb.then_calls);
+      const std::set<std::string> else_bag = bag_through(rb.else_colls, rb.else_calls);
+      if (then_bag != else_bag) {
+        out.push_back(Finding{
+            rule->id, rule->severity, file.rel_path, rb.line, rb.col,
+            "collective calls diverge across a rank-dependent branch through helper calls: "
+            "then-branch transitively performs " +
+                join_set(then_bag) + ", else-branch " + join_set(else_bag) +
+                " — every rank must reach the same collective sequence"});
+        continue;
+      }
+      if (rb.exit_then == rb.exit_else || !rb.after_colls.empty()) continue;
+      std::set<std::string> after_bag;
+      for (const std::string& name : rb.after_calls) {
+        const FuncRef* callee = index.resolve(name);
+        if (callee) after_bag.insert(bags[callee->fn].begin(), bags[callee->fn].end());
+      }
+      if (!after_bag.empty()) {
+        out.push_back(Finding{
+            rule->id, rule->severity, file.rel_path, rb.line, rb.col,
+            "rank-dependent early exit skips collective(s) " + join_set(after_bag) +
+                " reached through helper calls after the branch — hoist the exit below the "
+                "collective or make it uniform"});
       }
     }
   }
@@ -232,7 +228,6 @@ void run_unchecked_sync_result(const std::vector<FileSummary>& files, const Proj
 std::vector<Finding> run_interproc_rules(const std::vector<FileSummary>& files,
                                          const ProjectIndex& index,
                                          const std::set<std::string>& enabled,
-                                         std::size_t max_call_depth,
                                          const std::function<double()>& now,
                                          std::map<std::string, double>* rule_seconds) {
   const auto timed = [&](const char* id, const std::function<void()>& body) {
@@ -243,11 +238,10 @@ std::vector<Finding> run_interproc_rules(const std::vector<FileSummary>& files,
   std::vector<Finding> out;
   for (const TaintRule& tr : kTaintRules) {
     if (!rule_enabled(enabled, tr.ip_id)) continue;
-    timed(tr.ip_id, [&] { run_taint_rule(tr, files, index, max_call_depth, out); });
+    timed(tr.ip_id, [&] { run_taint_rule(tr, files, index, out); });
   }
   if (rule_enabled(enabled, "ip-coll-rank-branch")) {
-    timed("ip-coll-rank-branch",
-          [&] { run_coll_rank_branch(files, index, max_call_depth, out); });
+    timed("ip-coll-rank-branch", [&] { run_coll_rank_branch(files, index, out); });
   }
   if (rule_enabled(enabled, "ip-unchecked-sync-result")) {
     timed("ip-unchecked-sync-result", [&] { run_unchecked_sync_result(files, index, out); });

@@ -1,9 +1,10 @@
 // Interprocedural hcs-lint rules (phase 2 of 2).
 //
 // These run over the merged per-file summaries and the ProjectIndex, not over
-// tokens: they see only what phase 1 recorded.  Each rule extends one per-file
-// rule across call edges (up to `max_call_depth` edges, the PARCOACH-style
-// bound on chain length):
+// tokens: they see only what phase 1 recorded, and of the hazard and
+// rank-branch records only those inside a named function.  Each rule extends
+// one per-file rule across call edges (up to kMaxCallDepth edges, the
+// PARCOACH-style bound on chain length):
 //
 //   ip-coll-rank-branch      rank-dependent branches whose *direct* collective
 //                            calls match but whose transitive collective bags
@@ -39,10 +40,12 @@
 
 namespace hcs::lint {
 
+// Interprocedural chain bound, in call edges.
+inline constexpr std::size_t kMaxCallDepth = 4;
+
 std::vector<Finding> run_interproc_rules(const std::vector<FileSummary>& files,
                                          const ProjectIndex& index,
                                          const std::set<std::string>& enabled,
-                                         std::size_t max_call_depth,
                                          const std::function<double()>& now = {},
                                          std::map<std::string, double>* rule_seconds = nullptr);
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <map>
-#include <sstream>
 
+#include "lint/summary.hpp"
 #include "lint/token_scan.hpp"
 
 namespace hcs::lint {
@@ -17,22 +17,16 @@ using namespace scan;  // NOLINT(google-build-using-namespace) — rule bodies r
 // ---------------------------------------------------------------------------
 
 struct FileCtx {
-  const LexedFile& file;
-  const std::string& rel_path;
   const Toks& t;
-  std::vector<FuncExtent> fns;
-  std::set<std::string> rank_vars;  // identifiers holding rank-derived values
+  const FileSummary& summary;  // hazard and rank-branch records
 
-  FileCtx(const LexedFile& f, const std::string& rp)
-      : file(f),
-        rel_path(rp),
-        t(f.tokens),
-        fns(function_extents(f.tokens)),
-        rank_vars(rank_tainted_vars(f.tokens)) {}
-
-  void add(std::vector<Finding>& out, const RuleInfo& rule, const Token& at, std::string message,
-           Severity severity) const {
-    out.push_back(Finding{rule.id, severity, rel_path, at.line, at.col, std::move(message)});
+  void add(std::vector<Finding>& out, const RuleInfo& rule, int line, int col,
+           std::string message) const {
+    out.push_back(Finding{rule.id, rule.severity, summary.rel_path, line, col, std::move(message)});
+  }
+  void add(std::vector<Finding>& out, const RuleInfo& rule, const Token& at,
+           std::string message) const {
+    add(out, rule, at.line, at.col, std::move(message));
   }
 };
 
@@ -41,47 +35,20 @@ struct FileCtx {
 // ---------------------------------------------------------------------------
 
 void rule_coll_rank_branch(const FileCtx& ctx, const RuleInfo& rule, std::vector<Finding>& out) {
-  const Toks& t = ctx.t;
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (!is_ident(t[i], "if") || !is(t[i + 1], "(")) continue;
-    if (i > 0 && is_ident(t[i - 1], "else")) {
-      // An else-if arm was already analyzed as part of the outer if.
-    }
-    const std::size_t cond_close = match_forward(t, i + 1);
-    if (cond_close >= t.size()) continue;
-    if (!rank_dependent_cond(t, ctx.rank_vars, i + 2, cond_close)) continue;
-
-    const std::size_t then_b = cond_close + 1;
-    const std::size_t then_e = stmt_end(t, then_b);
-    std::size_t else_b = then_e, else_e = then_e;
-    if (then_e < t.size() && is_ident(t[then_e], "else")) {
-      else_b = then_e + 1;
-      else_e = stmt_end(t, else_b);
-    }
-    const std::vector<std::string> in_then = collectives_in(t, then_b, then_e);
-    const std::vector<std::string> in_else = collectives_in(t, else_b, else_e);
-    if (in_then != in_else) {
-      ctx.add(out, rule, t[i],
+  for (const RankBranchSummary& rb : ctx.summary.rank_branches) {
+    if (rb.then_colls != rb.else_colls) {
+      ctx.add(out, rule, rb.line, rb.col,
               "collective calls diverge across a rank-dependent branch: then-branch calls " +
-                  join(in_then) + ", else-branch calls " + join(in_else) +
-                  " — every rank must reach the same collective sequence",
-              rule.severity);
+                  join(rb.then_colls) + ", else-branch calls " + join(rb.else_colls) +
+                  " — every rank must reach the same collective sequence");
       continue;
     }
     // Matched branches (usually both empty): an early exit on one side still
     // desynchronizes every collective that follows in this function.
-    const bool exit_then = has_function_exit(t, then_b, then_e);
-    const bool exit_else = else_b != else_e && has_function_exit(t, else_b, else_e);
-    if (exit_then == exit_else) continue;
-    const FuncExtent* fn = enclosing_function(ctx.fns, i);
-    const std::size_t scan_to = fn ? fn->close : t.size();
-    const std::vector<std::string> after = collectives_in(t, std::max(then_e, else_e), scan_to);
-    if (!after.empty()) {
-      ctx.add(out, rule, t[i],
-              "rank-dependent early exit skips later collective(s) " + join(after) +
-                  " for some ranks — hoist the exit below the collective or make it uniform",
-              rule.severity);
-    }
+    if (rb.exit_then == rb.exit_else || rb.scope_after_colls.empty()) continue;
+    ctx.add(out, rule, rb.line, rb.col,
+            "rank-dependent early exit skips later collective(s) " + join(rb.scope_after_colls) +
+                " for some ranks — hoist the exit below the collective or make it uniform");
   }
 }
 
@@ -104,8 +71,7 @@ void rule_ft_plain_recv(const FileCtx& ctx, const RuleInfo& rule, std::vector<Fi
     if (is_ident(t[i], "recv") && call_kind(t, i) == CallKind::kMethod) {
       ctx.add(out, rule, t[i],
               "plain recv() in a file using the failure-detector path (recv_ft/peer_status): "
-              "recv blocks forever if the peer has crashed — use recv_ft",
-              rule.severity);
+              "recv blocks forever if the peer has crashed — use recv_ft");
     }
   }
 }
@@ -115,21 +81,12 @@ void rule_ft_plain_recv(const FileCtx& ctx, const RuleInfo& rule, std::vector<Fi
 // ---------------------------------------------------------------------------
 
 void rule_wall_clock(const FileCtx& ctx, const RuleInfo& rule, std::vector<Finding>& out) {
-  const Toks& t = ctx.t;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!is_ident(t[i])) continue;
-    const std::string& s = t[i].text;
-    const bool chrono_clock =
-        s == "system_clock" || s == "steady_clock" || s == "high_resolution_clock";
-    const bool c_api =
-        (s == "gettimeofday" || s == "clock_gettime") && call_kind(t, i) == CallKind::kFree;
-    if (chrono_clock || c_api) {
-      ctx.add(out, rule, t[i],
-              "wall-clock time source '" + s +
-                  "' breaks byte-identical reproducibility — simulated code must use "
-                  "sim::Simulation time; host-side timing belongs in src/runner/",
-              rule.severity);
-    }
+  for (const HazardSite& h : ctx.summary.hazards) {
+    if (h.kind != HazardKind::kWallClock) continue;
+    ctx.add(out, rule, h.line, h.col,
+            "wall-clock time source '" + h.detail +
+                "' breaks byte-identical reproducibility — simulated code must use "
+                "sim::Simulation time; host-side timing belongs in src/runner/");
   }
 }
 
@@ -138,41 +95,21 @@ void rule_wall_clock(const FileCtx& ctx, const RuleInfo& rule, std::vector<Findi
 // ---------------------------------------------------------------------------
 
 void rule_raw_random(const FileCtx& ctx, const RuleInfo& rule, std::vector<Finding>& out) {
-  static const std::set<std::string> kEngines = {
-      "mt19937",  "mt19937_64", "minstd_rand",           "minstd_rand0",
-      "ranlux24", "ranlux48",   "default_random_engine", "knuth_b"};
-  const Toks& t = ctx.t;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!is_ident(t[i])) continue;
-    const std::string& s = t[i].text;
-    if (s == "random_device") {
-      ctx.add(out, rule, t[i],
-              "std::random_device is nondeterministic by construction — derive streams from "
-              "the run seed (sim::Rng / World RNG streams)",
-              rule.severity);
-      continue;
+  for (const HazardSite& h : ctx.summary.hazards) {
+    if (h.kind != HazardKind::kRawRandom) continue;
+    std::string message;
+    if (h.detail == "random_device") {
+      message =
+          "std::random_device is nondeterministic by construction — derive streams from the "
+          "run seed (sim::Rng / World RNG streams)";
+    } else if (h.var.empty()) {  // rand() / srand()
+      message = h.detail +
+                "() uses hidden global state and is not seedable per trial — use sim::Rng";
+    } else {
+      message = "default-constructed random engine '" + h.var +
+                "' has an implementation-defined seed — seed it explicitly from the run seed";
     }
-    if ((s == "rand" || s == "srand") && call_kind(t, i) == CallKind::kFree) {
-      ctx.add(out, rule, t[i],
-              s + "() uses hidden global state and is not seedable per trial — use sim::Rng",
-              rule.severity);
-      continue;
-    }
-    if (kEngines.count(s) && i + 1 < t.size() && is_ident(t[i + 1]) &&
-        t[i + 1].text.back() != '_') {  // trailing _ = member, seeded in the ctor
-      const std::size_t after = i + 2;
-      const bool unseeded =
-          after < t.size() &&
-          (is(t[after], ";") ||
-           (is(t[after], "{") && after + 1 < t.size() && is(t[after + 1], "}")));
-      if (unseeded) {
-        ctx.add(out, rule, t[i],
-                "default-constructed random engine '" + t[i + 1].text +
-                    "' has an implementation-defined seed — seed it explicitly from the "
-                    "run seed",
-                rule.severity);
-      }
-    }
+    ctx.add(out, rule, h.line, h.col, std::move(message));
   }
 }
 
@@ -226,8 +163,7 @@ void rule_unordered_iter(const FileCtx& ctx, const RuleInfo& rule, std::vector<F
         ctx.add(out, rule, t[i],
                 "iteration over std::unordered_* ('" + t[k].text +
                     "') has unspecified order — anything it feeds (exporters, logs, metrics) "
-                    "loses byte-identical output; use std::map/std::set or sort first",
-                rule.severity);
+                    "loses byte-identical output; use std::map/std::set or sort first");
         break;
       }
     }
@@ -287,8 +223,7 @@ void rule_co_await_subexpr(const FileCtx& ctx, const RuleInfo& rule, std::vector
     if (is_ident(t[i], "co_await") && subexpr_hazard(t, i)) {
       ctx.add(out, rule, t[i],
               "co_await inside a ?:/&&/|| subexpression — GCC 12 miscompiles these (coroutine "
-              "frame double-free, cf. the Comm::split fix); hoist it into its own statement",
-              rule.severity);
+              "frame double-free, cf. the Comm::split fix); hoist it into its own statement");
     }
   }
 }
@@ -341,8 +276,7 @@ void rule_coro_lambda_capture(const FileCtx& ctx, const RuleInfo& rule,
       ctx.add(out, rule, t[i],
               "immediately-invoked lambda coroutine with captures: the temporary lambda dies "
               "at the end of this statement while the coroutine frame still points into it — "
-              "pass state as parameters or name the lambda with matching lifetime",
-              rule.severity);
+              "pass state as parameters or name the lambda with matching lifetime");
       continue;
     }
     const bool escapes =
@@ -350,8 +284,7 @@ void rule_coro_lambda_capture(const FileCtx& ctx, const RuleInfo& rule,
     if (escapes && ref_capture) {
       ctx.add(out, rule, t[i],
               "returned lambda coroutine captures by reference: the captured locals die with "
-              "the enclosing scope before the coroutine runs — capture by value",
-              rule.severity);
+              "the enclosing scope before the coroutine runs — capture by value");
     }
   }
 }
@@ -431,8 +364,7 @@ void rule_task_discard(const FileCtx& ctx, const RuleInfo& rule, std::vector<Fin
     ctx.add(out, rule, t[i],
             "Task-returning call '" + t[i].text +
                 "' is never awaited or stored — the operation is destroyed before it runs; "
-                "co_await it (or hand it to Simulation::spawn)",
-            rule.severity);
+                "co_await it (or hand it to Simulation::spawn)");
   }
 }
 
@@ -451,40 +383,28 @@ void rule_task_discard(const FileCtx& ctx, const RuleInfo& rule, std::vector<Fin
 // boundaries) instead of touching another shard's state directly.
 void rule_shard_shared_state(const FileCtx& ctx, const RuleInfo& rule,
                              std::vector<Finding>& out) {
-  const Toks& t = ctx.t;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!is_ident(t[i])) continue;
-    const std::string& s = t[i].text;
-    if (s == "set_current_shard" && i + 1 < t.size() && is(t[i + 1], "(")) {
-      ctx.add(out, rule, t[i],
-              "the shard context is owned by the engine's window scheduler — re-pointing it "
-              "from rank/callback code lets writes bypass the cross-shard mailbox API; send a "
-              "message instead (it lands in the destination shard at the next window boundary)",
-              rule.severity);
-      continue;
+  for (const HazardSite& h : ctx.summary.hazards) {
+    if (h.kind != HazardKind::kShardState) continue;
+    std::string message;
+    if (h.detail == "set_current_shard") {
+      message =
+          "the shard context is owned by the engine's window scheduler — re-pointing it from "
+          "rank/callback code lets writes bypass the cross-shard mailbox API; send a message "
+          "instead (it lands in the destination shard at the next window boundary)";
+    } else if (h.detail == "tl_current_shard") {
+      message =
+          "direct access to the thread-local shard slot bypasses the scheduler — read it via "
+          "sim::current_shard() and never write it outside the engine";
+    } else {
+      // world().sim() / world_->sim(): shard 0's event loop.  Rank code on any
+      // other shard reading time or drawing randomness through it observes
+      // the wrong clock and races with shard 0's worker thread.
+      message =
+          "World::sim() is shard 0's event loop — the wrong clock (and a data race) for ranks "
+          "on other shards; read time through Comm::sim() or RankCtx::sim(), which resolve "
+          "the rank's owning shard";
     }
-    if (s == "tl_current_shard") {
-      ctx.add(out, rule, t[i],
-              "direct access to the thread-local shard slot bypasses the scheduler — read it "
-              "via sim::current_shard() and never write it outside the engine",
-              rule.severity);
-      continue;
-    }
-    // world().sim() / world_->sim(): shard 0's event loop.  Rank code on any
-    // other shard reading time or drawing randomness through it observes the
-    // wrong clock and races with shard 0's worker thread.
-    const bool via_call = is_ident(t[i], "world") && i + 6 < t.size() && is(t[i + 1], "(") &&
-                          is(t[i + 2], ")") && is(t[i + 3], ".") && is_ident(t[i + 4], "sim") &&
-                          is(t[i + 5], "(") && is(t[i + 6], ")");
-    const bool via_member = is_ident(t[i], "world_") && i + 4 < t.size() && is(t[i + 1], "->") &&
-                            is_ident(t[i + 2], "sim") && is(t[i + 3], "(") && is(t[i + 4], ")");
-    if (via_call || via_member) {
-      ctx.add(out, rule, t[i],
-              "World::sim() is shard 0's event loop — the wrong clock (and a data race) for "
-              "ranks on other shards; read time through Comm::sim() or RankCtx::sim(), which "
-              "resolve the rank's owning shard",
-              rule.severity);
-    }
+    ctx.add(out, rule, h.line, h.col, std::move(message));
   }
 }
 
@@ -564,8 +484,7 @@ void rule_soa_point_state(const FileCtx& ctx, const RuleInfo& rule, std::vector<
             "per-point state stored array-of-structs ('vector<" + elem +
                 ">'): every median/outlier/fit pass reads one field at a time with a wide "
                 "stride — use the structure-of-arrays containers in clocksync/soa.hpp "
-                "(FitPointsSoA / ObsSoA) so scans stay contiguous at 100k+ ranks",
-            rule.severity);
+                "(FitPointsSoA / ObsSoA) so scans stay contiguous at 100k+ ranks");
   }
 }
 
@@ -644,10 +563,11 @@ const RuleInfo* find_rule(const std::string& id) {
   return nullptr;
 }
 
-void run_rules(const LexedFile& file, const std::string& rel_path,
+void run_rules(const LexedFile& file, const FileSummary& summary,
                const std::set<std::string>& enabled, std::vector<Finding>& out,
                const std::function<double()>& now, std::map<std::string, double>* rule_seconds) {
-  const FileCtx ctx(file, rel_path);
+  const FileCtx ctx{file.tokens, summary};
+  const std::string& rel_path = summary.rel_path;
   for (const auto& rule : rule_table()) {
     if (rule.interprocedural) continue;  // phase 2: run_interproc_rules
     if (!enabled.empty() && !enabled.count(rule.id)) continue;

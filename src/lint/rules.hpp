@@ -1,9 +1,11 @@
 // The hcs-lint rule catalogue and rule engine.
 //
 // Rules are table-driven: rule_table() is the single source of truth for rule
-// ids, default severities, categories and per-rule path exemptions.  Every
-// rule is a token-stream check over a LexedFile (see docs/static-analysis.md
-// for the catalogue with rationale and examples).
+// ids, default severities, categories and per-rule path exemptions.  The
+// per-file rules wall-clock, raw-random, shard-shared-state and
+// coll-rank-branch are queries over the hazard and rank-branch records of a
+// FileSummary; the others are token-stream checks over the LexedFile (see
+// docs/static-analysis.md for the catalogue with rationale and examples).
 #pragma once
 
 #include <functional>
@@ -16,6 +18,8 @@
 #include "lint/lexer.hpp"
 
 namespace hcs::lint {
+
+struct FileSummary;
 
 struct RuleInfo {
   std::string id;
@@ -38,12 +42,13 @@ const std::vector<RuleInfo>& rule_table();
 const RuleInfo* find_rule(const std::string& id);
 
 // Runs every per-file rule whose id is in `enabled` (empty set = all rules)
-// over `file` and appends raw findings.  `rel_path` is the repo-relative path
-// used for exemption matching and reporting; suppression comments and
-// baselines are applied by the analyzer, not here.  Interprocedural rules are
-// skipped (see interproc_rules.hpp).  `now`/`rule_seconds` (optional)
-// accumulate per-rule runtimes for --stats.
-void run_rules(const LexedFile& file, const std::string& rel_path,
+// over `file` and its summary's records, and appends raw findings.
+// `summary.rel_path` is the repo-relative path used for exemption matching
+// and reporting; suppression comments and baselines are applied by the
+// analyzer, not here.  Interprocedural rules are skipped (see
+// interproc_rules.hpp).  `now`/`rule_seconds` (optional) accumulate per-rule
+// runtimes for --stats.
+void run_rules(const LexedFile& file, const FileSummary& summary,
                const std::set<std::string>& enabled, std::vector<Finding>& out,
                const std::function<double()>& now = {},
                std::map<std::string, double>* rule_seconds = nullptr);

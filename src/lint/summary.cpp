@@ -1,8 +1,6 @@
 #include "lint/summary.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <sstream>
 
 #include "lint/rules.hpp"
 #include "lint/token_scan.hpp"
@@ -37,12 +35,6 @@ std::vector<std::string> parse_rule_list(const std::string& text, std::size_t op
 // ---------------------------------------------------------------------------
 // Function discovery
 // ---------------------------------------------------------------------------
-
-bool benign_decl_token(const Token& t) {
-  if (is_ident(t)) return true;  // specifiers, trailing-return type names
-  return t.text == "::" || t.text == "<" || t.text == ">" || t.text == "&" || t.text == "*" ||
-         t.text == "->" || t.text == "...";
-}
 
 // Names whose "(...)  {" shape is not a function definition.
 bool non_function_name(const std::string& s) {
@@ -248,44 +240,65 @@ ResultUse classify_use(const Toks& t, std::size_t i, const FuncExtent& fe) {
 // Hazard sites
 // ---------------------------------------------------------------------------
 
-void scan_hazards(const Toks& t, const FuncExtent& fe, std::vector<HazardSite>& out) {
+// Index of the innermost named function whose body holds token `i`, or -1.
+// `fns` is in token order, so a nested definition follows its encloser.
+int innermost_named(const std::vector<NamedFn>& fns, std::size_t i) {
+  int best = -1;
+  for (std::size_t k = 0; k < fns.size() && fns[k].fe.open < i; ++k) {
+    if (i < fns[k].fe.close) best = static_cast<int>(k);
+  }
+  return best;
+}
+
+void scan_hazards(const Toks& t, const std::vector<NamedFn>& fns, std::vector<HazardSite>& out) {
   static const std::set<std::string> kEngines = {
       "mt19937",  "mt19937_64", "minstd_rand",           "minstd_rand0",
       "ranlux24", "ranlux48",   "default_random_engine", "knuth_b"};
-  for (std::size_t i = fe.open + 1; i < fe.close; ++i) {
+  const auto site = [&](HazardKind kind, std::size_t i, std::string detail) -> HazardSite& {
+    HazardSite& h = out.emplace_back();
+    h.kind = kind;
+    h.line = t[i].line;
+    h.col = t[i].col;
+    h.detail = std::move(detail);
+    h.fn = innermost_named(fns, i);
+    return h;
+  };
+  for (std::size_t i = 0; i < t.size(); ++i) {
     if (!is_ident(t[i])) continue;
     const std::string& s = t[i].text;
     // Wall clock.
     if (s == "system_clock" || s == "steady_clock" || s == "high_resolution_clock" ||
         ((s == "gettimeofday" || s == "clock_gettime") && call_kind(t, i) == CallKind::kFree)) {
-      out.push_back({HazardKind::kWallClock, t[i].line, t[i].col, s});
+      site(HazardKind::kWallClock, i, s);
       continue;
     }
     // Raw randomness.
     if (s == "random_device" ||
         ((s == "rand" || s == "srand") && call_kind(t, i) == CallKind::kFree)) {
-      out.push_back({HazardKind::kRawRandom, t[i].line, t[i].col, s});
+      site(HazardKind::kRawRandom, i, s);
       continue;
     }
     if (kEngines.count(s) && i + 1 < t.size() && is_ident(t[i + 1]) &&
-        t[i + 1].text.back() != '_') {
+        t[i + 1].text.back() != '_') {  // trailing _ = member, seeded in the ctor
       const std::size_t after = i + 2;
       const bool unseeded =
           after < t.size() &&
           (is(t[after], ";") ||
            (is(t[after], "{") && after + 1 < t.size() && is(t[after + 1], "}")));
-      if (unseeded) out.push_back({HazardKind::kRawRandom, t[i].line, t[i].col, s});
+      if (unseeded) site(HazardKind::kRawRandom, i, s).var = t[i + 1].text;
       continue;
     }
-    // Shard confinement.  Writes only: current_shard() and other sanctioned
-    // reads of the thread-local slot are not escape hatches.
+    // Shard confinement.  Every mention of the thread-local slot is a site,
+    // but only writes re-point it: current_shard() and other sanctioned reads
+    // are not escape hatches.
     if (s == "set_current_shard" && i + 1 < t.size() && is(t[i + 1], "(")) {
-      out.push_back({HazardKind::kShardState, t[i].line, t[i].col, s});
+      site(HazardKind::kShardState, i, s);
       continue;
     }
-    if (s == "tl_current_shard" && i + 1 < t.size() &&
-        (is_assign_op(t[i + 1]) || is(t[i + 1], "++") || is(t[i + 1], "--"))) {
-      out.push_back({HazardKind::kShardState, t[i].line, t[i].col, s});
+    if (s == "tl_current_shard") {
+      site(HazardKind::kShardState, i, s).read_only =
+          !(i + 1 < t.size() &&
+            (is_assign_op(t[i + 1]) || is(t[i + 1], "++") || is(t[i + 1], "--")));
       continue;
     }
     const bool via_call = s == "world" && i + 6 < t.size() && is(t[i + 1], "(") &&
@@ -293,9 +306,7 @@ void scan_hazards(const Toks& t, const FuncExtent& fe, std::vector<HazardSite>& 
                           is(t[i + 5], "(") && is(t[i + 6], ")");
     const bool via_member = s == "world_" && i + 4 < t.size() && is(t[i + 1], "->") &&
                             is_ident(t[i + 2], "sim") && is(t[i + 3], "(") && is(t[i + 4], ")");
-    if (via_call || via_member) {
-      out.push_back({HazardKind::kShardState, t[i].line, t[i].col, "World::sim()"});
-    }
+    if (via_call || via_member) site(HazardKind::kShardState, i, "World::sim()");
   }
 }
 
@@ -315,13 +326,13 @@ std::vector<std::string> call_names_in(const Toks& t, std::size_t b, std::size_t
   return names;
 }
 
-void scan_rank_branches(const Toks& t, const FuncExtent& fe,
-                        const std::set<std::string>& rank_vars,
-                        std::vector<RankBranchSummary>& out) {
-  for (std::size_t i = fe.open + 1; i + 1 < fe.close; ++i) {
+void scan_rank_branches(const Toks& t, const std::vector<FuncExtent>& extents,
+                        const std::vector<NamedFn>& fns, std::vector<RankBranchSummary>& out) {
+  const std::set<std::string> rank_vars = rank_tainted_vars(t);
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
     if (!is_ident(t[i], "if") || !is(t[i + 1], "(")) continue;
     const std::size_t cond_close = match_forward(t, i + 1);
-    if (cond_close >= fe.close) continue;
+    if (cond_close >= t.size()) continue;
     if (!rank_dependent_cond(t, rank_vars, i + 2, cond_close)) continue;
     const std::size_t then_b = cond_close + 1;
     const std::size_t then_e = stmt_end(t, then_b);
@@ -330,96 +341,26 @@ void scan_rank_branches(const Toks& t, const FuncExtent& fe,
       else_b = then_e + 1;
       else_e = stmt_end(t, else_b);
     }
+    const std::size_t after = std::max(then_e, else_e);
     RankBranchSummary rb;
     rb.line = t[i].line;
     rb.col = t[i].col;
+    rb.fn = innermost_named(fns, i);
     rb.exit_then = has_function_exit(t, then_b, then_e);
     rb.exit_else = else_b != else_e && has_function_exit(t, else_b, else_e);
     rb.then_colls = collectives_in(t, then_b, then_e);
     rb.else_colls = collectives_in(t, else_b, else_e);
-    rb.after_colls = collectives_in(t, std::max(then_e, else_e), fe.close);
     rb.then_calls = call_names_in(t, then_b, then_e);
     rb.else_calls = call_names_in(t, else_b, else_e);
-    rb.after_calls = call_names_in(t, std::max(then_e, else_e), fe.close);
+    const FuncExtent* scope = enclosing_function(extents, i);
+    rb.scope_after_colls = collectives_in(t, after, scope ? scope->close : t.size());
+    if (rb.fn >= 0) {
+      const std::size_t fn_close = fns[static_cast<std::size_t>(rb.fn)].fe.close;
+      rb.after_colls = collectives_in(t, after, fn_close);
+      rb.after_calls = call_names_in(t, after, fn_close);
+    }
     out.push_back(std::move(rb));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Serialization helpers
-// ---------------------------------------------------------------------------
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\t') {
-      out += "\\t";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 >= s.size()) {
-      out.push_back(s[i]);
-      continue;
-    }
-    ++i;
-    out.push_back(s[i] == 't' ? '\t' : s[i] == 'n' ? '\n' : s[i]);
-  }
-  return out;
-}
-
-std::vector<std::string> split(const std::string& line, char sep) {
-  std::vector<std::string> fields;
-  std::string cur;
-  for (char c : line) {
-    if (c == sep) {
-      fields.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  fields.push_back(cur);
-  return fields;
-}
-
-std::string join_list(const std::vector<std::string>& v) {
-  std::string out;
-  for (std::size_t i = 0; i < v.size(); ++i) out += (i ? "," : "") + v[i];
-  return out;
-}
-
-std::vector<std::string> split_list(const std::string& s) {
-  if (s.empty()) return {};
-  return split(s, ',');
-}
-
-bool parse_int(const std::string& s, int* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-bool parse_u64_hex(const std::string& s, std::uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 16);
-  return end == s.c_str() + s.size();
 }
 
 }  // namespace
@@ -427,15 +368,6 @@ bool parse_u64_hex(const std::string& s, std::uint64_t* out) {
 // ---------------------------------------------------------------------------
 // Public API
 // ---------------------------------------------------------------------------
-
-std::uint64_t fnv1a64(const std::string& data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 SuppressionSummary collect_suppressions(const LexedFile& file, const std::string& rel_path,
                                         std::vector<Finding>* bad_annotations) {
@@ -496,18 +428,10 @@ FileSummary build_summary(const LexedFile& file, const std::string& rel_path,
   FileSummary out;
   out.rel_path = rel_path;
 
-  // Per-file findings for every rule: selection and suppression are config,
-  // applied at assembly time so cached summaries stay config-independent.
-  run_rules(file, rel_path, /*enabled=*/{}, out.local_findings, now, rule_seconds);
-  std::vector<Finding> bad;
-  out.suppressions = collect_suppressions(file, rel_path, &bad);
-  out.local_findings.insert(out.local_findings.end(), bad.begin(), bad.end());
-  std::sort(out.local_findings.begin(), out.local_findings.end());
-
   const Toks& t = file.tokens;
   const std::vector<FuncExtent> extents = function_extents(t);
-  const std::set<std::string> rank_vars = rank_tainted_vars(t);
-  for (const NamedFn& fn : named_functions(t, extents)) {
+  const std::vector<NamedFn> fns = named_functions(t, extents);
+  for (const NamedFn& fn : fns) {
     FunctionSummary fs;
     fs.name = fn.name;
     fs.qualifier = fn.qualifier;
@@ -532,144 +456,19 @@ FileSummary build_summary(const LexedFile& file, const std::string& rel_path,
       fs.calls.push_back(std::move(cs));
     }
     fs.direct_colls.assign(colls.begin(), colls.end());
-    scan_hazards(t, fn.fe, fs.hazards);
-    scan_rank_branches(t, fn.fe, rank_vars, fs.rank_branches);
     out.functions.push_back(std::move(fs));
   }
+  scan_hazards(t, fns, out.hazards);
+  scan_rank_branches(t, extents, fns, out.rank_branches);
+
+  // Per-file findings for every rule: selection and suppression are config,
+  // applied at assembly time.
+  std::vector<Finding> findings;
+  run_rules(file, out, /*enabled=*/{}, findings, now, rule_seconds);
+  out.suppressions = collect_suppressions(file, rel_path, &findings);
+  std::sort(findings.begin(), findings.end());
+  out.local_findings = std::move(findings);
   return out;
-}
-
-std::string serialize_summary(const FileSummary& s) {
-  std::ostringstream os;
-  os << "hcs-lint-summary " << kSummaryFormatVersion << "\n";
-  os << "path\t" << s.rel_path << "\n";
-  os << "hash\t" << std::hex << s.source_hash << std::dec << "\n";
-  if (!s.suppressions.whole_file.empty()) {
-    os << "sup-file\t"
-       << join_list({s.suppressions.whole_file.begin(), s.suppressions.whole_file.end()}) << "\n";
-  }
-  for (const auto& [line, rules] : s.suppressions.by_line) {
-    os << "sup-line\t" << line << "\t" << join_list({rules.begin(), rules.end()}) << "\n";
-  }
-  for (const Finding& f : s.local_findings) {
-    os << "finding\t" << f.rule << "\t" << static_cast<int>(f.severity) << "\t" << f.line << "\t"
-       << f.col << "\t" << escape(f.message) << "\n";
-  }
-  for (const FunctionSummary& fn : s.functions) {
-    os << "func\t" << fn.name << "\t" << fn.qualifier << "\t" << fn.line << "\t"
-       << (fn.returns_sync_result ? 1 : 0) << "\n";
-    for (const std::string& c : fn.direct_colls) os << "coll\t" << c << "\n";
-    for (const CallSite& c : fn.calls) {
-      os << "call\t" << c.name << "\t" << (c.method ? 1 : 0) << "\t" << c.line << "\t" << c.col
-         << "\t" << static_cast<int>(c.use) << "\n";
-    }
-    for (const HazardSite& h : fn.hazards) {
-      os << "hazard\t" << static_cast<int>(h.kind) << "\t" << h.line << "\t" << h.col << "\t"
-         << h.detail << "\n";
-    }
-    for (const RankBranchSummary& rb : fn.rank_branches) {
-      os << "branch\t" << rb.line << "\t" << rb.col << "\t" << (rb.exit_then ? 1 : 0) << "\t"
-         << (rb.exit_else ? 1 : 0) << "\t" << join_list(rb.then_colls) << "\t"
-         << join_list(rb.else_colls) << "\t" << join_list(rb.after_colls) << "\t"
-         << join_list(rb.then_calls) << "\t" << join_list(rb.else_calls) << "\t"
-         << join_list(rb.after_calls) << "\n";
-    }
-  }
-  os << "end\n";
-  return os.str();
-}
-
-bool parse_summary(const std::string& text, FileSummary* out) {
-  *out = FileSummary{};
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) ||
-      line != "hcs-lint-summary " + std::to_string(kSummaryFormatVersion)) {
-    return false;
-  }
-  FunctionSummary* fn = nullptr;
-  bool saw_end = false;
-  while (std::getline(is, line)) {
-    if (line == "end") {
-      saw_end = true;
-      break;
-    }
-    const std::vector<std::string> f = split(line, '\t');
-    const std::string& tag = f[0];
-    if (tag == "path" && f.size() == 2) {
-      out->rel_path = f[1];
-    } else if (tag == "hash" && f.size() == 2) {
-      if (!parse_u64_hex(f[1], &out->source_hash)) return false;
-    } else if (tag == "sup-file" && f.size() == 2) {
-      for (const std::string& r : split_list(f[1])) out->suppressions.whole_file.insert(r);
-    } else if (tag == "sup-line" && f.size() == 3) {
-      int ln = 0;
-      if (!parse_int(f[1], &ln)) return false;
-      for (const std::string& r : split_list(f[2])) out->suppressions.by_line[ln].insert(r);
-    } else if (tag == "finding" && f.size() == 6) {
-      Finding fd;
-      fd.rule = f[1];
-      int sev = 0;
-      if (!parse_int(f[2], &sev) || !parse_int(f[3], &fd.line) || !parse_int(f[4], &fd.col)) {
-        return false;
-      }
-      fd.severity = sev ? Severity::kError : Severity::kWarning;
-      fd.path = out->rel_path;
-      fd.message = unescape(f[5]);
-      out->local_findings.push_back(std::move(fd));
-    } else if (tag == "func" && f.size() == 5) {
-      FunctionSummary fs;
-      fs.name = f[1];
-      fs.qualifier = f[2];
-      int rsr = 0;
-      if (!parse_int(f[3], &fs.line) || !parse_int(f[4], &rsr)) return false;
-      fs.returns_sync_result = rsr != 0;
-      out->functions.push_back(std::move(fs));
-      fn = &out->functions.back();
-    } else if (tag == "coll" && f.size() == 2 && fn) {
-      fn->direct_colls.push_back(f[1]);
-    } else if (tag == "call" && f.size() == 6 && fn) {
-      CallSite cs;
-      cs.name = f[1];
-      int method = 0, use = 0;
-      if (!parse_int(f[2], &method) || !parse_int(f[3], &cs.line) || !parse_int(f[4], &cs.col) ||
-          !parse_int(f[5], &use) || use < 0 || use > 3) {
-        return false;
-      }
-      cs.method = method != 0;
-      cs.use = static_cast<ResultUse>(use);
-      fn->calls.push_back(std::move(cs));
-    } else if (tag == "hazard" && f.size() == 5 && fn) {
-      HazardSite h;
-      int kind = 0;
-      if (!parse_int(f[1], &kind) || kind < 0 || kind > 2 || !parse_int(f[2], &h.line) ||
-          !parse_int(f[3], &h.col)) {
-        return false;
-      }
-      h.kind = static_cast<HazardKind>(kind);
-      h.detail = f[4];
-      fn->hazards.push_back(std::move(h));
-    } else if (tag == "branch" && f.size() == 11 && fn) {
-      RankBranchSummary rb;
-      int et = 0, ee = 0;
-      if (!parse_int(f[1], &rb.line) || !parse_int(f[2], &rb.col) || !parse_int(f[3], &et) ||
-          !parse_int(f[4], &ee)) {
-        return false;
-      }
-      rb.exit_then = et != 0;
-      rb.exit_else = ee != 0;
-      rb.then_colls = split_list(f[5]);
-      rb.else_colls = split_list(f[6]);
-      rb.after_colls = split_list(f[7]);
-      rb.then_calls = split_list(f[8]);
-      rb.else_calls = split_list(f[9]);
-      rb.after_calls = split_list(f[10]);
-      fn->rank_branches.push_back(std::move(rb));
-    } else {
-      return false;
-    }
-  }
-  return saw_end;
 }
 
 }  // namespace hcs::lint

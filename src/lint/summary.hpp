@@ -1,17 +1,16 @@
 // Per-file summaries for whole-program hcs-lint (phase 1 of 2).
 //
-// A FileSummary is everything the project-wide phase needs to know about one
-// translation unit without re-reading it: every function definition with its
-// call sites, the collectives it performs directly, the determinism/shard
-// hazard sites it contains, the shape of its rank-dependent branches, the
-// per-file findings (all rules, pre-filter) and the suppression tables.
-// Summaries are config-independent — rule selection and baselines are applied
-// later — so they can be serialized into the incremental cache
-// (`hcs_lint --cache <dir>`) keyed on the file's content hash and reused
-// verbatim while the file is unchanged.
+// A FileSummary is everything the rules need to know about one translation
+// unit: every function definition with its call sites and the collectives it
+// performs directly, the determinism/shard hazard sites and rank-dependent
+// branches of the whole file, the per-file findings (all rules, pre-filter)
+// and the suppression tables.  build_summary is the one scanner for hazards
+// and rank branches: the per-file rules wall-clock, raw-random,
+// shard-shared-state and coll-rank-branch query its records, and so do the
+// interprocedural rules of phase 2.  Summaries are config-independent — rule
+// selection and baselines are applied later.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
@@ -23,24 +22,20 @@
 
 namespace hcs::lint {
 
-// Bump when the summary shape or extraction semantics change: stale cache
-// entries then miss instead of feeding the project phase outdated facts.
-inline constexpr int kSummaryFormatVersion = 1;
-
 enum class HazardKind {
-  kWallClock = 0,   // chrono clocks, gettimeofday, clock_gettime
-  kRawRandom = 1,   // random_device, rand/srand, unseeded engines
-  kShardState = 2,  // shard-context writes, World::sim() reads
+  kWallClock,   // chrono clocks, gettimeofday, clock_gettime
+  kRawRandom,   // random_device, rand/srand, unseeded engines
+  kShardState,  // set_current_shard, tl_current_shard, World::sim() reads
 };
 
 // How a call site treats the value the callee returns.  Only meaningful once
 // the project phase knows the callee returns SyncResult; classified for every
 // call at extraction time because the summary cannot see other files.
 enum class ResultUse {
-  kDiscarded = 0,       // bare `co_await f(...);` — value dropped entirely
-  kConverted = 1,       // bound via the implicit ClockPtr conversion (or .clock)
-  kBoundUnchecked = 2,  // bound to auto/SyncResult but .report never consulted
-  kConsumed = 3,        // returned, escaped, or .report read — caller's business
+  kDiscarded,       // bare `co_await f(...);` — value dropped entirely
+  kConverted,       // bound via the implicit ClockPtr conversion (or .clock)
+  kBoundUnchecked,  // bound to auto/SyncResult but .report never consulted
+  kConsumed,        // returned, escaped, or .report read — caller's business
 };
 
 struct CallSite {
@@ -51,24 +46,36 @@ struct CallSite {
   ResultUse use = ResultUse::kConsumed;
 };
 
+// Records of the whole file, file scope included.  `fn` tags each with its
+// innermost enclosing named function (an index into FileSummary::functions),
+// or -1 outside any; the interprocedural rules use only tagged records.
 struct HazardSite {
   HazardKind kind = HazardKind::kWallClock;
   int line = 0;
   int col = 0;
   std::string detail;  // the offending identifier, e.g. "system_clock"
+  int fn = -1;
+  std::string var;         // an unseeded engine: the variable it constructs
+  bool read_only = false;  // a plain read of tl_current_shard: re-points nothing
 };
 
-// One rank-dependent `if` inside a function: what each arm does directly.
-// The per-file coll-rank-branch rule fires when the *direct* collectives
-// diverge; the interprocedural rule fires when they match but the transitive
-// bags (through then_calls/else_calls) do not.
+// One rank-dependent `if`: what each arm does directly.  The per-file
+// coll-rank-branch rule fires when the *direct* collectives diverge; the
+// interprocedural rule fires when they match but the transitive bags
+// (through then_calls/else_calls) do not.
 struct RankBranchSummary {
   int line = 0;
   int col = 0;
+  int fn = -1;
   bool exit_then = false;
   bool exit_else = false;
-  std::vector<std::string> then_colls, else_colls, after_colls;  // sorted
-  std::vector<std::string> then_calls, else_calls, after_calls;  // sorted, deduped
+  std::vector<std::string> then_colls, else_colls;  // sorted
+  std::vector<std::string> then_calls, else_calls;  // sorted, deduped
+  // After the branch, up to the end of the innermost function or lambda (the
+  // file's end outside any): what a one-sided early exit skips file-locally.
+  std::vector<std::string> scope_after_colls;
+  // After the branch, up to the named function's "}" (empty when fn < 0).
+  std::vector<std::string> after_colls, after_calls;
 };
 
 struct FunctionSummary {
@@ -78,8 +85,6 @@ struct FunctionSummary {
   bool returns_sync_result = false;
   std::vector<std::string> direct_colls;  // sorted, deduped
   std::vector<CallSite> calls;            // non-collective project-call candidates
-  std::vector<HazardSite> hazards;
-  std::vector<RankBranchSummary> rank_branches;
 };
 
 struct SuppressionSummary {
@@ -89,15 +94,14 @@ struct SuppressionSummary {
 
 struct FileSummary {
   std::string rel_path;
-  std::uint64_t source_hash = 0;
   std::vector<FunctionSummary> functions;
+  std::vector<HazardSite> hazards;              // token order
+  std::vector<RankBranchSummary> rank_branches;  // token order
   // Findings from every per-file rule plus bad-suppression diagnostics,
   // before rule selection and suppression filtering (both are config).
   std::vector<Finding> local_findings;
   SuppressionSummary suppressions;
 };
-
-std::uint64_t fnv1a64(const std::string& data);
 
 // Parses the hcs-lint suppression comments out of a lexed file.  Unknown rule
 // names and malformed forms are reported into `bad_annotations` when
@@ -107,18 +111,12 @@ SuppressionSummary collect_suppressions(const LexedFile& file, const std::string
 
 bool is_suppressed(const SuppressionSummary& sup, const Finding& f);
 
-// Phase 1: extracts the full summary (functions, hazards, branches, findings,
-// suppressions) from one lexed file.  `now`/`rule_seconds` (both optional)
-// accumulate per-rule runtimes for --stats; the library takes no timings of
-// its own.
+// Phase 1: extracts the full summary (functions, hazards, branches,
+// suppressions) from one lexed file and runs the per-file rules over it.
+// `now`/`rule_seconds` (both optional) accumulate per-rule runtimes for
+// --stats; the library takes no timings of its own.
 FileSummary build_summary(const LexedFile& file, const std::string& rel_path,
                           const std::function<double()>& now = {},
                           std::map<std::string, double>* rule_seconds = nullptr);
-
-// Line-oriented text round-trip for the incremental cache.  parse_summary
-// returns false (leaving *out unspecified) on a version or shape mismatch, so
-// callers fall back to re-lexing.
-std::string serialize_summary(const FileSummary& summary);
-bool parse_summary(const std::string& text, FileSummary* out);
 
 }  // namespace hcs::lint

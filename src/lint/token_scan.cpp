@@ -105,15 +105,11 @@ CallKind call_kind(const Toks& t, std::size_t i) {
   return CallKind::kFree;
 }
 
-namespace {
-
 bool benign_decl_token(const Token& t) {
   if (is_ident(t)) return true;  // specifiers, trailing-return type names
   return t.text == "::" || t.text == "<" || t.text == ">" || t.text == "&" || t.text == "*" ||
          t.text == "->" || t.text == "...";
 }
-
-}  // namespace
 
 std::vector<FuncExtent> function_extents(const Toks& t) {
   std::vector<FuncExtent> out;

@@ -1,11 +1,11 @@
 // Shared token-stream scanning helpers for hcs-lint.
 //
-// Both the per-file rules (rules.cpp) and the whole-program summary extractor
-// (summary.cpp) work on the same flat token stream, with the same
+// The summary extractor (summary.cpp) and the token-walking per-file rules
+// (rules.cpp) work on the same flat token stream, with the same
 // brace/paren-aware heuristics: matching brackets, statement extents,
 // call-site classification, function-body discovery, rank-taint data flow and
 // the collective-call tables.  This header is the single home for those
-// primitives so the two phases cannot drift apart.
+// primitives.
 #pragma once
 
 #include <cstddef>
@@ -36,6 +36,10 @@ std::size_t match_backward(const Toks& t, std::size_t i);
 // statements and control-flow headers so a caller can treat "the then
 // branch" as one span whether or not it is braced.
 std::size_t stmt_end(const Toks& t, std::size_t b);
+
+// Tokens that may sit between a declarator's ")" and its body "{" or before a
+// declared name: specifiers, type names, "::", "<", ">", "&", "*", "->", "...".
+bool benign_decl_token(const Token& t);
 
 enum class CallKind { kNone, kMethod, kFree };
 
@@ -71,8 +75,7 @@ std::set<std::string> rank_tainted_vars(const Toks& t);
 bool rank_dependent_cond(const Toks& t, const std::set<std::string>& rank_vars, std::size_t b,
                          std::size_t e);
 
-// The collective-call tables shared by coll-rank-branch and the
-// whole-program summary.
+// The collective-call tables behind the rank-branch records.
 const std::set<std::string>& free_collectives();
 const std::set<std::string>& method_collectives();
 bool is_collective_call(const Toks& t, std::size_t i);

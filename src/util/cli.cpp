@@ -25,7 +25,26 @@ T parse_number(const std::string& text, const std::string& what) {
   return value;
 }
 
+// Worker/shard counts: --key beats $env_var beats fallback.  A whole number
+// in [0, INT_MAX]; a wider value is out of range, not silently narrowed.
+int count_option(const Cli& cli, const std::string& key, const char* env_var, int fallback) {
+  int n = fallback;
+  if (const char* env = std::getenv(env_var)) {
+    n = parse_number<int>(env, std::string("$") + env_var);
+  }
+  if (cli.has(key)) n = parse_number<int>(cli.get(key, ""), "--" + key);
+  if (n < 0) {
+    throw std::invalid_argument(key + " must be >= 0 (0 = one per hardware thread), got " +
+                                std::to_string(n));
+  }
+  return n;
+}
+
 }  // namespace
+
+int parse_int(const std::string& text, const std::string& what) {
+  return parse_number<int>(text, what);
+}
 
 Cli::Cli(int argc, const char* const* argv, std::vector<std::string> known_flags) {
   if (argc > 0) program_ = argv[0];
@@ -104,29 +123,11 @@ std::uint64_t Cli::seed(std::uint64_t fallback) const {
 }
 
 int Cli::jobs(int fallback) const {
-  std::int64_t j = fallback;
-  if (const char* env = std::getenv("HCLOCKSYNC_JOBS")) {
-    j = parse_number<std::int64_t>(env, "$HCLOCKSYNC_JOBS");
-  }
-  j = get_int("jobs", j);
-  if (j < 0) {
-    throw std::invalid_argument("jobs must be >= 0 (0 = one per hardware thread), got " +
-                                std::to_string(j));
-  }
-  return static_cast<int>(j);
+  return count_option(*this, "jobs", "HCLOCKSYNC_JOBS", fallback);
 }
 
 int Cli::shards(int fallback) const {
-  std::int64_t s = fallback;
-  if (const char* env = std::getenv("HCLOCKSYNC_SHARDS")) {
-    s = parse_number<std::int64_t>(env, "$HCLOCKSYNC_SHARDS");
-  }
-  s = get_int("shards", s);
-  if (s < 0) {
-    throw std::invalid_argument("shards must be >= 0 (0 = one per hardware thread), got " +
-                                std::to_string(s));
-  }
-  return static_cast<int>(s);
+  return count_option(*this, "shards", "HCLOCKSYNC_SHARDS", fallback);
 }
 
 }  // namespace hcs::util

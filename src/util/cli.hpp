@@ -51,12 +51,13 @@ class Cli {
 
   /// Worker threads: --jobs beats $HCLOCKSYNC_JOBS beats fallback.
   /// 0 means "one per hardware thread" (resolved by runner::resolve_jobs);
-  /// negative values throw.
+  /// negative values and values above INT_MAX throw.
   int jobs(int fallback = 1) const;
 
   /// Event-loop shards per World: --shards beats $HCLOCKSYNC_SHARDS beats
   /// fallback.  0 means "one per hardware thread" (resolved by
-  /// runner::resolve_jobs); negative values throw.  Orthogonal to jobs():
+  /// runner::resolve_jobs); negative values and values above INT_MAX throw.
+  /// Orthogonal to jobs():
   /// jobs parallelizes across independent trials, shards inside one World.
   int shards(int fallback = 1) const;
 
@@ -77,5 +78,10 @@ class Cli {
   std::map<std::string, std::vector<std::string>> repeated_;   // all, in order
   std::vector<std::string> positional_;
 };
+
+/// The accessors' strict parse for text that is not one whole option value
+/// (e.g. an entry of a comma-separated list): "2x", "" and values outside
+/// int throw std::invalid_argument naming `what` and the text.
+int parse_int(const std::string& text, const std::string& what);
 
 }  // namespace hcs::util

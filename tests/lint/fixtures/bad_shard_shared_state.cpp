@@ -35,4 +35,10 @@ void hijack_shard(int target, double* slot, double v) {
   *slot = v;
 }
 
+// Reads the thread-local shard slot directly: the per-file rule flags every
+// mention, reads included — the accessor is sim::current_shard().
+int peek_shard() {
+  return sim::tl_current_shard;  // hcs-lint-expect: shard-shared-state
+}
+
 }  // namespace fixture

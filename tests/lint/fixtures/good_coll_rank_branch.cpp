@@ -40,4 +40,17 @@ sim::Task<void> local_work(hcs::simmpi::RankCtx& ctx, std::vector<double>& acc) 
   co_await barrier(ctx.comm_world());
 }
 
+// The early return leaves only the lambda, not the coroutine: every rank
+// still reaches the barrier after it.
+sim::Task<void> lambda_exit(hcs::simmpi::RankCtx& ctx, std::vector<double>& acc) {
+  const auto record = [&](double v) {
+    if (ctx.rank() == 0) {
+      return;
+    }
+    acc.push_back(v);
+  };
+  record(1.0);
+  co_await barrier(ctx.comm_world());
+}
+
 }  // namespace fixture

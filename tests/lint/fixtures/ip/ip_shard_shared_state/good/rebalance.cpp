@@ -7,4 +7,6 @@ namespace hcs::clocksync {
 
 void rebalance_rank(int shard) { pin_shard_for_rank(shard); }
 
+int where_am_i() { return shard_of_this_thread(); }
+
 }  // namespace hcs::clocksync

@@ -10,4 +10,8 @@ void pin_shard_for_rank(int shard) {
   if (cur != shard) post_migration_request(shard);
 }
 
+// Only reads the thread-local slot (world.cpp owns it): a read re-points
+// nothing, so it is no taint source for callers.
+int shard_of_this_thread() { return tl_current_shard; }
+
 }  // namespace hcs::simmpi

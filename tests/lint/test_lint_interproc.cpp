@@ -1,6 +1,6 @@
 // Whole-program (phase 2) tests: the per-rule multi-file fixture sets under
 // fixtures/ip/<rule>/{bad,good}/, the ProjectIndex resolution contract, the
-// call-depth bound, the incremental summary cache and the SARIF export.
+// call-depth bound and the SARIF export.
 //
 // Every fixture file's first line is a virtual-path directive
 //   // hcs-lint-path: <rel path>
@@ -217,7 +217,9 @@ TEST(ProjectIndex, StdIshNamesNeverBecomeCallEdges) {
 }
 
 TEST(InterprocDepth, MaxCallDepthBoundsThePropagation) {
-  // chain: c3 -> c2 -> c1 -> hidden_clock (suppressed wall clock).
+  // A 6-edge chain: c6 -> c5 -> c4 -> c3 -> c2 -> c1 -> hidden_clock
+  // (a suppressed wall clock).  Four rounds taint c1..c4, so the five edges
+  // into tainted callees are findings and the outermost c6 -> c5 is not.
   const Sources sources = {
       {"src/clocksync/z.cpp",
        "double hidden_clock() {\n"
@@ -226,26 +228,27 @@ TEST(InterprocDepth, MaxCallDepthBoundsThePropagation) {
        "}\n"
        "double c1() { return hidden_clock(); }\n"
        "double c2() { return c1(); }\n"
-       "double c3() { return c2(); }\n"},
+       "double c3() { return c2(); }\n"
+       "double c4() { return c3(); }\n"
+       "double c5() { return c4(); }\n"
+       "double c6() { return c5(); }\n"},
   };
-  AnalyzerOptions deep;
-  deep.enabled_rules = {"ip-wall-clock"};
-  deep.max_call_depth = 4;
-  EXPECT_EQ(analyze_sources(sources, deep).findings.size(), 3u)
-      << "every edge of the chain is a finding at depth 4";
-
-  AnalyzerOptions shallow = deep;
-  shallow.max_call_depth = 1;
-  // Depth 1 taints only c1; the c1->hidden_clock and c2->c1 edges are
-  // reported, the c3->c2 edge is beyond the bound.
-  EXPECT_EQ(analyze_sources(sources, shallow).findings.size(), 2u);
+  AnalyzerOptions opts;
+  opts.enabled_rules = {"ip-wall-clock"};
+  const std::vector<Finding> findings = analyze_sources(sources, opts).findings;
+  ASSERT_EQ(findings.size(), 5u) << "the bound is 4 call edges of propagation";
+  for (const Finding& f : findings) {
+    EXPECT_NE(f.line, 9) << "the c6 -> c5 edge lies beyond the bound: " << f.message;
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Incremental summary cache
+// SARIF
 // ---------------------------------------------------------------------------
 
-Sources cache_project() {
+// A suppressed raw-randomness source reached from another file: one
+// ip-raw-random finding.
+Sources laundered_entropy_project() {
   return {
       {"src/clocksync/helper.cpp",
        "int host_entropy() {\n"
@@ -256,82 +259,9 @@ Sources cache_project() {
   };
 }
 
-TEST(LintCache, WarmRunIsByteIdenticalAndSkipsLexing) {
-  AnalyzerOptions opts;
-  opts.cache_dir = (fs::path(::testing::TempDir()) / "hcs_lint_cache_warm").string();
-  fs::remove_all(opts.cache_dir);
-
-  const AnalysisResult cold = analyze_sources(cache_project(), opts);
-  EXPECT_EQ(cold.stats.files, 3);
-  EXPECT_EQ(cold.stats.files_lexed, 3);
-  EXPECT_EQ(cold.stats.cache_hits, 0);
-  ASSERT_EQ(cold.findings.size(), 1u);
-  EXPECT_EQ(cold.findings[0].rule, "ip-raw-random");
-
-  const AnalysisResult warm = analyze_sources(cache_project(), opts);
-  EXPECT_EQ(warm.stats.files_lexed, 0) << "unchanged files must come from the cache";
-  EXPECT_EQ(warm.stats.cache_hits, 3);
-  EXPECT_EQ(warm.findings, cold.findings) << "cached findings must be byte-identical";
-  EXPECT_EQ(warm.lines, cold.lines);
-}
-
-TEST(LintCache, OnlyChangedFilesAreRelexed) {
-  AnalyzerOptions opts;
-  opts.cache_dir = (fs::path(::testing::TempDir()) / "hcs_lint_cache_changed").string();
-  fs::remove_all(opts.cache_dir);
-
-  const AnalysisResult cold = analyze_sources(cache_project(), opts);
-  ASSERT_EQ(cold.findings.size(), 1u);
-
-  Sources edited = cache_project();
-  edited[1].second =
-      "int sample() {\n"
-      "  return host_entropy();  // hcs-lint: allow(ip-raw-random) fixture: justified\n"
-      "}\n";
-  const AnalysisResult warm = analyze_sources(edited, opts);
-  EXPECT_EQ(warm.stats.files_lexed, 1) << "only the edited file is re-lexed";
-  EXPECT_EQ(warm.stats.cache_hits, 2);
-  EXPECT_TRUE(warm.findings.empty()) << "the new suppression must take effect";
-}
-
-TEST(LintCache, CorruptCacheEntryFallsBackToLexing) {
-  AnalyzerOptions opts;
-  opts.cache_dir = (fs::path(::testing::TempDir()) / "hcs_lint_cache_corrupt").string();
-  fs::remove_all(opts.cache_dir);
-
-  const AnalysisResult cold = analyze_sources(cache_project(), opts);
-  std::vector<fs::path> entries;
-  for (const auto& e : fs::directory_iterator(opts.cache_dir)) entries.push_back(e.path());
-  ASSERT_EQ(entries.size(), 3u);
-  std::sort(entries.begin(), entries.end());
-  {
-    std::ofstream out(entries[0], std::ios::binary | std::ios::trunc);
-    out << "hcs-lint-summary 1\ngarbage line\n";
-  }
-
-  const AnalysisResult warm = analyze_sources(cache_project(), opts);
-  EXPECT_EQ(warm.stats.files_lexed, 1) << "the corrupt entry falls back to a fresh summary";
-  EXPECT_EQ(warm.stats.cache_hits, 2);
-  EXPECT_EQ(warm.findings, cold.findings);
-}
-
-TEST(LintSummary, SerializationRoundTrips) {
-  const Sources sources = load_set(kFixtureDir / "ip" / "ip_coll_rank_branch" / "bad");
-  for (const auto& [rel, content] : sources) {
-    const FileSummary s = summarize(rel, content);
-    FileSummary back;
-    ASSERT_TRUE(parse_summary(serialize_summary(s), &back)) << rel;
-    EXPECT_EQ(serialize_summary(back), serialize_summary(s)) << rel;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SARIF
-// ---------------------------------------------------------------------------
-
 TEST(Sarif, ExportIsValidAndCarriesRulesAndResults) {
   AnalyzerOptions opts;
-  const AnalysisResult res = analyze_sources(cache_project(), opts);
+  const AnalysisResult res = analyze_sources(laundered_entropy_project(), opts);
   ASSERT_FALSE(res.findings.empty());
 
   const testsupport::JsonValue doc = testsupport::JsonParser::parse(to_sarif(res.findings));

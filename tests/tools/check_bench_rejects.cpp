@@ -5,11 +5,16 @@
 // offending option (or environment variable) and value for:
 //   * an unknown option ("--frobnicate 1");
 //   * a numeric option or HCLOCKSYNC_* variable that is not wholly a number
-//     ("--jobs 2x", "--seed abc", "--scale 0.5abc").
+//     ("--jobs 2x", "--seed abc", "--scale 0.5abc");
+//   * a count that does not fit an int ("--jobs 4294967297").
 // A binary that accepted one of these would run its full workload instead,
 // which the ctest time limit turns into a failure too.
 //
-//   usage: check_bench_rejects <path to bench binary>
+//   usage: check_bench_rejects <path to bench binary> ["--option value" ...]
+//
+// Given "--option value" arguments (a binary's own numeric flags), each is
+// one bad invocation instead of the common cases above, and must likewise
+// exit 2 naming the option and the value.
 #include <sys/wait.h>
 
 #include <cstdio>
@@ -38,17 +43,30 @@ int run(const std::string& command, std::string& output) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 2) {
-    std::cerr << "usage: check_bench_rejects <bench binary>\n";
+  if (argc < 2) {
+    std::cerr << "usage: check_bench_rejects <bench binary> [\"--option value\" ...]\n";
     return 2;
   }
-  const std::vector<BadInvocation> cases = {
+  std::vector<BadInvocation> cases = {
       {"", "--frobnicate 1", {"--frobnicate"}},
       {"", "--jobs 2x", {"--jobs", "'2x'"}},
+      {"", "--jobs 4294967297", {"--jobs", "'4294967297'"}},
       {"", "--seed abc", {"--seed", "'abc'"}},
       {"", "--scale 0.5abc", {"--scale", "'0.5abc'"}},
       {"HCLOCKSYNC_JOBS=2x ", "", {"HCLOCKSYNC_JOBS", "'2x'"}},
   };
+  if (argc > 2) cases.clear();
+  for (int i = 2; i < argc; ++i) {
+    const std::string args = argv[i];
+    const std::size_t space = args.find(' ');
+    if (space == std::string::npos) {
+      std::cerr << "check_bench_rejects: expected \"--option value\", got '" << args << "'\n";
+      return 2;
+    }
+    std::string quoted = "'";
+    quoted.append(args, space + 1).push_back('\'');
+    cases.push_back({"", args, {args.substr(0, space), quoted}});
+  }
   int failures = 0;
   for (const BadInvocation& c : cases) {
     const std::string command = c.env + "'" + argv[1] + "' " + c.args;

@@ -177,7 +177,9 @@ INSTANTIATE_TEST_SUITE_P(
         MalformedCase{"SeedFraction", "seed", "1.5", Reader::kSeed},
         MalformedCase{"SeedHexPrefix", "seed", "0x10", Reader::kSeed},
         MalformedCase{"JobsTrailingGarbage", "jobs", "2x", Reader::kJobs},
+        MalformedCase{"JobsAboveIntMax", "jobs", "4294967297", Reader::kJobs},
         MalformedCase{"ShardsEmpty", "shards", "", Reader::kShards},
+        MalformedCase{"ShardsAboveIntMax", "shards", "4294967297", Reader::kShards},
         MalformedCase{"ScaleTrailingGarbage", "scale", "0.5abc", Reader::kScale},
         MalformedCase{"ScaleOverflow", "scale", "1e999", Reader::kScale},
         MalformedCase{"IntTwentyDigits", "fault-seed", "12345678901234567890",
@@ -204,10 +206,20 @@ INSTANTIATE_TEST_SUITE_P(
         MalformedCase{"ScaleEmpty", "HCLOCKSYNC_SCALE", "", Reader::kScale},
         MalformedCase{"JobsLetters", "HCLOCKSYNC_JOBS", "abc", Reader::kJobs},
         MalformedCase{"JobsTrailingGarbage", "HCLOCKSYNC_JOBS", "2x", Reader::kJobs},
+        MalformedCase{"JobsAboveIntMax", "HCLOCKSYNC_JOBS", "4294967297", Reader::kJobs},
+        MalformedCase{"ShardsAboveIntMax", "HCLOCKSYNC_SHARDS", "4294967297", Reader::kShards},
         MalformedCase{"ShardsTwentyDigits", "HCLOCKSYNC_SHARDS", "12345678901234567890",
                       Reader::kShards},
         MalformedCase{"ShardsEmpty", "HCLOCKSYNC_SHARDS", "", Reader::kShards}),
     [](const ::testing::TestParamInfo<MalformedCase>& info) { return info.param.label; });
+
+// The free parser behind list-valued flags (bench_scale --ranks) keeps the
+// accessors' contract.
+TEST(Cli, ParseIntIsWholeStringAndIntRanged) {
+  EXPECT_EQ(parse_int("2048", "--ranks"), 2048);
+  expect_rejected([] { (void)parse_int("2048x", "--ranks"); }, "--ranks", "2048x");
+  expect_rejected([] { (void)parse_int("4294967297", "--ranks"); }, "--ranks", "4294967297");
+}
 
 TEST(Cli, GetAllReturnsEveryOccurrenceInOrder) {
   // Repeatable flags (--fault) need all values; get() keeps only the last.
