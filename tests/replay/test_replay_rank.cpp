@@ -59,6 +59,30 @@ TEST(ReplayRank, Hca3ClockModelBitExactOnRing8) {
   EXPECT_EQ(describe_outcome(replayed), describe_outcome(recorded));
 }
 
+// H²HCA splits the world twice (node communicators, then the leaders'), so a
+// replayed rank can rebuild its communicators only from the split payloads
+// in its recording.  Ranks 0 and 16 lead their nodes, 1 and 63 do not.
+TEST(ReplayRank, H2hcaRanksReproduceBitExactly) {
+  Scenario scenario;
+  scenario.name = "h2hca-titan4";
+  scenario.machine = topology::titan().with_nodes(4);
+  scenario.sync_label = "top/hca3/50/skampi_offset/8/bottom/clockpropagation";
+  std::vector<RankOutcome> outcomes;
+  Recorder recorder;
+  {
+    const ScopedRecorder install(&recorder);
+    outcomes = run_scenario(scenario, 31);
+  }
+  const RecordedWorld& world = recorder.world(0);
+  ASSERT_EQ(world.info.nranks, 64);
+  for (const int rank : {0, 1, 16, 63}) {
+    const RankOutcome replayed = replay_scenario_rank(scenario, world, rank);
+    const RankOutcome& recorded = outcomes[static_cast<std::size_t>(rank)];
+    ASSERT_TRUE(recorded.ran) << "rank " << rank;
+    EXPECT_EQ(describe_outcome(replayed), describe_outcome(recorded)) << "rank " << rank;
+  }
+}
+
 TEST(ReplayRank, CrashedRankReplaysAsCrashed) {
   const Captured c = capture("micro4-crash", 17);
   const RecordedWorld& world = c.recorder.world(0);
