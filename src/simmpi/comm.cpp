@@ -32,9 +32,7 @@ Comm::Comm(World* world, std::shared_ptr<const std::vector<int>> members, int my
 }
 
 Comm Comm::world_comm(World& world, int rank) {
-  auto members = std::make_shared<std::vector<int>>(static_cast<std::size_t>(world.size()));
-  for (int r = 0; r < world.size(); ++r) (*members)[static_cast<std::size_t>(r)] = r;
-  return Comm(&world, std::move(members), rank, kWorldContext);
+  return Comm(&world, world.world_members(), rank, kWorldContext);
 }
 
 Comm Comm::view_comm(World& world, int rank, sim::Time at) {
@@ -43,6 +41,7 @@ Comm Comm::view_comm(World& world, int rank, sim::Time at) {
   // exchanging a single message — the property that lets a restarted rank
   // join a communicator its peers constructed while it was away.
   const fault::FaultInjector* fault = world.fault_injector();
+  if (!fault) return world_comm(world, rank);  // no plan: everyone is up, epoch 0
   auto members = std::make_shared<std::vector<int>>();
   members->reserve(static_cast<std::size_t>(world.size()));
   int my_index = -1;
@@ -157,6 +156,21 @@ sim::Task<std::vector<double>> Comm::split_exchange_ft(std::vector<double> mine)
 }
 
 sim::Task<Comm> Comm::split(int color, int key) {
+  const std::uint64_t seq = ++split_seq_;
+  const std::uint64_t new_context =
+      mix64(context_ ^ (seq * 0x9e3779b97f4a7c15ULL) ^
+            (static_cast<std::uint64_t>(color) + 0x165667b19e3779f9ULL));
+  const bool crash_model = world_->failure_detector() && size() > 1;
+  if (!crash_model && !world_->records_transport()) {
+    // The table path: the Bruck allgather's messages carry nothing, so
+    // simulated traffic is that of the payload exchange below.
+    const std::shared_ptr<World::SplitTable> table =
+        world_->post_split(context_, seq, size(), my_index_, color, key);
+    co_await allgather(*this, std::vector<double>(), AllgatherAlgo::kBruck, 2 * sizeof(double));
+    World::SplitPlacement placed = world_->take_split(*table, *members_, my_index_);
+    if (!placed.members) co_return Comm{};
+    co_return Comm(world_, std::move(placed.members), placed.rank, new_context);
+  }
   // Exchange (color, key) with every member, then build the group locally —
   // the standard MPI_Comm_split recipe.  Under the crash model the exchange
   // is fault-tolerant and dead ranks simply drop out of the new
@@ -164,12 +178,11 @@ sim::Task<Comm> Comm::split(int color, int key) {
   // split becomes its rank 0 — deterministic leader election for free.
   const std::vector<double> mine = {static_cast<double>(color), static_cast<double>(key)};
   std::vector<double> all;
-  if (world_->failure_detector() && size() > 1) {
+  if (crash_model) {
     all = co_await split_exchange_ft(mine);
   } else {
     all = co_await allgather(*this, mine);
   }
-  ++split_seq_;
   if (color == kUndefined) co_return Comm{};
 
   struct Entry {
@@ -195,9 +208,6 @@ sim::Task<Comm> Comm::split(int color, int key) {
     if (e.comm_rank == my_index_) my_new_index = static_cast<int>(members->size());
     members->push_back(world_rank(e.comm_rank));
   }
-  const std::uint64_t new_context =
-      mix64(context_ ^ (split_seq_ * 0x9e3779b97f4a7c15ULL) ^
-            (static_cast<std::uint64_t>(color) + 0x165667b19e3779f9ULL));
   co_return Comm(world_, std::move(members), my_new_index, new_context);
 }
 

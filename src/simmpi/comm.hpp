@@ -4,7 +4,10 @@
 // tagged point-to-point, split (including MPI_COMM_TYPE_SHARED-style node and
 // socket splits), and a per-communicator collective sequence number that
 // keeps concurrent collectives on different communicators from cross-talking.
-// Comm objects are cheap per-rank values; members are shared immutably.
+// Comm objects are cheap per-rank values; members are shared immutably: every
+// world communicator of a World points at its one identity list, and the
+// members of a communicator made by a fault-free split() are built once per
+// split and shared by the whole group.
 #pragma once
 
 #include <cstdint>
@@ -80,9 +83,22 @@ class Comm {
   sim::Task<BurstResult> pingpong_burst(int partner, bool i_am_client, vclock::Clock& clock,
                                         int nexchanges, std::int64_t bytes = 16);
 
-  /// Splits by color/key.  Collective over all members (internally performs
-  /// an allgather, so communicator creation has a realistic cost — the paper
-  /// deliberately includes it in the hierarchical sync duration).
+  /// Splits by color/key (MPI_Comm_split: ranks ordered by key, then by
+  /// rank here; kUndefined yields an invalid Comm).  Collective over all
+  /// members, with a realistic cost — the paper deliberately includes it in
+  /// the hierarchical sync duration.  Which exchange runs depends on the
+  /// World:
+  ///  - under the crash model, a direct all-pairs exchange of (color, key)
+  ///    that survives dying members, which drop out of the new communicator;
+  ///  - with a recorder or replay feed attached, a Bruck allgather of the
+  ///    (color, key) payloads, the only way a replayed rank learns its
+  ///    peers' colors;
+  ///  - otherwise the same Bruck allgather (same tags, 16 B per block on the
+  ///    wire) with empty payloads: each member posts its (color, key) to the
+  ///    World's table for this split, and after the allgather takes its new
+  ///    communicator from member lists built once for the whole split.
+  /// All three produce the same communicators and, fault-free, the same
+  /// simulated traffic.
   sim::Task<Comm> split(int color, int key);
 
   /// MPI_COMM_TYPE_SHARED analogue: one communicator per node.

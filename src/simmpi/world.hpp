@@ -26,7 +26,11 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_injector.hpp"
@@ -172,6 +176,19 @@ class World {
     return model_banks_[static_cast<std::size_t>(shard_of_rank(rank))];
   }
 
+  /// The identity member list {0, ..., size() - 1}, built once: every world
+  /// communicator of this World shares it instead of holding a copy.
+  const std::shared_ptr<const std::vector<int>>& world_members() const noexcept {
+    return world_members_;
+  }
+
+  /// True when a Recorder section or a replay feed is attached.  Comm::split
+  /// then exchanges real (color, key) payloads: a single-rank replay can
+  /// learn its peers' colors only from the recorded messages.
+  bool records_transport() const noexcept {
+    return record_section_ != nullptr || replay_feed_ != nullptr;
+  }
+
   /// Total events processed across all shards so far (bench reporting).
   std::uint64_t events_processed() const noexcept { return total_events(); }
 
@@ -228,6 +245,31 @@ class World {
   /// coroutine).
   void deliver_now(int dst, Message msg);
 
+  // --- split tables (used by Comm::split; not intended for user code) ---
+
+  /// One fault-free Comm::split in flight, keyed by the parent's context and
+  /// split sequence number (world.cpp).
+  struct SplitTable;
+
+  /// A member's place after a split: the shared member list of its new
+  /// communicator (null for color Comm::kUndefined) and its rank there.
+  struct SplitPlacement {
+    std::shared_ptr<const std::vector<int>> members;
+    int rank = -1;
+  };
+
+  /// Posts parent rank `index`'s (color, key) to split `seq` of the
+  /// `size`-member communicator with context `context`, and returns the
+  /// split's table.
+  std::shared_ptr<SplitTable> post_split(std::uint64_t context, std::uint64_t seq, int size,
+                                         int index, int color, int key);
+
+  /// Parent rank `index`'s placement; valid once every member has posted.
+  /// The first caller builds the member lists of all colors in one sorted
+  /// pass (`parent` maps parent ranks to world ranks); the last one frees
+  /// the table.
+  SplitPlacement take_split(SplitTable& table, const std::vector<int>& parent, int index);
+
   // --- record / replay (docs/record-replay.md) ---
 
   /// Switches this World into single-rank replay mode: launch() spawns only
@@ -251,11 +293,16 @@ class World {
   struct Mailbox {
     std::deque<Message> unexpected;
     std::vector<RecvRequest> posted;  // irecvs (and blocking recvs) in post order
-    // Channel-repair state, used only while network faults are active: next
-    // expected sequence number per source rank (sized lazily) and messages
+    // Channel repair, used only while network faults are active: messages
     // held back for in-order (FIFO) release.
-    std::vector<std::uint64_t> expected_seq;
     std::map<std::pair<int, std::uint64_t>, Message> held;
+  };
+  // Channel sequence numbers of one rank, keyed by peer so that only the
+  // channels in use cost memory.  Both maps belong to the rank's own shard:
+  // it sends from there and receives there.
+  struct ChannelSeqs {
+    std::unordered_map<int, std::uint64_t> next_send;  // by destination
+    std::unordered_map<int, std::uint64_t> expected;   // by source
   };
   struct BurstState;
 
@@ -354,6 +401,7 @@ class World {
   void drain_burst_halves();      // cross-node rendezvous + synthesis
   bool serial_phase(std::uint64_t max_events);  // drains + next window; false = done
   std::uint64_t total_events() const noexcept;
+  std::string describe_blocked() const;  // deadlock report suffix
 
   topology::MachineConfig machine_;
   int nshards_ = 1;
@@ -364,8 +412,8 @@ class World {
   NetworkModel network_;
   std::unique_ptr<fault::FaultInjector> fault_;
   std::unique_ptr<FailureDetector> detector_;  // only under crash/crashlink plans
-  bool seq_tracking_ = false;          // assign/enforce channel sequence numbers
-  std::vector<std::uint64_t> send_seq_;  // per (src, dst), when seq_tracking_
+  bool seq_tracking_ = false;            // assign/enforce channel sequence numbers
+  std::vector<ChannelSeqs> channel_seqs_;  // per rank, when seq_tracking_
 
   // Observability: the parent tracer/registry are whatever was installed on
   // the constructing thread.  When sharded, each shard gets a private tracer
@@ -386,6 +434,13 @@ class World {
   std::vector<ShardState> shard_states_;            // per shard
   std::map<std::uint64_t, PendingHalf> rendezvous_;  // cross-node bursts (coordinator)
   std::vector<std::unique_ptr<RankCtx>> ctxs_;
+  std::shared_ptr<const std::vector<int>> world_members_;
+
+  // Split tables of fault-free Comm::split.  Members on every shard thread
+  // post and take concurrently, so split_mu_ guards the map and the
+  // contents of every table in it.
+  std::mutex split_mu_;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::shared_ptr<SplitTable>> split_tables_;
 
   // Record / replay: when a replay::Recorder was installed on the
   // constructing thread, record_section_ is this World's section in it and

@@ -4,11 +4,14 @@
 // under fault/crash plans.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "clocksync/factory.hpp"
 #include "fault/fault_plan.hpp"
+#include "replay/record.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 #include "simmpi/comm.hpp"
 #include "topology/presets.hpp"
@@ -249,6 +252,74 @@ TEST(ShardDeterminism, FullSyncBitIdenticalCleanAndFaulted) {
   }
 }
 
+// ------------------------------------------- split table vs payload path --
+
+// A fault-free Comm::split passes (color, key) through the World's split
+// table, unless a recorder is attached; then the allgather carries them.
+// Both paths must build the same communicators at the same simulated times,
+// at any shard count.  The trace holds, per rank and communicator, its
+// validity, size, rank and world-rank map, then the rank's final time.
+void describe_comm(const Comm& c, std::vector<double>& out) {
+  out.push_back(c.valid() ? 1.0 : 0.0);
+  if (!c.valid()) return;
+  out.push_back(c.size());
+  out.push_back(c.rank());
+  for (int i = 0; i < c.size(); ++i) out.push_back(c.world_rank(i));
+}
+
+std::vector<double> split_trace(int shards, bool recorded) {
+  replay::Recorder recorder;
+  std::optional<replay::ScopedRecorder> install;
+  if (recorded) install.emplace(&recorder);
+  World w(topology::testbox(8, 4), 11, {}, shards);
+  const auto p = static_cast<std::size_t>(w.size());
+  // Colors include kUndefined; keys repeat and go negative.
+  sim::Rng rng(2024);
+  std::vector<int> colors(4 * p), keys(4 * p);
+  for (std::size_t i = 0; i < 4 * p; ++i) {
+    const int c = static_cast<int>(rng.uniform_index(4));
+    colors[i] = c == 3 ? Comm::kUndefined : c;
+    keys[i] = static_cast<int>(rng.uniform_index(5)) - 2;
+  }
+  std::vector<std::vector<double>> per_rank(p);
+  w.run_all([&](RankCtx& ctx) -> sim::Task<void> {
+    const auto me = static_cast<std::size_t>(ctx.rank());
+    Comm& world = ctx.comm_world();
+    const Comm first = co_await world.split(colors[me], keys[me]);
+    // A recreated world communicator repeats the first split's context and
+    // sequence number while slower members may still be finishing it.
+    Comm fresh = Comm::world_comm(ctx.world(), ctx.rank());
+    const Comm again = co_await fresh.split(colors[3 * p + me], keys[3 * p + me]);
+    // A second split of the first communicator...
+    const Comm second = co_await world.split(colors[p + me], keys[p + me]);
+    // ...then every group of the first one splits again: sibling
+    // communicators splitting at the same time, each a nested split.
+    Comm nested;
+    if (first.valid()) {
+      Comm parent = first;
+      nested = co_await parent.split(colors[2 * p + me], keys[2 * p + me]);
+    }
+    std::vector<double>& out = per_rank[me];
+    describe_comm(first, out);
+    describe_comm(second, out);
+    describe_comm(nested, out);
+    describe_comm(again, out);
+    out.push_back(ctx.sim().now());
+  });
+  std::vector<double> trace;
+  for (const auto& r : per_rank) trace.insert(trace.end(), r.begin(), r.end());
+  return trace;
+}
+
+TEST(SplitTable, MatchesThePayloadExchangeAtEveryShardCount) {
+  const std::vector<double> payload = split_trace(1, /*recorded=*/true);
+  ASSERT_GT(payload.size(), 32u * 4u);  // the groups are not all empty
+  for (const int shards : {1, 4}) {
+    EXPECT_EQ(split_trace(shards, /*recorded=*/false), payload) << "table, shards=" << shards;
+    EXPECT_EQ(split_trace(shards, /*recorded=*/true), payload) << "payload, shards=" << shards;
+  }
+}
+
 // ----------------------------------------------------- engine error paths --
 
 TEST(ShardedEngine, DeadlockStillDetected) {
@@ -261,7 +332,31 @@ TEST(ShardedEngine, DeadlockStillDetected) {
     w.run();
     FAIL() << "expected a deadlock error";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("deadlock"), std::string::npos) << what;
+    EXPECT_NE(what.find("1 of 2 processes still blocked: rank 0 waits on recv(src 1, tag 0x"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(ShardedEngine, DeadlockNamesAnUnpairedBurst) {
+  World w(topology::testbox(4, 1), 3, {}, 2);
+  w.launch([](RankCtx& ctx) -> sim::Task<void> {
+    // Rank 2 calls a cross-node burst with rank 3, which never answers.
+    if (ctx.rank() == 2) {
+      (void)co_await ctx.comm_world().pingpong_burst(3, true, *ctx.base_clock(), 4);
+    }
+  });
+  try {
+    w.run();
+    FAIL() << "expected a deadlock error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("1 of 4 processes still blocked: "
+                        "rank 2 waits on pingpong_burst(partner 3)"),
+              std::string::npos)
+        << what;
   }
 }
 

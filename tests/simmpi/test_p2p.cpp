@@ -2,6 +2,7 @@
 
 #include "util/vec.hpp"
 
+#include <string>
 #include <vector>
 
 #include "simmpi/comm.hpp"
@@ -118,6 +119,16 @@ TEST(P2P, RecvBeforeSendBlocksUntilArrival) {
   EXPECT_GT(recv_done, 0.5);
 }
 
+std::string deadlock_message(World& w) {
+  try {
+    w.run();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected a deadlock error";
+  return "";
+}
+
 TEST(P2P, DeadlockDetected) {
   World w = make_world();
   w.launch([](RankCtx& ctx) -> sim::Task<void> {
@@ -125,7 +136,27 @@ TEST(P2P, DeadlockDetected) {
       co_await ctx.comm_world().recv(1, 1);  // never sent
     }
   });
-  EXPECT_THROW(w.run(), std::runtime_error);
+  const std::string what = deadlock_message(w);
+  EXPECT_NE(what.find("deadlock"), std::string::npos) << what;
+  EXPECT_NE(what.find("1 of 4 processes still blocked: rank 0 waits on recv(src 1, tag 0x"),
+            std::string::npos)
+      << what;
+  EXPECT_EQ(what.find("more"), std::string::npos) << what;
+}
+
+TEST(P2P, DeadlockReportListsEightWaitsThenCounts) {
+  World w = make_world(4, 4);
+  w.launch([](RankCtx& ctx) -> sim::Task<void> {
+    const int p = ctx.comm_world().size();
+    co_await ctx.comm_world().recv((ctx.rank() + 1) % p, 7);  // nobody sends
+  });
+  const std::string what = deadlock_message(w);
+  EXPECT_NE(what.find("16 of 16 processes still blocked: rank 0 waits on recv(src 1, tag 0x"),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("; rank 7 waits on recv(src 8, tag 0x"), std::string::npos) << what;
+  EXPECT_EQ(what.find("rank 8 waits"), std::string::npos) << what;
+  EXPECT_NE(what.find("; and 8 more"), std::string::npos) << what;
 }
 
 TEST(P2P, DeclaredBytesSlowDelivery) {
