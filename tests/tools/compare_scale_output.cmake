@@ -2,12 +2,14 @@
 #
 # Runs BINARY at smoke size with --shards 1 and --shards 2 and fails unless
 # stdout is byte-identical: simulation output may not depend on the PDES
-# shard count.
+# shard count.  When GOLDEN is set, the output is additionally diffed against
+# the committed reference (tests/golden/README.md).
 # Host metrics (wall-clock, RSS) go to the binary's stderr, which this guard
 # deliberately ignores.
 #
 # Usage: cmake -DBINARY=<path to bench_scale> -DOUT_DIR=<dir>
 #              [-DOUT_NAME=<stem>]    # default "scale"
+#              [-DGOLDEN=<committed reference file>]
 #              -P compare_scale_output.cmake
 foreach(required BINARY OUT_DIR)
   if(NOT DEFINED ${required})
@@ -38,4 +40,14 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
 if(NOT differs EQUAL 0)
   message(FATAL_ERROR "output differs between --shards 1 and --shards 2 "
                       "(${OUT_DIR}/${OUT_NAME}_shards1.out vs ${OUT_DIR}/${OUT_NAME}_shards2.out)")
+endif()
+if(DEFINED GOLDEN)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                  ${OUT_DIR}/${OUT_NAME}_shards1.out ${GOLDEN}
+                  RESULT_VARIABLE differs)
+  if(NOT differs EQUAL 0)
+    message(FATAL_ERROR "output differs from the committed golden reference "
+                        "(${OUT_DIR}/${OUT_NAME}_shards1.out vs ${GOLDEN}); if the change is "
+                        "intentional, regenerate it (see tests/golden/README.md)")
+  endif()
 endif()
