@@ -1,5 +1,6 @@
 #include "fault/fault_plan.hpp"
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -14,17 +15,24 @@ namespace {
   throw std::invalid_argument("bad fault spec '" + spec + "': " + why);
 }
 
-/// Parses a numeric value with an optional s/ms/us/ns duration suffix.
-/// `allow_unit` is false for probabilities, factors and ppm values.
+/// Parses a finite numeric value with an optional s/ms/us/ns duration
+/// suffix.  `allow_unit` is false for probabilities, factors and ppm values.
+/// NaN and infinity are rejected: NaN passes every `<`/`>` range check.
 double parse_value(const std::string& spec, const std::string& key, const std::string& text,
                    bool allow_unit) {
+  const std::string not_a_number = "value of '" + key + "' is not a number";
+  // std::stod skips leading blanks; a value must start right after the '='.
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    bad_spec(spec, not_a_number);
+  }
   std::size_t pos = 0;
   double value = 0.0;
   try {
     value = std::stod(text, &pos);
   } catch (const std::exception&) {
-    bad_spec(spec, "value of '" + key + "' is not a number");
+    bad_spec(spec, not_a_number);
   }
+  if (!std::isfinite(value)) bad_spec(spec, "value of '" + key + "' is not finite");
   const std::string unit = text.substr(pos);
   if (unit.empty()) return value;
   if (!allow_unit) bad_spec(spec, "'" + key + "' takes a plain number, got unit '" + unit + "'");

@@ -174,7 +174,14 @@ Recording parse(const std::string& bytes) {
                              std::to_string(kMinFormatVersion) + ".." +
                              std::to_string(kFormatVersion) + ")");
   }
+  // Counts come from untrusted bytes: bound each by what the remaining bytes
+  // can hold before allocating for it.  A world takes at least 40 bytes (its
+  // header with empty strings, and the trailer), a rank at least 8 (its
+  // event count).
   const std::uint32_t nworlds = c.u32();
+  if (nworlds > (bytes.size() - c.pos) / 40) {
+    throw std::runtime_error("recording: implausible world count " + std::to_string(nworlds));
+  }
   Recording rec;
   rec.worlds.reserve(nworlds);
   for (std::uint32_t w = 0; w < nworlds; ++w) {
@@ -189,6 +196,11 @@ Recording parse(const std::string& bytes) {
     info.machine = c.str();
     info.fault_plan = c.str();
     info.label = c.str();
+    if (static_cast<std::size_t>(info.nranks) > (bytes.size() - c.pos) / 8) {
+      throw std::runtime_error("recording: rank count " + std::to_string(info.nranks) +
+                               " exceeds the remaining " + std::to_string(bytes.size() - c.pos) +
+                               " bytes");
+    }
     RecordedWorld world(std::move(info));
     for (auto& rank_events : world.ranks) {
       const std::uint64_t nevents = c.u64();

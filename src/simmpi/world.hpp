@@ -51,6 +51,7 @@
 
 namespace hcs::replay {
 class ReplayFeed;
+struct Event;
 struct RecordedWorld;
 }  // namespace hcs::replay
 
@@ -327,22 +328,28 @@ class World {
     Message msg;
   };
 
-  /// One side of a cross-node ping-pong burst, parked in its caller's shard
-  /// until the window boundary pairs it with the partner's half.
+  /// One caller's side of a ping-pong burst.  A caller whose partner is not
+  /// yet waiting parks its half, with a BurstState holding its waiter and,
+  /// once paired, the result.  A caller that pairs inline has no state.
   struct PendingHalf {
-    std::uint64_t key = 0;
+    std::uint64_t key = 0;  // pair_key of the two ranks
     bool is_client = false;
+    int rank = -1;
+    vclock::Clock* clock = nullptr;
+    sim::Time ready = 0.0;
+    int nexchanges = 0;
+    std::int64_t bytes = 0;
     std::shared_ptr<BurstState> st;
   };
+  using HalfMap = std::map<std::uint64_t, PendingHalf>;  // parked halves by key
 
   /// Shard-confined engine state (only the owning worker thread touches it
   /// between barriers; the coordinator drains it while workers are parked).
   struct ShardState {
     std::vector<IngressRecord> outbox;
     std::uint64_t outbox_seq = 0;
-    std::vector<PendingHalf> halves;
-    // Intra-node bursts pair inline exactly as in the unsharded engine.
-    std::map<std::uint64_t, std::shared_ptr<BurstState>> local_bursts;
+    std::vector<PendingHalf> halves;  // cross-node, for the window-boundary drain
+    HalfMap local_halves;             // intra-node: the partner pairs inline
   };
 
   // Per-shard handles for the World's own metrics, indexed by
@@ -358,11 +365,21 @@ class World {
   static std::uint64_t pair_key(int a, int b, int world_size);
   static WorldMetrics resolve_metrics(trace::MetricsRegistry* registry);
   WorldMetrics& my_metrics() { return world_metrics_[static_cast<std::size_t>(sim::current_shard())]; }
-  void synthesize_burst(BurstState& st);
+  /// Runs the burst between `client` and `ref` into `result`; returns when
+  /// each side is done (client, reference).
+  std::pair<sim::Time, sim::Time> synthesize_burst(const PendingHalf& client,
+                                                   const PendingHalf& ref, std::int64_t bytes,
+                                                   BurstResult& result);
+  /// The one burst pairing routine (world.cpp).
+  sim::Time pair(const PendingHalf& first, const PendingHalf& second, sim::Time floor);
+  static HalfMap::iterator waiting_half(HalfMap& halves, std::uint64_t key);
   void match_or_enqueue(int dst, Message msg);
   void dispatch_message(int src, int dst, std::vector<double> data, std::int64_t bytes,
                         std::int64_t tag, sim::Time ready);
   void push_ingress(int src, int dst, sim::Time depart_ready, sim::Time port_time, Message msg);
+  /// Delivers `msg` at `arrive` (after `dst`'s pause windows), unless the
+  /// crash rule below loses it.
+  void schedule_delivery(int dst, sim::Time arrive, Message msg);
 
   /// Uniform crash-era delivery rule: a message sent src->dst exists only
   /// if it arrives while both endpoints are up and the link is up, and —
@@ -378,8 +395,7 @@ class World {
   void cancel_recv(const RecvRequest& request);
   sim::Task<void> block_on_recv(RecvRequest request, sim::Time deadline);
   sim::Task<void> recv_watchdog(RecvRequest request, sim::Time when, bool crash_kind);
-  sim::Task<void> burst_watchdog(std::shared_ptr<BurstState> st, std::uint64_t key,
-                                 sim::Time when, bool cross_node);
+  sim::Task<void> burst_watchdog(PendingHalf half, sim::Time when);
 
   // --- record / replay internals (world.cpp, docs/record-replay.md) ---
   void record_recv_completion(const RecvRequest& request);
@@ -388,15 +404,10 @@ class World {
   sim::Task<Message> replay_recv(RecvRequest request);
   sim::Task<std::optional<Message>> replay_recv_until(RecvRequest request);
   sim::Task<BurstResult> replay_burst(int me, int partner, bool i_am_client);
+  sim::Task<const replay::Event*> replay_next(int me);  // shared prologue of the two above
   sim::Task<void> replay_starve(int me);  // crash at recorded time, or diverge
 
   // --- windowed engine (world_engine section of world.cpp) ---
-  sim::Task<BurstResult> pingpong_burst_local(int me, int partner, bool i_am_client,
-                                              vclock::Clock& my_clock, int nexchanges,
-                                              std::int64_t bytes);
-  sim::Task<BurstResult> pingpong_burst_cross(int me, int partner, bool i_am_client,
-                                              vclock::Clock& my_clock, int nexchanges,
-                                              std::int64_t bytes);
   void drain_outboxes();          // ingress merge + delivery spawns
   void drain_burst_halves();      // cross-node rendezvous + synthesis
   bool serial_phase(std::uint64_t max_events);  // drains + next window; false = done
@@ -432,7 +443,7 @@ class World {
   std::vector<vclock::ModelBankPtr> model_banks_;                  // per shard
   std::vector<Mailbox> mailboxes_;
   std::vector<ShardState> shard_states_;            // per shard
-  std::map<std::uint64_t, PendingHalf> rendezvous_;  // cross-node bursts (coordinator)
+  HalfMap rendezvous_;                               // cross-node bursts (coordinator)
   std::vector<std::unique_ptr<RankCtx>> ctxs_;
   std::shared_ptr<const std::vector<int>> world_members_;
 

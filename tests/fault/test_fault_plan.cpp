@@ -105,6 +105,57 @@ TEST(FaultPlanGrammar, RejectsMalformedSpecs) {
   }
 }
 
+// Values must be finite numbers written right after the '=': NaN passes
+// every `<`/`>` range check, and std::stod would skip leading blanks.
+TEST(FaultPlanGrammar, ValuesMustBeFiniteAndUnpadded) {
+  const char* rejected[] = {
+      "drop:p=nan",
+      "drop:p=NaN",
+      "duplicate:p=-nan",
+      "reorder:p=0.1,delay=nan",
+      "reorder:p=0.1,delay=infms",
+      "crash:rank=1,at=nan",
+      "crash:rank=1,at=inf",
+      "straggler:rank=1,factor=nan",
+      "straggler:rank=1,factor=infinity",
+      "clockstep:rank=1,at=1s,step=-inf",
+      "freqjump:rank=0,at=1s,ppm=nan",
+      "pause:rank=1,at=1,duration=inf",
+      "burst:period=inf,duration=1s,delay=1us",
+      "leave:rank=2,at=nan",
+      "drop:p= 0.5",
+      "drop:p=\t0.5",
+      "crash:rank=1,at= 2ms",
+  };
+  for (const char* spec : rejected) {
+    EXPECT_THROW(FaultPlan::parse_spec(spec), std::invalid_argument) << "'" << spec << "'";
+  }
+  // The forms the tests, goldens, incidents and bench_service's default plan
+  // use still parse to the same values.
+  struct Accepted {
+    const char* spec;
+    double FaultSpec::*field;
+    double value;
+  };
+  const Accepted accepted[] = {
+      {"drop:p=0.02", &FaultSpec::p, 0.02},
+      {"drop:p=0.05", &FaultSpec::p, 0.05},
+      {"drop:p=1", &FaultSpec::p, 1.0},
+      {"crash:rank=5,at=0.001s", &FaultSpec::at, 0.001},
+      {"crash:rank=2,at=2ms", &FaultSpec::at, 2e-3},
+      {"clockstep:rank=3,at=0.5s,step=50us", &FaultSpec::step, 50e-6},
+      {"clockstep:rank=3,at=2ms,step=-5e-05s", &FaultSpec::step, -5e-05},
+      {"straggler:rank=1,factor=1.05", &FaultSpec::factor, 1.05},
+      {"leave:rank=5,at=271.300000s", &FaultSpec::at, 271.3},
+      {"rejoin:rank=2,at=300ms", &FaultSpec::at, 0.3},
+      {"pause:rank=1,at=1,duration=20ms", &FaultSpec::duration, 0.02},
+      {"freqjump:rank=0,at=1e1s,ppm=-3", &FaultSpec::ppm, -3.0},
+  };
+  for (const Accepted& a : accepted) {
+    EXPECT_DOUBLE_EQ(FaultPlan::parse_spec(a.spec).*a.field, a.value) << "'" << a.spec << "'";
+  }
+}
+
 TEST(FaultPlanGrammar, ErrorMessageNamesTheSpec) {
   try {
     FaultPlan::parse_spec("drop:p=2");

@@ -119,6 +119,48 @@ TEST(Format, RejectsTrailingGarbage) {
   EXPECT_THROW(parse(bytes), std::runtime_error);
 }
 
+// Little-endian header of a hostile recording: magic, format version, and a
+// world count.
+std::string hostile_header(std::uint32_t nworlds) {
+  std::string out = "HCSR";
+  for (const std::uint32_t v : {kFormatVersion, nworlds}) {
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
+  }
+  return out;
+}
+
+// Counts the remaining bytes cannot hold are rejected by name, before any
+// allocation sized by them (a typed error, not std::bad_alloc or hundreds of
+// MiB of empty rank buffers).
+void expect_count_rejected(const std::string& bytes, const std::string& what) {
+  try {
+    (void)parse(bytes);
+    ADD_FAILURE() << "parsed a recording claiming an impossible " << what;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+TEST(Format, RejectsWorldCountBeyondTheBytes) {
+  const std::string bytes = hostile_header(0xFFFFFFFFu);
+  ASSERT_EQ(bytes.size(), 12u);
+  expect_count_rejected(bytes, "world count");
+}
+
+TEST(Format, RejectsRankCountBeyondTheBytes) {
+  // One world claiming 2^24 ranks: seed, rank count, fault seed, and three
+  // empty strings make 44 bytes in all.
+  std::string bytes = hostile_header(1);
+  bytes.append(8, '\0');                        // seed
+  bytes += std::string("\0\0\0\x01", 4);      // nranks = 1 << 24
+  bytes.append(8 + 3 * 4, '\0');                // fault seed, string lengths
+  ASSERT_EQ(bytes.size(), 44u);
+  expect_count_rejected(bytes, "count");
+  // With enough padding to pass the world bound, the rank bound trips.
+  bytes.append(64, '\0');
+  expect_count_rejected(bytes, "rank count");
+}
+
 TEST(Recorder, AbsorbMovesWorldsInOrder) {
   Recorder a;
   WorldInfo first;

@@ -11,6 +11,7 @@ class NetworkTest : public ::testing::Test {
  protected:
   topology::MachineConfig machine_ = topology::testbox(2, 4);  // 2 nodes x 4 cores
   NetworkModel net_{machine_.topo, machine_.net, 7};
+  sim::Rng rng_{7};
 };
 
 TEST_F(NetworkTest, ClassifiesLevels) {
@@ -25,7 +26,7 @@ TEST_F(NetworkTest, ClassifiesLevels) {
 
 TEST_F(NetworkTest, DelayAtLeastBasePlusSerialization) {
   for (int i = 0; i < 1000; ++i) {
-    const double d = net_.sample_delay(LinkLevel::kInterNode, 1024);
+    const double d = net_.sample_delay(LinkLevel::kInterNode, 1024, rng_);
     EXPECT_GE(d, machine_.net.inter_node.base_latency +
                      machine_.net.inter_node.per_byte * 1024);
   }
@@ -45,10 +46,10 @@ TEST_F(NetworkTest, LevelsOrderedByLatency) {
 }
 
 TEST_F(NetworkTest, JitterProducesVariance) {
-  double first = net_.sample_delay(LinkLevel::kInterNode, 8);
+  double first = net_.sample_delay(LinkLevel::kInterNode, 8, rng_);
   bool varied = false;
   for (int i = 0; i < 100; ++i) {
-    if (net_.sample_delay(LinkLevel::kInterNode, 8) != first) varied = true;
+    if (net_.sample_delay(LinkLevel::kInterNode, 8, rng_) != first) varied = true;
   }
   EXPECT_TRUE(varied);
 }
@@ -70,6 +71,18 @@ TEST_F(NetworkTest, IntraNodeBypassesNic) {
   EXPECT_LT(t, 2.0 + 10 * machine_.net.intra_socket.base_latency);
 }
 
+TEST_F(NetworkTest, InterNodeDeliveryIsTransitThenIngress) {
+  // One NIC model: deliver_time chains the sender half (transit_time) and
+  // the receiver half (ingress_admit), draw for draw.
+  NetworkModel halves(machine_.topo, machine_.net, 7);
+  for (int i = 0; i < 20; ++i) {
+    const int dst = 4 + i % 4;
+    const double ready = 1.0 + 1e-7 * i;
+    const double port = halves.transit_time(0, dst, 64, ready);
+    EXPECT_EQ(net_.deliver_time(0, dst, 64, ready), halves.ingress_admit(dst, 64, port, ready));
+  }
+}
+
 TEST_F(NetworkTest, UncontendedIgnoresNicState) {
   for (int i = 0; i < 50; ++i) net_.deliver_time(0, 4, 8, 3.0);
   const double t = net_.deliver_time_uncontended(0, 4, 8, 3.0);
@@ -82,12 +95,13 @@ TEST_F(NetworkTest, SpikesOccurAtConfiguredRate) {
   cfg.net.inter_node.spike_prob = 0.5;
   cfg.net.inter_node.spike_mean = 100e-6;
   NetworkModel spiky(cfg.topo, cfg.net, 11);
+  sim::Rng rng(11);
   int spikes = 0;
   const int n = 2000;
   // Base delay stays near 1 us; a spike adds Exp(100 us), so >3 us detects a
   // spike with probability ~0.97 and false-positives are negligible.
   for (int i = 0; i < n; ++i) {
-    if (spiky.sample_delay(LinkLevel::kInterNode, 8) > 3e-6) ++spikes;
+    if (spiky.sample_delay(LinkLevel::kInterNode, 8, rng) > 3e-6) ++spikes;
   }
   EXPECT_NEAR(static_cast<double>(spikes) / n, 0.5 * 0.97, 0.05);
 }
