@@ -1,11 +1,11 @@
 // bench_service — long-running synchronization service under churn.
 //
 // A small cluster keeps a global clock alive for a simulated day: every
-// rank runs a service loop that periodically re-synchronizes
-// (clocksync::ResyncManager on a fixed cadence), serves the re-admission
-// sub-phases of ranks returning from a churn plan
-// (clocksync::membership), and answers a configurable stream of client
-// time queries.  Queries are evaluated host-side after the run against the
+// rank runs the service loop (clocksync::service_rank), which periodically
+// re-synchronizes (clocksync::ResyncManager on a fixed cadence) and serves
+// the re-admission sub-phases of ranks returning from a churn plan
+// (clocksync::membership), and the cluster answers a configurable stream of
+// client time queries.  Queries are evaluated host-side after the run against the
 // recorded clock-model history, so the whole binary — like every bench —
 // prints a byte-identical stdout for any --jobs/--shards combination and records/replays through --record-out/--replay
 // (docs/record-replay.md).
@@ -23,15 +23,11 @@
 // twice — three incarnations); --fault replaces it entirely.
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "clocksync/factory.hpp"
-#include "clocksync/membership.hpp"
-#include "clocksync/resync.hpp"
-#include "clocksync/skampi_offset.hpp"
+#include "clocksync/service.hpp"
 #include "common.hpp"
 #include "simmpi/world.hpp"
 
@@ -39,104 +35,7 @@ namespace {
 
 using namespace hcs;
 using namespace hcs::bench;
-
-// One installed clock model of one rank: everything the host needs to
-// answer "what would this rank have said at time t, and how stale was it".
-struct ClockEpoch {
-  sim::Time at = 0.0;  // install instant (sync, resync or re-admission)
-  vclock::ClockPtr clock;
-};
-
-struct ServiceParams {
-  std::string label;     // sync algorithm label
-  double duration = 0.0; // simulated seconds of service
-  double interval = 0.0; // resync cadence
-  int accuracy_exchanges = 8;
-};
-
-// The agenda is the rank's whole timeline, derived from the fault oracle
-// before any message is sent: resync rounds on the global cadence plus the
-// re-admissions this rank serves.  Pure function of the plan, so every
-// rank computes a mutually consistent schedule.
-struct AgendaItem {
-  sim::Time at = 0.0;
-  bool serve = false;  // false = resync round, true = serve a re-admission
-  clocksync::ReadmitEvent event;  // valid when serve
-};
-
-sim::Task<void> service_rank(const ServiceParams* params, std::vector<ClockEpoch>* history,
-                             std::vector<double>* reconverge, int* resyncs,
-                             simmpi::RankCtx& ctx) {
-  simmpi::World& world = ctx.world();
-  const fault::FaultInjector* fault = world.fault_injector();
-  sim::Simulation& s = ctx.sim();
-  const int me = ctx.rank();
-  const sim::Time entry = s.now();
-  const int inc = fault != nullptr ? fault->incarnation(me, entry) : 0;
-  const sim::Time my_end =
-      std::min(fault != nullptr ? fault->next_down(me, entry) : sim::kTimeInfinity,
-               params->duration);
-
-  clocksync::ResyncManager mgr(clocksync::make_sync(params->label), params->interval);
-  clocksync::SKaMPIOffset oalg(params->accuracy_exchanges);
-  clocksync::ReadmitPolicy policy;
-  vclock::ClockPtr clock;
-  if (inc == 0) {
-    simmpi::Comm view = simmpi::Comm::view_comm(world, me, entry);
-    clock = co_await mgr.tick(view, ctx.base_clock());
-  } else {
-    // Returning incarnation: exactly the rank's own sub-phase of the tree,
-    // then adopt the re-admitted clock into the periodic cadence.
-    const clocksync::ReadmitEvent event{entry, me, inc};
-    simmpi::Comm view = simmpi::Comm::view_comm(world, me, entry);
-    clocksync::ReadmitResult res =
-        co_await clocksync::readmit(view, event, ctx.base_clock(), oalg, policy);
-    clock = res.clock;
-    reconverge->push_back(s.now() - entry);
-    mgr.adopt(clock, clock->at_exact(s.now()) + params->interval);
-  }
-  history->push_back({s.now(), clock});
-
-  std::vector<AgendaItem> agenda;
-  const std::vector<clocksync::ReadmitEvent> schedule = clocksync::readmit_schedule(world);
-  for (const clocksync::ReadmitEvent& ev : schedule) {
-    if (ev.rank == me || ev.at < entry || ev.at >= my_end) continue;
-    if (clocksync::readmit_reference(world, ev) != me) continue;
-    agenda.push_back({ev.at, true, ev});
-  }
-  for (sim::Time r = params->interval; r < my_end; r += params->interval) {
-    if (r <= entry) continue;
-    agenda.push_back({r, false, {}});
-  }
-  std::sort(agenda.begin(), agenda.end(), [](const AgendaItem& a, const AgendaItem& b) {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.serve != b.serve) return a.serve;  // serve before the round at ties
-    return a.event.rank < b.event.rank;
-  });
-
-  for (const AgendaItem& item : agenda) {
-    if (s.now() < item.at) co_await s.delay(item.at - s.now());
-    world.check_crash(me);
-    if (item.serve) {
-      simmpi::Comm view = simmpi::Comm::view_comm(world, me, item.event.at);
-      (void)co_await clocksync::readmit(view, item.event, clock, oalg, policy);
-    } else {
-      const int before = mgr.resyncs();
-      simmpi::Comm view = simmpi::Comm::view_comm(world, me, item.at);
-      clock = co_await mgr.tick(view, ctx.base_clock());
-      if (mgr.resyncs() != before) history->push_back({s.now(), clock});
-    }
-  }
-  *resyncs = mgr.resyncs();
-  if (my_end < params->duration) {
-    // This incarnation departs before the service window ends: run up to
-    // the departure instant so the churn supervisor sees the crash and can
-    // schedule the next incarnation (a program that returns early would
-    // leave the remaining plan armed but unfired).
-    if (s.now() < my_end) co_await s.delay(my_end - s.now());
-    world.check_crash(me);
-  }
-}
+using clocksync::ClockEpoch;
 
 double nearest_rank(std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
@@ -156,12 +55,6 @@ const ClockEpoch* epoch_at(const std::vector<ClockEpoch>& history, double t) {
   return best;
 }
 
-std::string fault_spec(const char* kind, int rank, double at) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s:rank=%d,at=%.6fs", kind, rank, at);
-  return buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -173,7 +66,7 @@ int main(int argc, char** argv) {
        {"interval", "SECONDS", "re-synchronization cadence (default 20)"}});
   BenchOptions opt = parsed.opt;
 
-  ServiceParams params;
+  clocksync::ServiceParams params;
   params.duration = scaled(86400, opt.scale, 120);
   params.interval = 20.0;
   int qps = 2;
@@ -191,33 +84,19 @@ int main(int argc, char** argv) {
   // The default churn plan cycles ranks through leave/rejoin at fixed
   // fractions of the service window, offset off the resync cadence; any
   // --fault replaces it wholesale.
-  if (opt.fault_plan.empty()) {
-    const double d = params.duration;
-    opt.fault_plan.add(fault_spec("leave", 5, 0.15 * d + 1.3));
-    opt.fault_plan.add(fault_spec("rejoin", 5, 0.25 * d + 2.7));
-    opt.fault_plan.add(fault_spec("leave", 2, 0.45 * d + 0.9));
-    opt.fault_plan.add(fault_spec("rejoin", 2, 0.50 * d + 1.1));
-    opt.fault_plan.add(fault_spec("leave", 5, 0.70 * d + 0.5));
-    opt.fault_plan.add(fault_spec("rejoin", 5, 0.72 * d + 1.7));
-  }
+  if (opt.fault_plan.empty()) clocksync::add_service_churn(opt.fault_plan, params.duration);
   const Observability obs(opt);
 
-  topology::MachineConfig machine = topology::testbox(8, 1);
-  machine.clocks.initial_offset_abs = 5e-3;
-  machine.clocks.base_skew_abs = 2e-6;
-  machine.clocks.skew_walk_sd = 0.005e-6;
+  const topology::MachineConfig machine = clocksync::service_machine();
   params.label = "hca3/" + std::to_string(scaled(300, opt.scale, 40)) + "/skampi_offset/" +
                  std::to_string(scaled(100, opt.scale, 8));
   print_header("bench_service", "long-running sync service under churn: SLO soak", machine, opt);
 
   simmpi::World world(machine, opt.seed, opt.fault_plan, opt.shards);
   const int nranks = world.size();
-  std::vector<std::vector<ClockEpoch>> history(static_cast<std::size_t>(nranks));
-  std::vector<std::vector<double>> reconverge(static_cast<std::size_t>(nranks));
-  std::vector<int> resyncs(static_cast<std::size_t>(nranks), 0);
+  std::vector<clocksync::ServiceLog> logs(static_cast<std::size_t>(nranks));
   world.run_all([&](simmpi::RankCtx& ctx) {
-    const std::size_t r = static_cast<std::size_t>(ctx.rank());
-    return service_rank(&params, &history[r], &reconverge[r], &resyncs[r], ctx);
+    return clocksync::service_rank(params, logs[static_cast<std::size_t>(ctx.rank())], ctx);
   });
 
   // Host-side query evaluation: deterministic replay of the client stream
@@ -237,14 +116,14 @@ int main(int argc, char** argv) {
                                           static_cast<std::uint64_t>(nranks));
       ++total;
       const bool down = fault != nullptr && fault->is_down(target, t);
-      const ClockEpoch* e = epoch_at(history[static_cast<std::size_t>(target)], t);
+      const ClockEpoch* e = epoch_at(logs[static_cast<std::size_t>(target)].history, t);
       if (down || e == nullptr) {
         ++failed;
         continue;
       }
       staleness.push_back(t - e->at);
       if (target != 0) {
-        const ClockEpoch* ref = epoch_at(history[0], t);
+        const ClockEpoch* ref = epoch_at(logs[0].history, t);
         if (ref != nullptr) {
           offsets.push_back(std::abs(e->clock->at_exact(t) - ref->clock->at_exact(t)));
         }
@@ -256,8 +135,8 @@ int main(int argc, char** argv) {
 
   std::uint64_t rejoins = 0;
   double reconv_sum = 0.0, reconv_max = 0.0;
-  for (const std::vector<double>& per_rank : reconverge) {
-    for (const double v : per_rank) {
+  for (const clocksync::ServiceLog& log : logs) {
+    for (const double v : log.reconverge) {
       ++rejoins;
       reconv_sum += v;
       reconv_max = std::max(reconv_max, v);
@@ -274,7 +153,7 @@ int main(int argc, char** argv) {
   table.add_row({"ranks", std::to_string(nranks)});
   table.add_row({"qps", std::to_string(qps)});
   table.add_row({"resync_interval_s", util::fmt(params.interval, 0)});
-  table.add_row({"resyncs_rank0", std::to_string(resyncs[0])});
+  table.add_row({"resyncs_rank0", std::to_string(logs[0].resyncs)});
   table.add_row({"rejoins", std::to_string(rejoins)});
   table.add_row({"queries", std::to_string(total)});
   table.add_row({"failed_queries", std::to_string(failed)});
@@ -297,8 +176,8 @@ int main(int argc, char** argv) {
   HCS_METRIC_ADD("service.query.failed", failed);
   for (const double v : offsets) HCS_METRIC_OBSERVE("service.query.offset_error", v);
   for (const double v : staleness) HCS_METRIC_OBSERVE("service.query.staleness", v);
-  for (const std::vector<double>& per_rank : reconverge) {
-    for (const double v : per_rank) HCS_METRIC_OBSERVE("service.readmit.reconverge", v);
+  for (const clocksync::ServiceLog& log : logs) {
+    for (const double v : log.reconverge) HCS_METRIC_OBSERVE("service.readmit.reconverge", v);
   }
   HCS_METRIC_SET("service.slo.offset_p99_us", off_p99 * 1e6);
   HCS_METRIC_SET("service.slo.failed_query_rate", failed_rate);

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace hcs::sim {
 
@@ -38,6 +39,36 @@ void EventQueue::sift_down(Event ev) noexcept {
     hole = parent;
   }
   v[hole] = ev;
+}
+
+void EventQueue::cancel(std::uint64_t seq) {
+  assert(!heap_.empty() && seq < next_seq_);
+  [[maybe_unused]] const bool fresh = cancelled_.insert(seq).second;
+  assert(fresh);
+  if (heap_.front().seq == seq) {
+    drop_cancelled_top();
+  } else if (2 * cancelled_.size() >= heap_.size()) {
+    compact();
+  }
+}
+
+void EventQueue::drop_cancelled_top() {
+  while (!heap_.empty() && cancelled_.erase(heap_.front().seq) != 0) remove_top();
+}
+
+// A sorted array is a valid heap of any arity, so the survivors are sorted
+// by (time, seq) instead of re-heapified.  A compaction follows at least n/2
+// cancels of an n-entry heap, so it costs amortized O(log n) per cancel, and
+// only runs that cancel pay it.
+void EventQueue::compact() {
+  std::vector<Event> live;
+  live.reserve(std::max<std::size_t>(2 * (heap_.size() - cancelled_.size()), 64));
+  for (const Event& ev : heap_) {
+    if (cancelled_.erase(ev.seq) == 0) live.push_back(ev);
+  }
+  assert(cancelled_.empty());
+  std::sort(live.begin(), live.end(), before);
+  heap_.swap(live);
 }
 
 void EventQueue::shrink() {

@@ -13,15 +13,28 @@
 // calendar-style queue to pay for itself.  bench_micro_sim
 // (BM_EventQueuePushPop) measures push/pop throughput and
 // tests/sim/test_event_queue.cpp asserts the ordering contract.
+//
+// Any event can be cancelled by its sequence number, which push() returns
+// (Simulation's timers are built on this).  A cancelled entry stays in the
+// heap until it surfaces at the top, where it is dropped unseen: the top is
+// always a live event, so next_time() never reports a cancelled one.  Once
+// cancelled entries make up half the heap, it is rebuilt without them, so
+// storage stays within 2x the live events however many timers are armed and
+// cancelled.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace hcs::sim {
+
+/// A cancellable event's identity: its queue sequence number.
+using TimerId = std::uint64_t;
+inline constexpr TimerId kNoTimer = UINT64_MAX;
 
 class EventQueue {
  public:
@@ -33,7 +46,8 @@ class EventQueue {
 
   // push/pop are defined inline: they sit on the simulator's per-event hot
   // path and must inline into Simulation::run and the delay awaiter.
-  void push(Time time, std::coroutine_handle<> handle) {
+  // Returns the event's sequence number, the id cancel() takes.
+  std::uint64_t push(Time time, std::coroutine_handle<> handle) {
     const Event ev{time, next_seq_++, handle};
     // Sift up with a moving hole: write the new event only once, into its
     // final slot, instead of swapping down the path.  The no-move case (new
@@ -49,17 +63,57 @@ class EventQueue {
       } while (hole > 0 && before(ev, heap_[(hole - 1) / kArity]));
       heap_[hole] = ev;
     }
+    return ev.seq;
   }
 
   bool empty() const noexcept { return heap_.empty(); }
-  std::size_t size() const noexcept { return heap_.size(); }
+  /// Live (not cancelled) events.
+  std::size_t size() const noexcept { return heap_.size() - cancelled_.size(); }
 
-  /// Earliest event time; queue must be non-empty.
+  /// Earliest live event time; queue must be non-empty.
   Time next_time() const noexcept { return heap_.front().time; }
 
-  /// Removes and returns the earliest event; queue must be non-empty.
+  /// Removes and returns the earliest live event; queue must be non-empty.
   Event pop() {
-    Event top = heap_.front();
+    const Event top = heap_.front();
+    remove_top();
+    // The one branch a run without cancellations pays per pop.
+    if (!cancelled_.empty()) drop_cancelled_top();
+    return top;
+  }
+
+  /// Cancels the pending event `seq` (a push() result): it will never pop.
+  /// The event must still be queued: neither popped nor cancelled before.
+  void cancel(std::uint64_t seq);
+
+  /// Drops all pending events without resuming them.  Coroutine frames are
+  /// owned by their parents / root wrappers, so no frames are destroyed here.
+  /// Also resets the tie-break sequence and releases backing storage, so a
+  /// reused queue behaves exactly like a fresh one.
+  void clear() noexcept {
+    // Not `heap_ = {}`: that picks the initializer_list assignment, which
+    // empties the vector but keeps its capacity.
+    std::vector<Event>().swap(heap_);
+    std::unordered_set<std::uint64_t>().swap(cancelled_);
+    next_seq_ = 0;
+  }
+
+  /// Event slots of backing storage currently reserved.  Diagnostics/tests
+  /// only: the pop-shrink and compaction policies are asserted with this (a
+  /// drained queue must not pin a burst's memory, nor cancelled timers a
+  /// long run's).
+  std::size_t backing_capacity() const noexcept { return heap_.capacity(); }
+
+ private:
+  static constexpr std::size_t kArity = 4;
+  static constexpr std::size_t kShrinkMinCapacity = 4096;
+
+  static bool before(const Event& a, const Event& b) noexcept {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
+
+  void remove_top() {
     if (heap_.size() > 1) {
       const Event last = heap_.back();
       heap_.pop_back();
@@ -73,40 +127,23 @@ class EventQueue {
     if (heap_.capacity() >= kShrinkMinCapacity && heap_.size() < heap_.capacity() / 4) {
       shrink();
     }
-    return top;
-  }
-
-  /// Drops all pending events without resuming them.  Coroutine frames are
-  /// owned by their parents / root wrappers, so no frames are destroyed here.
-  /// Also resets the tie-break sequence and releases backing storage, so a
-  /// reused queue behaves exactly like a fresh one.
-  void clear() noexcept {
-    // Not `heap_ = {}`: that picks the initializer_list assignment, which
-    // empties the vector but keeps its capacity.
-    std::vector<Event>().swap(heap_);
-    next_seq_ = 0;
-  }
-
-  /// Event slots of backing storage currently reserved.  Diagnostics/tests
-  /// only: the pop-shrink policy is asserted with this (a drained queue must
-  /// not pin a burst's memory).
-  std::size_t backing_capacity() const noexcept { return heap_.capacity(); }
-
- private:
-  static constexpr std::size_t kArity = 4;
-  static constexpr std::size_t kShrinkMinCapacity = 4096;
-
-  static bool before(const Event& a, const Event& b) noexcept {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
   }
 
   // Re-seats `ev` (displaced from the back) starting from the root hole.
   void sift_down(Event ev) noexcept;
   void shrink();
+  // Pops cancelled entries off the top until a live event (or nothing) is
+  // there.
+  void drop_cancelled_top();
+  // Rebuilds the heap without its cancelled entries.
+  void compact();
 
   std::uint64_t next_seq_ = 0;
   std::vector<Event> heap_;
+  std::unordered_set<std::uint64_t> cancelled_;  // still in heap_
 };
+
+// Cancellation keys on the sequence number, so an event needs no flag.
+static_assert(sizeof(EventQueue::Event) == 24, "an Event fills 24 bytes");
 
 }  // namespace hcs::sim

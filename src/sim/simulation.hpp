@@ -36,6 +36,19 @@ class Simulation {
     queue_.push(t < now_ ? now_ : t, handle);
   }
 
+  /// Timer: like schedule_at, but cancellable until it fires.  A cancelled
+  /// timer never resumes `handle`, is not counted in events_processed(), does
+  /// not advance now() and never becomes next_event_time(), so it cannot cut
+  /// a PDES window either.  The caller tracks whether its timer is still
+  /// armed: cancel_timer may only be called on one that has not fired.
+  TimerId arm_timer(Time t, std::coroutine_handle<> handle) {
+    return queue_.push(t < now_ ? now_ : t, handle);
+  }
+  void cancel_timer(TimerId id) { queue_.cancel(id); }
+
+  /// Live events queued: pending resumes and armed timers.
+  std::size_t events_pending() const noexcept { return queue_.size(); }
+
   /// Awaitable that suspends the calling coroutine for `dt` (>= 0) seconds.
   /// Even dt == 0 goes through the event queue, preserving FIFO fairness.
   auto delay(Time dt) {

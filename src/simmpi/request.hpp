@@ -10,6 +10,7 @@
 #include <coroutine>
 #include <memory>
 
+#include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 #include "simmpi/message.hpp"
 
@@ -18,16 +19,19 @@ namespace hcs::simmpi {
 struct RecvState {
   int src = -1;
   std::int64_t tag = 0;
-  int owner = -1;  // receiving rank (watchdogs under the crash model)
+  int owner = -1;  // receiving rank
   bool complete = false;
   // Crash-model resolution flags (request.hpp stays trivially usable without
   // the failure detector: both remain false then).  `timed_out` means the
-  // deadline watchdog fired before a match; `owner_crashed` means the
+  // give-up deadline passed before a match; `owner_crashed` means the
   // receiving rank's own crash time passed while it was blocked.
   bool timed_out = false;
   bool owner_crashed = false;
   Message msg;
   std::coroutine_handle<> waiter = nullptr;
+  // The blocked waiter's timer (crash model only), armed at the earlier of
+  // the two resolutions above; a match cancels it.
+  sim::TimerId timer = sim::kNoTimer;
 };
 
 struct SendState {

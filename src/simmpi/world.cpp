@@ -30,6 +30,35 @@ struct ResumeAt {
   void await_suspend(std::coroutine_handle<> h) { sim->schedule_at(when, h); }
   void await_resume() const noexcept {}
 };
+
+// Parks the caller as `*waiter` and, when `wake` is finite (the crash model's
+// bound on the wait), arms `*timer` to resume it then.  Whichever resolves
+// the wait first takes the waiter: wake_parked below, or the timer, after
+// which the resumed caller finds its waiter still set.  NOTE: named awaiter
+// on purpose (GCC 12 temporary-awaiter bug).
+struct ParkUntil {
+  sim::Simulation* sim;
+  std::coroutine_handle<>* waiter;
+  sim::TimerId* timer;
+  sim::Time wake;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    *waiter = h;
+    if (wake < sim::kTimeInfinity) *timer = sim->arm_timer(wake, h);
+  }
+  void await_resume() const noexcept {}
+};
+
+// Resolves a parked wait: resumes its waiter at `at` and cancels its timer.
+void wake_parked(sim::Simulation& s, std::coroutine_handle<>& waiter, sim::TimerId& timer,
+                 sim::Time at) {
+  s.schedule_at(at, waiter);
+  waiter = nullptr;
+  if (timer != sim::kNoTimer) {
+    s.cancel_timer(timer);
+    timer = sim::kNoTimer;
+  }
+}
 }  // namespace
 
 void set_default_shards(int shards) noexcept {
@@ -386,6 +415,7 @@ void World::run(std::uint64_t max_events) {
                              " of " + std::to_string(spawned) + " processes still blocked" +
                              describe_blocked());
   }
+  audit_finished_run();
   HCS_METRIC_ADD("sim.events_processed", total_events() - events_before);
   HCS_METRIC_SET("sim.virtual_time_s", virtual_now);
   HCS_METRIC_SET("sim.processes_spawned", static_cast<double>(spawned));
@@ -602,8 +632,7 @@ void World::match_or_enqueue(int dst, Message msg) {
   request->complete = true;
   if (request->waiter) {
     sim::Simulation& s = sim_of(dst);
-    s.schedule_at(s.now(), request->waiter);
-    request->waiter = nullptr;
+    wake_parked(s, request->waiter, request->timer, s.now());
   }
 }
 
@@ -633,64 +662,37 @@ void World::cancel_recv(const RecvRequest& request) {
   if (it != mb.posted.end()) mb.posted.erase(it);
 }
 
-// Resumes a blocked receive when the crash model resolves it without a
-// message: the owner's own crash (crash_kind), or the give-up deadline.
-// A request that completed (or was resolved by the sibling watchdog) first
-// makes this a no-op.
-sim::Task<void> World::recv_watchdog(RecvRequest request, sim::Time when, bool crash_kind) {
-  sim::Simulation& s = sim_of(request->owner);
-  co_await s.delay(when - s.now());
-  if (request->complete || request->timed_out || request->owner_crashed) co_return;
-  if (crash_kind) {
-    request->owner_crashed = true;
-  } else {
-    request->timed_out = true;
-  }
-  cancel_recv(request);
-  if (request->waiter) {
-    s.schedule_at(s.now(), request->waiter);
-    request->waiter = nullptr;
-  }
-}
-
-// Suspends until the request completes or a watchdog resolves it.  `deadline`
-// is absolute; kTimeInfinity means "wait for the message" (plus, under the
-// crash model, the owner's own crash).
+// Suspends until the request completes or, under the crash model, its timer
+// fires: at the owner's own crash or at `deadline` (absolute; kTimeInfinity
+// means "wait for the message"), whichever comes first.  A match cancels the
+// timer; a timer that fires resumes the waiter, which resolves the request
+// here.
 sim::Task<void> World::block_on_recv(RecvRequest request, sim::Time deadline) {
+  if (request->complete) co_return;
   sim::Simulation& s = sim_of(request->owner);
-  if (!request->complete && detector_) {
-    const sim::Time now = s.now();
-    const sim::Time own_crash = fault_->next_down(request->owner, now);
-    if (now >= own_crash) {
+  sim::Time own_crash = sim::kTimeInfinity;
+  sim::Time wake = sim::kTimeInfinity;  // no crash model: the message always comes
+  if (detector_) {
+    own_crash = fault_->next_down(request->owner, s.now());
+    if (s.now() >= own_crash) {
       request->owner_crashed = true;
       cancel_recv(request);
       co_return;
     }
-    if (now >= deadline) {
+    if (s.now() >= deadline) {
       request->timed_out = true;
       cancel_recv(request);
       co_return;
     }
-    if (own_crash < sim::kTimeInfinity) {
-      s.spawn(recv_watchdog(request, own_crash, /*crash_kind=*/true));
-    }
-    if (deadline < sim::kTimeInfinity) {
-      s.spawn(recv_watchdog(request, deadline, /*crash_kind=*/false));
-    }
+    wake = std::min(own_crash, deadline);
   }
-  if (!request->complete && !request->timed_out && !request->owner_crashed) {
-    struct Suspend {
-      RecvState* state;
-      bool await_ready() const noexcept {
-        return state->complete || state->timed_out || state->owner_crashed;
-      }
-      void await_suspend(std::coroutine_handle<> h) { state->waiter = h; }
-      void await_resume() const noexcept {}
-    };
-    // NOTE: named awaiter on purpose (GCC 12 temporary-awaiter bug).
-    Suspend suspend{request.get()};
-    co_await suspend;
-  }
+  ParkUntil park{&s, &request->waiter, &request->timer, wake};
+  co_await park;
+  if (request->complete) co_return;
+  request->waiter = nullptr;
+  request->timer = sim::kNoTimer;
+  (s.now() >= own_crash ? request->owner_crashed : request->timed_out) = true;
+  cancel_recv(request);
 }
 
 sim::Task<Message> World::await_recv(RecvRequest request) {
@@ -767,9 +769,11 @@ sim::Task<void> World::await_send(SendRequest request) {
 
 // ------------------------------------------------------------------ burst --
 
-// A parked burst caller's state: its waiter, and the result once paired.
+// A parked burst caller's state: its waiter and crash-model timer, and the
+// result once paired.
 struct World::BurstState {
   std::coroutine_handle<> waiter = nullptr;
+  sim::TimerId timer = sim::kNoTimer;
   BurstResult result;
 };
 
@@ -889,31 +893,6 @@ std::pair<sim::Time, sim::Time> World::synthesize_burst(const PendingHalf& clien
   return {tc, tr};
 }
 
-// Resolves a parked burst the partner will never complete: at `when` (the
-// waiter's own crash time, or the moment its detector declares the partner
-// dead) the burst is reported fully lost and the waiter resumed — it
-// re-checks its own crash on resume.  A half that paired in the meantime has
-// no waiter, making this a no-op.  The stale half stays parked until
-// waiting_half drops it.
-sim::Task<void> World::burst_watchdog(PendingHalf half, sim::Time when) {
-  sim::Simulation& s = sim_of(half.rank);
-  if (when > s.now()) co_await s.delay(when - s.now());
-  BurstState& st = *half.st;
-  if (!st.waiter) co_return;
-  st.result.requested = half.nexchanges;
-  st.result.lost = half.nexchanges;
-  if (fault_) fault_->count_crash_drop();
-  s.schedule_at(s.now(), st.waiter);
-  st.waiter = nullptr;
-}
-
-World::HalfMap::iterator World::waiting_half(HalfMap& halves, std::uint64_t key) {
-  const auto it = halves.find(key);
-  if (it == halves.end() || it->second.st->waiter) return it;
-  halves.erase(it);  // stale: its watchdog already resumed the caller
-  return halves.end();
-}
-
 // Pairs the parked half `first` with its partner's half `second`: a parked
 // half too (the window-boundary drain), or the calling partner itself, which
 // pairs inline and has no state.  Checks that the two calls match,
@@ -929,19 +908,18 @@ sim::Time World::pair(const PendingHalf& first, const PendingHalf& second, sim::
                                            : synthesize_burst(second, first, first.bytes, st.result);
   const sim::Time first_done = first.is_client ? client_done : ref_done;
   const sim::Time second_done = first.is_client ? ref_done : client_done;
-  sim_of(first.rank).schedule_at(std::max(first_done, floor), st.waiter);
-  st.waiter = nullptr;  // its watchdogs must not resume it again
+  wake_parked(sim_of(first.rank), st.waiter, st.timer, std::max(first_done, floor));
   if (second.st) {
-    second.st->result = st.result;
-    sim_of(second.rank).schedule_at(std::max(second_done, floor), second.st->waiter);
-    second.st->waiter = nullptr;
+    BurstState& st2 = *second.st;
+    st2.result = st.result;
+    wake_parked(sim_of(second.rank), st2.waiter, st2.timer, std::max(second_done, floor));
   }
   return second_done;
 }
 
 // Every burst pairs through pair().  A caller whose partner already waits in
-// its shard's map (intra-node) pairs inline: no watchdogs, no state.  Any
-// other caller arms the crash watchdogs and parks its half: intra-node in
+// its shard's map (intra-node) pairs inline: no timer, no state.  Any other
+// caller parks its half, with one timer under the crash model: intra-node in
 // the shard's map, cross-node in the shard's list for the window-boundary
 // drain.  The cross-node rendezvous runs at every shard count (including
 // 1), so pairing and synthesis order never depend on the shard layout.
@@ -958,53 +936,62 @@ sim::Task<BurstResult> World::pingpong_burst(int me, int partner, bool i_am_clie
                      node_of_rank_[static_cast<std::size_t>(partner)];
   PendingHalf half{pair_key(me, partner, size()), i_am_client, me, &my_clock, s.now(),
                    nexchanges, bytes, nullptr};
-  const auto it = local ? waiting_half(ss.local_halves, half.key) : ss.local_halves.end();
-  std::shared_ptr<BurstState> st;
+  const auto it = local ? ss.local_halves.find(half.key) : ss.local_halves.end();
+  BurstResult result;
   if (it != ss.local_halves.end()) {
-    PendingHalf first = std::move(it->second);
-    ss.local_halves.erase(it);
-    ResumeAt resume{&s, pair(first, half, 0.0)};
+    ResumeAt resume{&s, 0.0};
+    {  // scoped, so the partner's half stays out of the coroutine frame
+      const PendingHalf first = std::move(it->second);
+      ss.local_halves.erase(it);
+      resume.when = pair(first, half, 0.0);
+      // The parked partner moves the result out of the state the two share
+      // when it resumes, so copy it before either side does.
+      result = first.st->result;
+    }
     co_await resume;
     check_crash(me);
-    st = std::move(first.st);
   } else {
-    st = std::make_shared<BurstState>();
     const sim::Time partner_dead =
         detector_ ? detector_->detect_time_after(me, partner, s.now()) : sim::kTimeInfinity;
     if (partner_dead <= s.now()) {
       // Partner already declared dead: resolve as fully lost without
-      // suspending (a watchdog due "now" would fire before the suspend
-      // below publishes the waiter handle).
-      st->result.requested = nexchanges;
-      st->result.lost = nexchanges;
+      // suspending.
+      result.requested = nexchanges;
+      result.lost = nexchanges;
       fault_->count_crash_drop();
     } else {
-      half.st = st;
-      if (detector_) {
-        // check_crash above guarantees now < own crash time, so both
-        // watchdogs fire strictly in the future, after the waiter handle is
-        // published.
-        const sim::Time own_crash = fault_->next_down(me, s.now());
-        if (own_crash < sim::kTimeInfinity) s.spawn(burst_watchdog(half, own_crash));
-        if (partner_dead < sim::kTimeInfinity) s.spawn(burst_watchdog(half, partner_dead));
-      }
+      half.st = std::make_shared<BurstState>();
       if (local) {
-        ss.local_halves.emplace(half.key, std::move(half));
+        ss.local_halves.emplace(half.key, half);
       } else {
-        ss.halves.push_back(std::move(half));
+        ss.halves.push_back(half);
       }
-      struct Park {
-        BurstState* st;
-        bool await_ready() const noexcept { return false; }
-        void await_suspend(std::coroutine_handle<> h) { st->waiter = h; }
-        void await_resume() const noexcept {}
-      };
-      Park park{st.get()};  // NOTE: named awaiter on purpose (GCC 12 temporary-awaiter bug)
+      // check_crash above guarantees now < own crash time, so the timer is
+      // due strictly in the future.
+      ParkUntil park{&s, &half.st->waiter, &half.st->timer,
+                     detector_ ? std::min(fault_->next_down(me, s.now()), partner_dead)
+                               : sim::kTimeInfinity};
       co_await park;
+      BurstState& st = *half.st;
+      if (st.waiter) {
+        // The timer won: this caller crashes, or its partner is declared
+        // dead, before the two paired.  The burst is fully lost; the half
+        // is withdrawn now (intra-node) or at the next drain (cross-node).
+        st.waiter = nullptr;
+        st.timer = sim::kNoTimer;
+        st.result.requested = nexchanges;
+        st.result.lost = nexchanges;
+        fault_->count_crash_drop();
+        if (local) {
+          ss.local_halves.erase(half.key);
+        } else {
+          ss.withdrawn.push_back(half.key);
+        }
+      }
       check_crash(me);
+      result = std::move(st.result);
     }
   }
-  BurstResult result = st->result;
   if (record_section_ != nullptr) {
     // Recorded at the caller's resume point (its own shard thread, at the
     // clamped done time — both shard-count-invariant), never from the
@@ -1021,16 +1008,22 @@ sim::Task<BurstResult> World::pingpong_burst(int me, int partner, bool i_am_clie
   co_return result;
 }
 
-// Window-boundary rendezvous for cross-node bursts.  Halves are paired in
-// (key, role) sort order; a half whose watchdog already resolved it is
-// skipped (the "watchdog wins within its window" rule — both the watchdog's
-// firing time and the window boundaries are shard-count-invariant, so which
-// one wins never depends on the layout).  Synthesis runs under the client
-// shard's observability context, and both callers resume no earlier than
-// the end of the window just finished.
+// Window-boundary rendezvous for cross-node bursts.  Halves whose timer fired
+// leave rendezvous_ first.  The window's new halves are paired in (key, role)
+// sort order; one whose timer already resolved it is dropped (the "timer
+// wins within its window" rule — both the timer's firing time and the window
+// boundaries are shard-count-invariant, so which one wins never depends on
+// the layout).  Synthesis runs under the client shard's observability
+// context, and both callers resume no earlier than the end of the window
+// just finished.
 void World::drain_burst_halves() {
   std::vector<PendingHalf> halves;
   for (auto& ss : shard_states_) {
+    for (const std::uint64_t key : ss.withdrawn) {
+      const auto it = rendezvous_.find(key);
+      if (it != rendezvous_.end() && !it->second.st->waiter) rendezvous_.erase(it);
+    }
+    ss.withdrawn.clear();
     for (auto& h : ss.halves) halves.push_back(std::move(h));
     ss.halves.clear();
   }
@@ -1040,8 +1033,8 @@ void World::drain_burst_halves() {
     return a.is_client && !b.is_client;
   });
   for (PendingHalf& h : halves) {
-    if (!h.st->waiter) continue;  // watchdog resolved it this window
-    const auto it = waiting_half(rendezvous_, h.key);
+    if (!h.st->waiter) continue;  // its timer resolved it this window
+    const auto it = rendezvous_.find(h.key);
     if (it == rendezvous_.end()) {
       rendezvous_.emplace(h.key, std::move(h));
       continue;
@@ -1103,6 +1096,33 @@ std::string World::describe_blocked() const {
     out += "; and " + std::to_string(waits.size() - kMaxListed) + " more";
   }
   return out;
+}
+
+// Audit of a run whose every process finished.  Nothing may still wait: an
+// armed timer or a parked half left now is an engine bug.  Messages left in
+// an `unexpected` queue and receives still posted are a protocol's business
+// (a crashed rank's mailbox, an irecv never awaited), so they are counted,
+// not raised.
+void World::audit_finished_run() {
+  std::uint64_t unexpected = 0;
+  std::uint64_t posted = 0;
+  for (const Mailbox& mb : mailboxes_) {
+    unexpected += mb.unexpected.size();
+    posted += mb.posted.size();
+    for (const RecvRequest& req : mb.posted) {
+      if (req->timer != sim::kNoTimer) {
+        throw std::logic_error("World::run: finished with a timer armed for rank " +
+                               std::to_string(req->owner) + "'s receive");
+      }
+    }
+  }
+  bool parked = !rendezvous_.empty();
+  for (const ShardState& ss : shard_states_) {
+    parked |= !ss.halves.empty() || !ss.withdrawn.empty() || !ss.local_halves.empty();
+  }
+  if (parked) throw std::logic_error("World::run: finished with a ping-pong half still parked");
+  HCS_METRIC_ADD("simmpi.unmatched.unexpected", unexpected);
+  HCS_METRIC_ADD("simmpi.unmatched.posted", posted);
 }
 
 // ----------------------------------------------------------- split tables --

@@ -329,8 +329,9 @@ class World {
   };
 
   /// One caller's side of a ping-pong burst.  A caller whose partner is not
-  /// yet waiting parks its half, with a BurstState holding its waiter and,
-  /// once paired, the result.  A caller that pairs inline has no state.
+  /// yet waiting parks its half, with a BurstState holding its waiter, its
+  /// timer and, once paired, the result.  A caller that pairs inline has no
+  /// state.  A half leaves its map when it pairs or its timer fires.
   struct PendingHalf {
     std::uint64_t key = 0;  // pair_key of the two ranks
     bool is_client = false;
@@ -349,6 +350,7 @@ class World {
     std::vector<IngressRecord> outbox;
     std::uint64_t outbox_seq = 0;
     std::vector<PendingHalf> halves;  // cross-node, for the window-boundary drain
+    std::vector<std::uint64_t> withdrawn;  // keys of cross-node halves whose timer fired
     HalfMap local_halves;             // intra-node: the partner pairs inline
   };
 
@@ -372,7 +374,6 @@ class World {
                                                    BurstResult& result);
   /// The one burst pairing routine (world.cpp).
   sim::Time pair(const PendingHalf& first, const PendingHalf& second, sim::Time floor);
-  static HalfMap::iterator waiting_half(HalfMap& halves, std::uint64_t key);
   void match_or_enqueue(int dst, Message msg);
   void dispatch_message(int src, int dst, std::vector<double> data, std::int64_t bytes,
                         std::int64_t tag, sim::Time ready);
@@ -394,8 +395,6 @@ class World {
   void purge_mailbox(int rank);
   void cancel_recv(const RecvRequest& request);
   sim::Task<void> block_on_recv(RecvRequest request, sim::Time deadline);
-  sim::Task<void> recv_watchdog(RecvRequest request, sim::Time when, bool crash_kind);
-  sim::Task<void> burst_watchdog(PendingHalf half, sim::Time when);
 
   // --- record / replay internals (world.cpp, docs/record-replay.md) ---
   void record_recv_completion(const RecvRequest& request);
@@ -413,6 +412,7 @@ class World {
   bool serial_phase(std::uint64_t max_events);  // drains + next window; false = done
   std::uint64_t total_events() const noexcept;
   std::string describe_blocked() const;  // deadlock report suffix
+  void audit_finished_run();             // leftovers of a run that finished
 
   topology::MachineConfig machine_;
   int nshards_ = 1;
