@@ -12,8 +12,7 @@
 namespace hcs::fault {
 
 FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed, int nranks)
-    : channel_seed_(seed ^ (plan.seed() * 0x9e3779b97f4a7c15ULL + 0x2545f4914f6cdd1dULL)),
-      channel_rngs_(static_cast<std::size_t>(nranks > 0 ? nranks : 0)) {
+    : channels_(seed ^ (plan.seed() * 0x9e3779b97f4a7c15ULL + 0x2545f4914f6cdd1dULL), nranks) {
   // Per-rank lifecycle events: (time, is_up).  crash/leave go down at `at`,
   // rejoin comes back up, join is down from 0 until `at`.
   std::vector<std::vector<std::pair<sim::Time, bool>>> lifecycle(
@@ -206,19 +205,6 @@ FaultInjector::ShardMetrics& FaultInjector::my_metrics() const {
   return shard_metrics_[static_cast<std::size_t>(sim::current_shard())];
 }
 
-sim::Rng& FaultInjector::channel_rng(int src, int dst) {
-  auto& per_src = channel_rngs_[static_cast<std::size_t>(src)];
-  auto it = per_src.find(dst);
-  if (it == per_src.end()) {
-    std::uint64_t state = channel_seed_ ^
-                          (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(src) + 1)) ^
-                          (0xd1b54a32d192ed03ULL * (static_cast<std::uint64_t>(dst) + 1));
-    const std::uint64_t derived = sim::splitmix64(state);
-    it = per_src.emplace(dst, sim::Rng(derived)).first;
-  }
-  return it->second;
-}
-
 sim::Time FaultInjector::link_down_time(int a, int b) const noexcept {
   if (a > b) {
     const int tmp = a;
@@ -239,7 +225,7 @@ void FaultInjector::count_crash_drop() {
 
 NetFaultDecision FaultInjector::on_message(int src, int dst, int level, sim::Time now) {
   NetFaultDecision d;
-  sim::Rng& rng = channel_rng(src, dst);
+  sim::Rng& rng = channels_.at(src, dst);
   for (const StragglerRule& r : straggler_rules_) {
     if (src == r.rank || dst == r.rank) d.delay_factor *= r.factor;
   }

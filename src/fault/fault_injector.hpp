@@ -21,7 +21,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
@@ -205,11 +204,7 @@ class FaultInjector {
     return rule_level == NetLevel::kAll || static_cast<int>(rule_level) == level;
   }
 
-  /// The (src -> dst) channel's private fault stream, created on first use.
-  sim::Rng& channel_rng(int src, int dst);
-
-  std::uint64_t channel_seed_;
-  std::vector<std::map<int, sim::Rng>> channel_rngs_;  // [src][dst]
+  sim::ChannelStreams channels_;  // per-channel fault streams
   std::vector<ProbRule> drops_rules_;
   std::vector<ProbRule> dup_rules_;
   std::vector<ReorderRule> reorder_rules_;

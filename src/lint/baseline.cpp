@@ -1,7 +1,10 @@
 #include "lint/baseline.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 #include <sstream>
+#include <system_error>
 
 #include "lint/rules.hpp"
 
@@ -46,13 +49,10 @@ bool Baseline::parse(const std::string& text, std::string* error) {
       }
       return false;
     }
+    // Digits only: no sign, no blanks, no trailing text, and within int.
     int count = 0;
-    try {
-      count = std::stoi(line.substr(0, t1));
-    } catch (...) {
-      count = -1;
-    }
-    if (count <= 0) {
+    const auto [end, ec] = std::from_chars(line.data(), line.data() + t1, count);
+    if (ec != std::errc{} || end != line.data() + t1 || count <= 0) {
       if (error) {
         *error = "baseline line " + std::to_string(lineno) + ": bad count '" +
                  line.substr(0, t1) + "'";
@@ -68,7 +68,15 @@ bool Baseline::parse(const std::string& text, std::string* error) {
                                        "regenerating the baseline");
       continue;  // no credits: findings can never match a retired rule id
     }
-    credits_[k] += count;
+    int& credit = credits_[k];
+    if (count > std::numeric_limits<int>::max() - credit) {
+      if (error) {
+        *error = "baseline line " + std::to_string(lineno) +
+                 ": counts for one entry exceed INT_MAX";
+      }
+      return false;
+    }
+    credit += count;
   }
   return true;
 }

@@ -75,4 +75,18 @@ bool Rng::bernoulli(double p) { return uniform() < p; }
 
 Rng Rng::split() { return Rng(next_u64()); }
 
+ChannelStreams::ChannelStreams(std::uint64_t seed, int nranks)
+    : seed_(seed), streams_(static_cast<std::size_t>(nranks > 0 ? nranks : 0)) {}
+
+Rng& ChannelStreams::at(int src, int dst) {
+  auto& per_src = streams_[static_cast<std::size_t>(src)];
+  auto it = per_src.find(dst);
+  if (it == per_src.end()) {
+    std::uint64_t state = seed_ ^ (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(src) + 1)) ^
+                          (0xd1b54a32d192ed03ULL * (static_cast<std::uint64_t>(dst) + 1));
+    it = per_src.emplace(dst, Rng(splitmix64(state))).first;
+  }
+  return it->second;
+}
+
 }  // namespace hcs::sim

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <vector>
 
 namespace hcs::sim {
 
@@ -51,5 +53,22 @@ class Rng {
 
 /// splitmix64 step, exposed for seed derivation in tests and harnesses.
 std::uint64_t splitmix64(std::uint64_t& state);
+
+/// One private stream per (src, dst) channel of `nranks` ranks, each derived
+/// from `seed` and the channel and created on first use.  Keying randomness
+/// by channel rather than by global draw order keeps a channel's draws on
+/// its sender's timeline, so they do not depend on how events interleave
+/// across channels or shards.
+class ChannelStreams {
+ public:
+  ChannelStreams(std::uint64_t seed, int nranks);
+
+  /// The (src -> dst) channel's stream.
+  Rng& at(int src, int dst);
+
+ private:
+  std::uint64_t seed_;
+  std::vector<std::map<int, Rng>> streams_;  // [src][dst]
+};
 
 }  // namespace hcs::sim

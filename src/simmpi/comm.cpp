@@ -71,8 +71,8 @@ std::int64_t Comm::user_tag(int tag) const {
 std::int64_t Comm::collective_tag(int phase) const {
   // Injective only while phase < 2^16 and coll_seq < 2^8, and neither bound
   // is asserted: the ring allreduce's phase offsets (20000 + step) collide
-  // past 20 001 ranks.  ROADMAP.md item 4 tracks making tags a structured
-  // key or proving the packing injective.
+  // past 20 001 ranks.  ROADMAP.md's "Asserted invariants at scale" item
+  // tracks making tags a structured key or proving the packing injective.
   return static_cast<std::int64_t>((context_ << 24) ^ (coll_seq_ << 16) ^
                                    static_cast<std::uint64_t>(phase));
 }

@@ -11,8 +11,7 @@ NetworkModel::NetworkModel(const topology::ClusterTopology& topo,
                            const topology::NetworkParams& params, std::uint64_t seed)
     : topo_(&topo),
       params_(params),
-      channel_seed_(seed ^ 0x6a09e667f3bcc909ULL),
-      channel_rngs_(static_cast<std::size_t>(topo.total_ranks())),
+      channels_(seed ^ 0x6a09e667f3bcc909ULL, topo.total_ranks()),
       egress_free_(static_cast<std::size_t>(topo.nodes()), 0.0),
       ingress_free_(static_cast<std::size_t>(topo.nodes()), 0.0) {
   shard_metrics_.push_back(resolve_metrics(trace::active_metrics()));
@@ -77,19 +76,6 @@ sim::Time NetworkModel::sample_delay(LinkLevel level, std::int64_t bytes, sim::R
   return d;
 }
 
-sim::Rng& NetworkModel::channel_rng(int src_rank, int dst_rank) {
-  auto& per_src = channel_rngs_[static_cast<std::size_t>(src_rank)];
-  auto it = per_src.find(dst_rank);
-  if (it == per_src.end()) {
-    std::uint64_t state = channel_seed_ ^
-                          (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(src_rank) + 1)) ^
-                          (0xd1b54a32d192ed03ULL * (static_cast<std::uint64_t>(dst_rank) + 1));
-    const std::uint64_t derived = sim::splitmix64(state);
-    it = per_src.emplace(dst_rank, sim::Rng(derived)).first;
-  }
-  return it->second;
-}
-
 double NetworkModel::expected_delay(LinkLevel level, std::int64_t bytes) const {
   const topology::LinkParams& lp = link(level);
   return lp.base_latency + lp.per_byte * static_cast<double>(bytes) + lp.jitter_mean +
@@ -105,7 +91,7 @@ sim::Time NetworkModel::deliver_attempt(LinkLevel level, int src_rank, int dst_r
                                         const fault::NetFaultDecision* decision) {
   const double factor = decision ? decision->delay_factor : 1.0;
   const double extra = decision ? decision->extra_delay : 0.0;
-  const sim::Time d = sample_delay(level, bytes, channel_rng(src_rank, dst_rank)) * factor + extra;
+  const sim::Time d = sample_delay(level, bytes, channels_.at(src_rank, dst_rank)) * factor + extra;
   if (!decision || !decision->drop) count_delivery(level, bytes, d);
   return depart_ready + d;
 }
@@ -119,7 +105,7 @@ sim::Time NetworkModel::egress_to_wire(int src_rank, int dst_rank, std::int64_t 
   const double nic_busy = params_.nic_gap + params_.nic_per_byte * static_cast<double>(bytes);
   const sim::Time depart = std::max(depart_ready, egress_free_[src_node]);
   egress_free_[src_node] = depart + nic_busy;
-  sim::Rng& rng = channel_rng(src_rank, dst_rank);
+  sim::Rng& rng = channels_.at(src_rank, dst_rank);
   return depart + sample_delay(LinkLevel::kInterNode, bytes, rng) * factor + extra;
 }
 

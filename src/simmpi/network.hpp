@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "fault/fault_injector.hpp"
@@ -58,16 +57,8 @@ class NetworkModel {
   const topology::LinkParams& link(LinkLevel level) const;
 
   /// Samples the one-way wire delay (no NIC queueing, no CPU overheads)
-  /// from `rng`; the World's paths pass a channel_rng stream.
+  /// from `rng`; the World's paths draw from the channel's own stream.
   sim::Time sample_delay(LinkLevel level, std::int64_t bytes, sim::Rng& rng);
-
-  /// The (src_rank -> dst_rank) channel's private delay stream, created on
-  /// first use.  Keying randomness by channel — rather than by global draw
-  /// order — is what makes delays shard-count-invariant: a channel's draws
-  /// follow the sender's timeline only, and senders never migrate between
-  /// shards (docs/parallel-simulation.md).  A channel is only ever touched
-  /// from its sender's shard, so no locking.
-  sim::Rng& channel_rng(int src_rank, int dst_rank);
 
   /// Full path: earliest arrival of a message handed to the network at
   /// `depart_ready` — transit_time, then ingress_admit for inter-node
@@ -162,8 +153,10 @@ class NetworkModel {
 
   const topology::ClusterTopology* topo_;
   topology::NetworkParams params_;
-  std::uint64_t channel_seed_;   // keys the per-channel streams
-  std::vector<std::map<int, sim::Rng>> channel_rngs_;  // [src_rank][dst_rank]
+  // Per-channel delay streams.  They make delays shard-count-invariant:
+  // senders never migrate between shards (docs/parallel-simulation.md), and
+  // a channel is only ever touched from its sender's shard, so no locking.
+  sim::ChannelStreams channels_;
   std::vector<sim::Time> egress_free_;   // per node; sender-shard state
   std::vector<sim::Time> ingress_free_;  // per node; receiver-side state
   std::vector<ShardMetrics> shard_metrics_;  // size >= 1; [sim::current_shard()]

@@ -769,22 +769,7 @@ sim::Task<void> World::await_send(SendRequest request) {
 
 // ------------------------------------------------------------------ burst --
 
-// A parked burst caller's state: its waiter and crash-model timer, and the
-// result once paired.
-struct World::BurstState {
-  std::coroutine_handle<> waiter = nullptr;
-  sim::TimerId timer = sim::kNoTimer;
-  BurstResult result;
-};
-
-std::uint64_t World::pair_key(int a, int b, int world_size) {
-  const auto lo = static_cast<std::uint64_t>(std::min(a, b));
-  const auto hi = static_cast<std::uint64_t>(std::max(a, b));
-  return lo * static_cast<std::uint64_t>(world_size) + hi;
-}
-
-std::pair<sim::Time, sim::Time> World::synthesize_burst(const PendingHalf& client,
-                                                       const PendingHalf& ref,
+std::pair<sim::Time, sim::Time> World::synthesize_burst(int client_rank, int ref_rank,
                                                        std::int64_t bytes, BurstResult& result) {
   // Attempts per exchange under an active fault plan: 1 original +
   // (kMaxPingAttempts - 1) retries; an exchange still unanswered after that
@@ -793,6 +778,8 @@ std::pair<sim::Time, sim::Time> World::synthesize_burst(const PendingHalf& clien
   constexpr int kMaxPingAttempts = 3;
   constexpr double kPingTimeoutFactor = 10.0;  // of the expected round-trip time
 
+  const BurstSlot& client = burst_slot(client_rank);
+  const BurstSlot& ref = burst_slot(ref_rank);
   WorldMetrics& metrics = my_metrics();
   const double o_s = network_.send_overhead();
   const double o_r = network_.recv_overhead();
@@ -808,10 +795,10 @@ std::pair<sim::Time, sim::Time> World::synthesize_burst(const PendingHalf& clien
   sim::Time client_crash = sim::kTimeInfinity;
   sim::Time abandon_at = sim::kTimeInfinity;
   if (crashy) {
-    client_crash = fault_->next_down(client.rank, client.ready);
-    abandon_at = detector_->detect_time_after(client.rank, ref.rank, client.ready);
+    client_crash = fault_->next_down(client_rank, client.ready);
+    abandon_at = detector_->detect_time_after(client_rank, ref_rank, client.ready);
   }
-  const LinkLevel level = network_.classify(client.rank, ref.rank);
+  const LinkLevel level = network_.classify(client_rank, ref_rank);
   const double timeout =
       kPingTimeoutFactor * (2.0 * network_.expected_delay(level, bytes) + 2.0 * (o_s + o_r));
   result.requested = client.nexchanges;
@@ -826,7 +813,7 @@ std::pair<sim::Time, sim::Time> World::synthesize_burst(const PendingHalf& clien
         aborted = true;
         break;
       }
-      if (pausing) tc = fault_->release_time(client.rank, tc);
+      if (pausing) tc = fault_->release_time(client_rank, tc);
       const sim::Time attempt_start = tc;
       // The timeout guards against message loss, not partner lateness: the
       // reference may legitimately enter the burst long after the client
@@ -838,26 +825,26 @@ std::pair<sim::Time, sim::Time> World::synthesize_burst(const PendingHalf& clien
       s.client_send = client.clock->at(tc);
       fault::NetFaultDecision ping_fd;
       const sim::Time arrive_ref = network_.deliver_time_uncontended(
-          client.rank, ref.rank, bytes, tc + o_s, faulty ? &ping_fd : nullptr);
+          client_rank, ref_rank, bytes, tc + o_s, faulty ? &ping_fd : nullptr);
       bool timed_out = ping_fd.drop;
-      if (crashy && !crash_delivered(client.rank, ref.rank, tc, arrive_ref)) {
+      if (crashy && !crash_delivered(client_rank, ref_rank, tc, arrive_ref)) {
         timed_out = true;
       }
       if (!timed_out) {
         sim::Time stamp_time = std::max(arrive_ref, tr) + o_r;
-        if (pausing) stamp_time = fault_->release_time(ref.rank, stamp_time);
+        if (pausing) stamp_time = fault_->release_time(ref_rank, stamp_time);
         s.ref_reply = ref.clock->at(stamp_time);
         const sim::Time reply_depart = stamp_time + o_s;
         tr = reply_depart;  // the reference served this ping whether or not the pong survives
         fault::NetFaultDecision pong_fd;
         const sim::Time arrive_client = network_.deliver_time_uncontended(
-            ref.rank, client.rank, bytes, reply_depart, faulty ? &pong_fd : nullptr);
+            ref_rank, client_rank, bytes, reply_depart, faulty ? &pong_fd : nullptr);
         // `faulty` gate: fault-free this branch must be taken unconditionally
         // so the synthesized schedule stays bit-identical to the seed model.
         // The crash rule also covers the reference dying mid-service: a
         // reply departing after its crash necessarily arrives after it.
         if (pong_fd.drop || (faulty && arrive_client + o_r > deadline) ||
-            (crashy && !crash_delivered(ref.rank, client.rank, reply_depart,
+            (crashy && !crash_delivered(ref_rank, client_rank, reply_depart,
                                         arrive_client))) {
           timed_out = true;  // pong lost, or it arrived after the client gave up
         } else {
@@ -887,42 +874,42 @@ std::pair<sim::Time, sim::Time> World::synthesize_burst(const PendingHalf& clien
   if (trace::Tracer* tracer = trace::active_tracer()) {
     // Explicit timestamps: the burst is synthesized, so "now" would misplace
     // it.  This span is where HCA3 spends its RTT budget.
-    tracer->record_complete(client.rank, trace::Category::kNet, "pingpong_burst",
+    tracer->record_complete(client_rank, trace::Category::kNet, "pingpong_burst",
                             client.ready, tc - client.ready, client.nexchanges);
   }
   return {tc, tr};
 }
 
-// Pairs the parked half `first` with its partner's half `second`: a parked
-// half too (the window-boundary drain), or the calling partner itself, which
-// pairs inline and has no state.  Checks that the two calls match,
-// synthesizes the burst, and resumes every parked caller no earlier than
-// `floor`.  Returns when `second` is done.
-sim::Time World::pair(const PendingHalf& first, const PendingHalf& second, sim::Time floor) {
-  if (first.nexchanges != second.nexchanges || first.is_client == second.is_client) {
+// Pairs the parked half of rank `first` with the half of its partner
+// `second`: a parked half too (the window-boundary drain), or the calling
+// partner itself, which pairs inline and has no waiter.  Checks that the two
+// calls match, synthesizes the burst into both slots, and resumes every
+// parked caller no earlier than `floor`.  Returns when `second` is done.
+sim::Time World::pair(int first, int second, sim::Time floor) {
+  BurstSlot& a = burst_slot(first);
+  BurstSlot& b = burst_slot(second);
+  if (a.nexchanges != b.nexchanges || a.is_client == b.is_client) {
     throw std::logic_error("pingpong_burst: mismatched burst call between partners");
   }
-  BurstState& st = *first.st;
-  const auto [client_done, ref_done] = first.is_client
-                                           ? synthesize_burst(first, second, first.bytes, st.result)
-                                           : synthesize_burst(second, first, first.bytes, st.result);
-  const sim::Time first_done = first.is_client ? client_done : ref_done;
-  const sim::Time second_done = first.is_client ? ref_done : client_done;
-  wake_parked(sim_of(first.rank), st.waiter, st.timer, std::max(first_done, floor));
-  if (second.st) {
-    BurstState& st2 = *second.st;
-    st2.result = st.result;
-    wake_parked(sim_of(second.rank), st2.waiter, st2.timer, std::max(second_done, floor));
-  }
+  const auto [client_done, ref_done] = a.is_client
+                                           ? synthesize_burst(first, second, a.bytes, a.result)
+                                           : synthesize_burst(second, first, a.bytes, a.result);
+  const sim::Time first_done = a.is_client ? client_done : ref_done;
+  const sim::Time second_done = a.is_client ? ref_done : client_done;
+  a.state = b.state = BurstSlot::State::kPaired;
+  b.result = a.result;
+  wake_parked(sim_of(first), a.waiter, a.timer, std::max(first_done, floor));
+  if (b.waiter) wake_parked(sim_of(second), b.waiter, b.timer, std::max(second_done, floor));
   return second_done;
 }
 
-// Every burst pairs through pair().  A caller whose partner already waits in
-// its shard's map (intra-node) pairs inline: no timer, no state.  Any other
-// caller parks its half, with one timer under the crash model: intra-node in
-// the shard's map, cross-node in the shard's list for the window-boundary
-// drain.  The cross-node rendezvous runs at every shard count (including
-// 1), so pairing and synthesis order never depend on the shard layout.
+// Every burst pairs through pair(), and each rank's side lives in its one
+// burst slot.  A caller whose intra-node partner is already parked with it
+// as the partner pairs inline: no timer.  Any other caller parks, with one
+// timer under the crash model: intra-node open at once, cross-node pending
+// until the window-boundary drain opens it.  The cross-node rendezvous runs
+// at every shard count (including 1), so pairing and synthesis order never
+// depend on the shard layout.
 sim::Task<BurstResult> World::pingpong_burst(int me, int partner, bool i_am_client,
                                              vclock::Clock& my_clock, int nexchanges,
                                              std::int64_t bytes) {
@@ -930,68 +917,68 @@ sim::Task<BurstResult> World::pingpong_burst(int me, int partner, bool i_am_clie
   if (me == partner) throw std::invalid_argument("pingpong_burst: self ping-pong");
   check_crash(me);
   if (replay_feed_) co_return co_await replay_burst(me, partner, i_am_client);
+  BurstSlot& slot = burst_slot(me);
+  if (slot.state != BurstSlot::State::kIdle) {
+    throw std::logic_error("pingpong_burst: rank " + std::to_string(me) +
+                           " entered a second burst while one is in flight");
+  }
   sim::Simulation& s = sim_of(me);
-  ShardState& ss = shard_states_[static_cast<std::size_t>(shard_of_rank(me))];
+  slot.is_client = i_am_client;
+  slot.partner = partner;
+  slot.nexchanges = nexchanges;
+  slot.bytes = bytes;
+  slot.clock = &my_clock;
+  slot.ready = s.now();
   const bool local = node_of_rank_[static_cast<std::size_t>(me)] ==
                      node_of_rank_[static_cast<std::size_t>(partner)];
-  PendingHalf half{pair_key(me, partner, size()), i_am_client, me, &my_clock, s.now(),
-                   nexchanges, bytes, nullptr};
-  const auto it = local ? ss.local_halves.find(half.key) : ss.local_halves.end();
-  BurstResult result;
-  if (it != ss.local_halves.end()) {
-    ResumeAt resume{&s, 0.0};
-    {  // scoped, so the partner's half stays out of the coroutine frame
-      const PendingHalf first = std::move(it->second);
-      ss.local_halves.erase(it);
-      resume.when = pair(first, half, 0.0);
-      // The parked partner moves the result out of the state the two share
-      // when it resumes, so copy it before either side does.
-      result = first.st->result;
-    }
+  const BurstSlot& other = burst_slot(partner);
+  if (local && other.state == BurstSlot::State::kOpen && other.partner == me) {
+    ResumeAt resume{&s, pair(partner, me, 0.0)};
     co_await resume;
-    check_crash(me);
   } else {
     const sim::Time partner_dead =
         detector_ ? detector_->detect_time_after(me, partner, s.now()) : sim::kTimeInfinity;
     if (partner_dead <= s.now()) {
       // Partner already declared dead: resolve as fully lost without
       // suspending.
-      result.requested = nexchanges;
-      result.lost = nexchanges;
+      slot.result.requested = nexchanges;
+      slot.result.lost = nexchanges;
       fault_->count_crash_drop();
     } else {
-      half.st = std::make_shared<BurstState>();
+      std::vector<int>& pending =
+          shard_states_[static_cast<std::size_t>(shard_of_rank(me))].pending;
       if (local) {
-        ss.local_halves.emplace(half.key, half);
+        slot.state = BurstSlot::State::kOpen;
       } else {
-        ss.halves.push_back(half);
+        slot.state = BurstSlot::State::kPending;
+        pending.push_back(me);
       }
       // check_crash above guarantees now < own crash time, so the timer is
       // due strictly in the future.
-      ParkUntil park{&s, &half.st->waiter, &half.st->timer,
+      ParkUntil park{&s, &slot.waiter, &slot.timer,
                      detector_ ? std::min(fault_->next_down(me, s.now()), partner_dead)
                                : sim::kTimeInfinity};
       co_await park;
-      BurstState& st = *half.st;
-      if (st.waiter) {
+      if (slot.waiter) {
         // The timer won: this caller crashes, or its partner is declared
-        // dead, before the two paired.  The burst is fully lost; the half
-        // is withdrawn now (intra-node) or at the next drain (cross-node).
-        st.waiter = nullptr;
-        st.timer = sim::kNoTimer;
-        st.result.requested = nexchanges;
-        st.result.lost = nexchanges;
-        fault_->count_crash_drop();
-        if (local) {
-          ss.local_halves.erase(half.key);
-        } else {
-          ss.withdrawn.push_back(half.key);
+        // dead, before the two paired.  The burst is fully lost, and the
+        // half leaves the drain's list now, so nothing pairs it later.
+        if (slot.state == BurstSlot::State::kPending) {
+          pending.erase(std::find(pending.begin(), pending.end(), me));
         }
+        slot.waiter = nullptr;
+        slot.timer = sim::kNoTimer;
+        slot.result.requested = nexchanges;
+        slot.result.lost = nexchanges;
+        fault_->count_crash_drop();
       }
-      check_crash(me);
-      result = std::move(st.result);
     }
   }
+  // Moved, not copied, and the slot left empty: a copy would keep every
+  // rank's last samples alive.
+  BurstResult result = std::exchange(slot.result, {});
+  slot.state = BurstSlot::State::kIdle;
+  check_crash(me);
   if (record_section_ != nullptr) {
     // Recorded at the caller's resume point (its own shard thread, at the
     // clamped done time — both shard-count-invariant), never from the
@@ -1008,40 +995,39 @@ sim::Task<BurstResult> World::pingpong_burst(int me, int partner, bool i_am_clie
   co_return result;
 }
 
-// Window-boundary rendezvous for cross-node bursts.  Halves whose timer fired
-// leave rendezvous_ first.  The window's new halves are paired in (key, role)
-// sort order; one whose timer already resolved it is dropped (the "timer
-// wins within its window" rule — both the timer's firing time and the window
-// boundaries are shard-count-invariant, so which one wins never depends on
-// the layout).  Synthesis runs under the client shard's observability
+// Window-boundary rendezvous for cross-node bursts.  The window's pending
+// halves are visited in (lower rank, higher rank, client first) order; each
+// pairs with its partner's open half if there is one, the open half going
+// first, and opens otherwise.  A half whose timer fired left the list at
+// once, so the timer wins within its window (its firing time and the window
+// boundaries are both shard-count-invariant, so which one wins never depends
+// on the layout).  Synthesis runs under the client shard's observability
 // context, and both callers resume no earlier than the end of the window
 // just finished.
 void World::drain_burst_halves() {
-  std::vector<PendingHalf> halves;
+  std::vector<int> halves;
   for (auto& ss : shard_states_) {
-    for (const std::uint64_t key : ss.withdrawn) {
-      const auto it = rendezvous_.find(key);
-      if (it != rendezvous_.end() && !it->second.st->waiter) rendezvous_.erase(it);
-    }
-    ss.withdrawn.clear();
-    for (auto& h : ss.halves) halves.push_back(std::move(h));
-    ss.halves.clear();
+    halves.insert(halves.end(), ss.pending.begin(), ss.pending.end());
+    ss.pending.clear();
   }
   if (halves.empty()) return;
-  std::sort(halves.begin(), halves.end(), [](const PendingHalf& a, const PendingHalf& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.is_client && !b.is_client;
+  std::sort(halves.begin(), halves.end(), [this](int a, int b) {
+    const BurstSlot& sa = burst_slot(a);
+    const BurstSlot& sb = burst_slot(b);
+    const auto ka = std::minmax(a, sa.partner);
+    const auto kb = std::minmax(b, sb.partner);
+    if (ka != kb) return ka < kb;
+    return sa.is_client && !sb.is_client;
   });
-  for (PendingHalf& h : halves) {
-    if (!h.st->waiter) continue;  // its timer resolved it this window
-    const auto it = rendezvous_.find(h.key);
-    if (it == rendezvous_.end()) {
-      rendezvous_.emplace(h.key, std::move(h));
+  for (const int rank : halves) {
+    BurstSlot& half = burst_slot(rank);
+    const int partner = half.partner;
+    const BurstSlot& other = burst_slot(partner);
+    if (other.state != BurstSlot::State::kOpen || other.partner != rank) {
+      half.state = BurstSlot::State::kOpen;
       continue;
     }
-    const PendingHalf first = std::move(it->second);
-    rendezvous_.erase(it);
-    const int client_shard = shard_of_rank(first.is_client ? first.rank : h.rank);
+    const int client_shard = shard_of_rank(half.is_client ? rank : partner);
     sim::set_current_shard(client_shard);
     trace::ScopedTracer tracer_guard(
         shard_tracers_.empty() ? parent_tracer_
@@ -1052,7 +1038,7 @@ void World::drain_burst_halves() {
     // Resumes clamp to the end of the window that just ran: a reference
     // whose service finished early may not re-enter its shard mid-window.
     // The clamp time is itself shard-count-invariant, so so are the resumes.
-    pair(first, h, last_window_end_);
+    pair(partner, rank, last_window_end_);
   }
   sim::set_current_shard(0);
 }
@@ -1065,28 +1051,18 @@ std::string World::describe_blocked() const {
   constexpr std::size_t kMaxListed = 8;
   std::vector<std::pair<int, std::string>> waits;
   for (int r = 0; r < size(); ++r) {
-    for (const RecvRequest& req : mailboxes_[static_cast<std::size_t>(r)].posted) {
+    const Mailbox& mb = mailboxes_[static_cast<std::size_t>(r)];
+    for (const RecvRequest& req : mb.posted) {
       if (!req->waiter) continue;
       char tag[24];
       std::snprintf(tag, sizeof(tag), "%#llx", static_cast<unsigned long long>(req->tag));
       waits.emplace_back(r, "recv(src " + std::to_string(req->src) + ", tag " + tag + ")");
     }
+    if (mb.burst.waiter) {
+      waits.emplace_back(r, "pingpong_burst(partner " + std::to_string(mb.burst.partner) + ")");
+    }
   }
-  const auto add_burst = [&](const PendingHalf& half) {
-    if (!half.st->waiter) return;
-    const auto n = static_cast<std::uint64_t>(size());
-    const auto lo = static_cast<int>(half.key / n);
-    const auto hi = static_cast<int>(half.key % n);
-    waits.emplace_back(half.rank,
-                       "pingpong_burst(partner " + std::to_string(half.rank == lo ? hi : lo) + ")");
-  };
-  for (const ShardState& ss : shard_states_) {
-    for (const auto& [key, half] : ss.local_halves) add_burst(half);
-  }
-  for (const auto& [key, half] : rendezvous_) add_burst(half);
   if (waits.empty()) return "";
-  std::stable_sort(waits.begin(), waits.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
   std::string out = ":";
   for (std::size_t i = 0; i < waits.size() && i < kMaxListed; ++i) {
     out += (i == 0 ? " rank " : "; rank ") + std::to_string(waits[i].first) + " waits on " +
@@ -1115,12 +1091,10 @@ void World::audit_finished_run() {
                                std::to_string(req->owner) + "'s receive");
       }
     }
+    if (mb.burst.state != BurstSlot::State::kIdle) {
+      throw std::logic_error("World::run: finished with a ping-pong half still parked");
+    }
   }
-  bool parked = !rendezvous_.empty();
-  for (const ShardState& ss : shard_states_) {
-    parked |= !ss.halves.empty() || !ss.withdrawn.empty() || !ss.local_halves.empty();
-  }
-  if (parked) throw std::logic_error("World::run: finished with a ping-pong half still parked");
   HCS_METRIC_ADD("simmpi.unmatched.unexpected", unexpected);
   HCS_METRIC_ADD("simmpi.unmatched.posted", posted);
 }

@@ -291,12 +291,35 @@ class World {
   double clock_read_hook(int rank, vclock::Clock& clock);
 
  private:
+  /// A rank's one ping-pong burst slot.  A burst blocks like MPI_Sendrecv,
+  /// so a rank has at most one in flight, and the slot holds its side from
+  /// entry to return: the call's parameters, the waiter and crash-model
+  /// timer while parked, and the result once paired.
+  struct BurstSlot {
+    enum class State : std::uint8_t {
+      kIdle,     // no burst in flight
+      kPending,  // cross-node, parked; the next window-boundary drain opens it
+      kOpen,     // parked; pairable by the partner's call or the drain
+      kPaired,   // paired; the caller resumes at its done time
+    };
+    State state = State::kIdle;
+    bool is_client = false;
+    int partner = -1;
+    int nexchanges = 0;
+    std::int64_t bytes = 0;
+    vclock::Clock* clock = nullptr;
+    sim::Time ready = 0.0;
+    std::coroutine_handle<> waiter = nullptr;
+    sim::TimerId timer = sim::kNoTimer;
+    BurstResult result;
+  };
   struct Mailbox {
     std::deque<Message> unexpected;
     std::vector<RecvRequest> posted;  // irecvs (and blocking recvs) in post order
     // Channel repair, used only while network faults are active: messages
     // held back for in-order (FIFO) release.
     std::map<std::pair<int, std::uint64_t>, Message> held;
+    BurstSlot burst;
   };
   // Channel sequence numbers of one rank, keyed by peer so that only the
   // channels in use cost memory.  Both maps belong to the rank's own shard:
@@ -305,8 +328,6 @@ class World {
     std::unordered_map<int, std::uint64_t> next_send;  // by destination
     std::unordered_map<int, std::uint64_t> expected;   // by source
   };
-  struct BurstState;
-
   // Adapter handed to the active tracer so spans recorded anywhere in the
   // process are stamped with the recording shard's simulated time.
   struct SimTimeSource final : trace::TimeSource {
@@ -328,30 +349,12 @@ class World {
     Message msg;
   };
 
-  /// One caller's side of a ping-pong burst.  A caller whose partner is not
-  /// yet waiting parks its half, with a BurstState holding its waiter, its
-  /// timer and, once paired, the result.  A caller that pairs inline has no
-  /// state.  A half leaves its map when it pairs or its timer fires.
-  struct PendingHalf {
-    std::uint64_t key = 0;  // pair_key of the two ranks
-    bool is_client = false;
-    int rank = -1;
-    vclock::Clock* clock = nullptr;
-    sim::Time ready = 0.0;
-    int nexchanges = 0;
-    std::int64_t bytes = 0;
-    std::shared_ptr<BurstState> st;
-  };
-  using HalfMap = std::map<std::uint64_t, PendingHalf>;  // parked halves by key
-
   /// Shard-confined engine state (only the owning worker thread touches it
   /// between barriers; the coordinator drains it while workers are parked).
   struct ShardState {
     std::vector<IngressRecord> outbox;
     std::uint64_t outbox_seq = 0;
-    std::vector<PendingHalf> halves;  // cross-node, for the window-boundary drain
-    std::vector<std::uint64_t> withdrawn;  // keys of cross-node halves whose timer fired
-    HalfMap local_halves;             // intra-node: the partner pairs inline
+    std::vector<int> pending;  // ranks whose cross-node half awaits the drain
   };
 
   // Per-shard handles for the World's own metrics, indexed by
@@ -364,16 +367,16 @@ class World {
     trace::Counter* dup_absorbed = nullptr;
   };
 
-  static std::uint64_t pair_key(int a, int b, int world_size);
   static WorldMetrics resolve_metrics(trace::MetricsRegistry* registry);
   WorldMetrics& my_metrics() { return world_metrics_[static_cast<std::size_t>(sim::current_shard())]; }
-  /// Runs the burst between `client` and `ref` into `result`; returns when
-  /// each side is done (client, reference).
-  std::pair<sim::Time, sim::Time> synthesize_burst(const PendingHalf& client,
-                                                   const PendingHalf& ref, std::int64_t bytes,
+  BurstSlot& burst_slot(int rank) { return mailboxes_[static_cast<std::size_t>(rank)].burst; }
+  /// Runs the burst between ranks `client` and `ref`, as their slots
+  /// describe it, into `result`; returns when each side is done (client,
+  /// reference).
+  std::pair<sim::Time, sim::Time> synthesize_burst(int client, int ref, std::int64_t bytes,
                                                    BurstResult& result);
   /// The one burst pairing routine (world.cpp).
-  sim::Time pair(const PendingHalf& first, const PendingHalf& second, sim::Time floor);
+  sim::Time pair(int first, int second, sim::Time floor);
   void match_or_enqueue(int dst, Message msg);
   void dispatch_message(int src, int dst, std::vector<double> data, std::int64_t bytes,
                         std::int64_t tag, sim::Time ready);
@@ -443,7 +446,6 @@ class World {
   std::vector<vclock::ModelBankPtr> model_banks_;                  // per shard
   std::vector<Mailbox> mailboxes_;
   std::vector<ShardState> shard_states_;            // per shard
-  HalfMap rendezvous_;                               // cross-node bursts (coordinator)
   std::vector<std::unique_ptr<RankCtx>> ctxs_;
   std::shared_ptr<const std::vector<int>> world_members_;
 

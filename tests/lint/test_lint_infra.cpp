@@ -279,6 +279,30 @@ TEST(LintBaseline, MalformedLineRejectedWithError) {
   EXPECT_FALSE(err.empty());
 }
 
+TEST(LintBaseline, CountIsDigitsOnly) {
+  for (const char* count : {" 3", "+3", "3x", "-3", "0", "", "2147483648"}) {
+    Baseline b;
+    std::string err;
+    EXPECT_FALSE(b.parse(std::string(count) + "\traw-random\tsrc/a.cpp\tint x;\n", &err))
+        << "'" << count << "'";
+    EXPECT_NE(err.find("bad count"), std::string::npos) << err;
+  }
+  Baseline b;
+  std::string err;
+  EXPECT_TRUE(b.parse("2147483647\traw-random\tsrc/a.cpp\tint x;\n", &err)) << err;
+}
+
+TEST(LintBaseline, CountTotalPastIntMaxRejected) {
+  const std::string text =
+      "2147483647\traw-random\tsrc/a.cpp\tint x;\n"
+      "1\traw-random\tsrc/a.cpp\tint x;\n";
+  Baseline b;
+  std::string err;
+  EXPECT_FALSE(b.parse(text, &err));
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+  EXPECT_NE(err.find("INT_MAX"), std::string::npos) << err;
+}
+
 TEST(LintBaseline, CommentsAndBlankLinesIgnored) {
   Baseline b;
   std::string err;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 namespace hcs::sim {
@@ -113,6 +115,27 @@ TEST(Splitmix, KnownFirstValueStable) {
   std::uint64_t s1 = 0, s2 = 0;
   EXPECT_EQ(splitmix64(s1), splitmix64(s2));
   EXPECT_EQ(s1, s2);
+}
+
+// A channel's stream depends only on the seed and the channel, not on which
+// channels were used first: that is what keeps draws independent of how
+// events interleave across channels and shards.
+TEST(ChannelStreams, StreamDependsOnlyOnSeedAndChannel) {
+  ChannelStreams forward(43, 4);
+  ChannelStreams backward(43, 4);
+  std::vector<std::uint64_t> a, b;
+  for (int src = 0; src < 4; ++src) {
+    for (int dst = 0; dst < 4; ++dst) a.push_back(forward.at(src, dst).next_u64());
+  }
+  for (int src = 3; src >= 0; --src) {
+    for (int dst = 3; dst >= 0; --dst) b.push_back(backward.at(src, dst).next_u64());
+  }
+  std::reverse(b.begin(), b.end());
+  EXPECT_EQ(a, b);
+  // Each channel keeps its own position, and the two directions differ.
+  EXPECT_EQ(forward.at(1, 2).next_u64(), backward.at(1, 2).next_u64());
+  EXPECT_NE(ChannelStreams(43, 4).at(1, 2).next_u64(), ChannelStreams(43, 4).at(2, 1).next_u64());
+  EXPECT_NE(ChannelStreams(43, 4).at(1, 2).next_u64(), ChannelStreams(44, 4).at(1, 2).next_u64());
 }
 
 }  // namespace

@@ -5,7 +5,12 @@
 #include "util/vec.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "fault/fault_plan.hpp"
+#include "sim/async.hpp"
 #include "simmpi/collectives.hpp"
 #include "simmpi/comm.hpp"
 #include "topology/presets.hpp"
@@ -106,6 +111,109 @@ TEST(Burst, MismatchedRolesRejected) {
     co_await ctx.comm_world().pingpong_burst(1 - ctx.rank(), true, *clk, 5);
   });
   EXPECT_THROW(w.run(), std::logic_error);
+}
+
+// A burst blocks like MPI_Sendrecv, so a rank has one burst slot: a second
+// burst started while the first is in flight is a program error.
+TEST(Burst, SecondConcurrentBurstFromOneRankRaises) {
+  World w(topology::testbox(2, 1), 23);
+  w.launch([](RankCtx& ctx) -> sim::Task<void> {
+    auto clk = ctx.base_clock();
+    Comm& comm = ctx.comm_world();
+    if (ctx.rank() == 0) {
+      auto first = sim::async(ctx.sim(), comm.pingpong_burst(1, false, *clk, 5));
+      co_await comm.pingpong_burst(1, false, *clk, 5);
+      co_await first;
+    } else {
+      co_await comm.pingpong_burst(0, true, *clk, 5);
+    }
+  });
+  try {
+    w.run();
+    ADD_FAILURE() << "a second concurrent burst was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 0"), std::string::npos) << e.what();
+  }
+}
+
+// Cross-node halves under a crash plan, one rank per node.  Rank 0 parks a
+// burst with rank 1 and crashes, so its timer fires.  At that same instant
+// rank 1 calls its burst with rank 0 (still alive in its view): it must not
+// pair with the withdrawn half, and its own timer fires once it declares
+// rank 0 dead.  Right then, in the same window, rank 1 bursts with rank 2,
+// which has been parked since t = 0: that burst pairs.  The run ends with
+// no half parked (World::run's audit would raise).
+TEST(Burst, TimedOutCrossNodeHalfNeverPairsButItsRankBurstsAgain) {
+  constexpr double kCrashAt = 1e-3;
+  fault::FaultSpec crash;
+  crash.kind = fault::FaultKind::kCrash;
+  crash.rank = 0;
+  crash.at = kCrashAt;
+  fault::FaultPlan plan;
+  plan.add(crash);
+  World w(topology::testbox(3, 1), 29, plan);
+  const double declared_dead = w.failure_detector()->detect_time(1, 0);
+  ASSERT_GT(declared_dead, kCrashAt);
+  BurstResult withdrawn_partner, next_burst, third_rank;
+  sim::Time next_start = -1.0;
+  w.run_all([&](RankCtx& ctx) -> sim::Task<void> {
+    auto clk = ctx.base_clock();
+    Comm& comm = ctx.comm_world();
+    if (ctx.rank() == 0) {
+      co_await comm.pingpong_burst(1, true, *clk, 5);  // crashes while parked
+    } else if (ctx.rank() == 1) {
+      co_await ctx.sim().delay(kCrashAt);
+      withdrawn_partner = co_await comm.pingpong_burst(0, false, *clk, 5);
+      next_start = ctx.sim().now();
+      next_burst = co_await comm.pingpong_burst(2, true, *clk, 5);
+    } else {
+      third_rank = co_await comm.pingpong_burst(1, false, *clk, 5);
+    }
+  });
+  EXPECT_EQ(withdrawn_partner.requested, 5);
+  EXPECT_EQ(withdrawn_partner.lost, 5);
+  EXPECT_TRUE(withdrawn_partner.samples.empty());
+  EXPECT_EQ(next_start, declared_dead);
+  EXPECT_EQ(next_burst.samples.size(), 5u);
+  EXPECT_EQ(next_burst.lost, 0);
+  EXPECT_EQ(third_rank.samples.size(), 5u);
+}
+
+// As above, but rank 1's half with the crashed rank 0 parks and times out
+// within one window, so the drain never sees it.  Rank 1's next two bursts
+// with rank 2, the first parked in that same window, both pair.
+TEST(Burst, HalfParkedAndTimedOutInOneWindowLeavesNoTrace) {
+  fault::FaultSpec crash;
+  crash.kind = fault::FaultKind::kCrash;
+  crash.rank = 0;
+  crash.at = 1e-3;
+  fault::FaultPlan plan;
+  plan.add(crash);
+  World w(topology::testbox(3, 1), 31, plan);
+  const double declared_dead = w.failure_detector()->detect_time(1, 0);
+  const double park_at = declared_dead - 0.5 * w.lookahead();
+  ASSERT_GT(park_at, 1e-3);
+  BurstResult timed_out;
+  std::vector<BurstResult> paired(4);
+  w.run_all([&](RankCtx& ctx) -> sim::Task<void> {
+    auto clk = ctx.base_clock();
+    Comm& comm = ctx.comm_world();
+    if (ctx.rank() == 1) {
+      co_await ctx.sim().delay(park_at);
+      timed_out = co_await comm.pingpong_burst(0, true, *clk, 5);
+      paired[0] = co_await comm.pingpong_burst(2, true, *clk, 5);
+      paired[1] = co_await comm.pingpong_burst(2, true, *clk, 5);
+    } else if (ctx.rank() == 2) {
+      paired[2] = co_await comm.pingpong_burst(1, false, *clk, 5);
+      paired[3] = co_await comm.pingpong_burst(1, false, *clk, 5);
+    }
+  });
+  EXPECT_EQ(timed_out.lost, 5);
+  EXPECT_TRUE(timed_out.samples.empty());
+  for (const BurstResult& r : paired) {
+    EXPECT_EQ(r.samples.size(), 5u);
+    EXPECT_EQ(r.lost, 0);
+  }
 }
 
 TEST(Burst, RefTimestampReflectsRefClockOffset) {
