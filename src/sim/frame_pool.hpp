@@ -7,16 +7,19 @@
 //
 // * **Thread caches** (FramePool): per-thread, size-bucketed freelists.
 //   Allocation is a pointer pop in the steady state, deallocation a pointer
-//   push, no locks — each thread owns its cache (runner::TrialRunner runs
-//   whole trials per thread and the PDES shard workers own their shards, so
-//   frames are born and die on the same thread).
+//   push, no locks — each thread owns its cache.  runner::TrialRunner runs
+//   whole trials per thread, so their frames are born and die on one
+//   thread.  A PDES shard's windows run on its worker or, when the shard is
+//   the window's only one with events, on the coordinating thread, so a
+//   shard's frames may be freed on another thread than the one that
+//   allocated them.
 // * **A global slab arena** (SlabArena): when a thread cache misses, it
 //   refills a whole batch of blocks carved from 64 KiB size-classed slabs
 //   under one mutex acquisition, instead of one ::operator new per frame.
 //   A 100k-rank World's frames land contiguously instead of scattered
 //   across the heap, and the startup cost is one slab allocation per
 //   ~64 KiB of frames rather than per frame.  Dying threads hand their
-//   chains back to the arena, so shard workers from one window recycle
+//   chains back to the arena, so shard workers from one run recycle
 //   into the next.  Slabs live until process exit (freed by the arena
 //   destructor, keeping leak checkers quiet); peak footprint is visible to
 //   benches via FramePool::reserved_bytes().

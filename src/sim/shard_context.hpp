@@ -1,15 +1,16 @@
 // Thread-local shard index for the sharded (PDES) World engine.
 //
-// When a World is sharded (see docs/parallel-simulation.md), each shard's
-// event loop runs on its own worker thread; components that cache per-shard
-// state (metric handles, per-shard registries) index it by the calling
-// thread's shard.  The default of 0 makes every unsharded path — tests,
-// examples, --shards 1 — behave exactly as before sharding existed: slot 0
-// is the whole world.
+// When a World is sharded (see docs/parallel-simulation.md), a window with
+// events in two or more shards runs each shard's event loop on its own worker
+// thread; a window with events in one shard only runs that shard's loop on
+// the coordinating thread.  Components that cache per-shard state (metric
+// handles, per-shard registries) index it by the calling thread's shard.
+// The default of 0 makes every unsharded path — tests, examples, --shards 1
+// — behave exactly as before sharding existed: slot 0 is the whole world.
 //
-// The serial barrier phases of the engine (cross-shard mailbox drains,
-// ping-pong rendezvous synthesis) run on the coordinating thread and set the
-// shard index explicitly around work done on a shard's behalf.
+// The coordinating thread sets the shard index explicitly around all work it
+// does on a shard's behalf: lone windows, and the serial phases between
+// windows (cross-shard mailbox drains, ping-pong rendezvous synthesis).
 #pragma once
 
 namespace hcs::sim {

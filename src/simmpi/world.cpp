@@ -310,9 +310,22 @@ std::uint64_t World::total_events() const noexcept {
   return total;
 }
 
+World::ShardScope::ShardScope(const World& world, int s)
+    : tracer_(world.shard_tracers_.empty()
+                  ? world.parent_tracer_
+                  : world.shard_tracers_[static_cast<std::size_t>(s)].get()),
+      metrics_(world.shard_registries_.empty()
+                   ? world.parent_metrics_
+                   : world.shard_registries_[static_cast<std::size_t>(s)].get()) {
+  sim::set_current_shard(s);
+}
+
+World::ShardScope::~ShardScope() { sim::set_current_shard(0); }
+
 // One window-boundary step on the coordinating thread (workers parked):
-// collect errors, drain cross-shard traffic, pick the next window.  Returns
-// false when the run is over (all queues empty, or a fatal error).
+// collect errors, drain cross-shard traffic, pick the next window and the
+// shards with events in it.  Returns false when the run is over (all queues
+// empty, or a fatal error).
 bool World::serial_phase(std::uint64_t max_events) {
   for (int s = 0; s < nshards_; ++s) {
     if (auto error = sims_[static_cast<std::size_t>(s)]->take_error()) {
@@ -355,49 +368,72 @@ bool World::serial_phase(std::uint64_t max_events) {
     window_end_ = std::nextafter(first, sim::kTimeInfinity);
   }
   last_window_end_ = window_end_;
+  // A shard with no event before the end does nothing in this window, and
+  // nothing reaches it before the next boundary: cross-shard traffic waits
+  // in the outboxes.  When only one shard has events, run() runs it alone.
+  lone_shard_ = -1;
+  for (int s = 0; s < nshards_; ++s) {
+    const sim::Simulation& shard = *sims_[static_cast<std::size_t>(s)];
+    if (shard.idle() || !(shard.next_event_time() < window_end_)) continue;
+    if (lone_shard_ >= 0) {
+      lone_shard_ = -1;
+      break;
+    }
+    lone_shard_ = s;
+  }
   return true;
 }
 
+void World::run_shard_window(int s) {
+  const ShardScope scope(*this, s);
+  const auto i = static_cast<std::size_t>(s);
+  sims_[i]->run_window(window_end_, shard_caps_[i]);
+}
+
+// One window loop for every shard count.  A lone window runs on this thread;
+// a window with events in two or more shards wakes one worker per shard and
+// waits for all of them.  The workers start on the first such window, so a
+// run whose windows are all lone (every run at --shards 1, nearly every JK
+// run) starts no thread.  Either way the window is cut at the same end, so
+// the timeline does not depend on which thread ran it.
 void World::run(std::uint64_t max_events) {
   fatal_ = nullptr;
   sim::set_current_shard(0);
   const std::uint64_t events_before = total_events();
-  if (nshards_ == 1) {
-    while (serial_phase(max_events)) {
-      sims_[0]->run_window(window_end_, shard_caps_[0]);
+  std::uint64_t windows = 0, parallel_windows = 0;
+  std::barrier gate(static_cast<std::ptrdiff_t>(nshards_) + 1);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> workers;
+  while (serial_phase(max_events)) {
+    ++windows;
+    if (lone_shard_ >= 0) {
+      run_shard_window(lone_shard_);
+      continue;
     }
-  } else {
-    std::barrier gate(static_cast<std::ptrdiff_t>(nshards_) + 1);
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(nshards_));
-    for (int s = 0; s < nshards_; ++s) {
-      workers.emplace_back([this, s, &gate, &stop] {
-        sim::set_current_shard(s);
-        trace::ScopedTracer tracer_guard(shard_tracers_.empty()
-                                             ? nullptr
-                                             : shard_tracers_[static_cast<std::size_t>(s)].get());
-        trace::ScopedMetrics metrics_guard(
-            shard_registries_.empty() ? nullptr
-                                      : shard_registries_[static_cast<std::size_t>(s)].get());
-        for (;;) {
-          gate.arrive_and_wait();
-          if (stop.load(std::memory_order_acquire)) break;
-          sims_[static_cast<std::size_t>(s)]->run_window(window_end_,
-                                                         shard_caps_[static_cast<std::size_t>(s)]);
-          gate.arrive_and_wait();
-        }
-      });
+    ++parallel_windows;
+    if (workers.empty()) {
+      workers.reserve(static_cast<std::size_t>(nshards_));
+      for (int s = 0; s < nshards_; ++s) {
+        workers.emplace_back([this, s, &gate, &stop] {
+          for (;;) {
+            gate.arrive_and_wait();
+            if (stop.load(std::memory_order_acquire)) break;
+            run_shard_window(s);
+            gate.arrive_and_wait();
+          }
+        });
+      }
     }
-    for (;;) {
-      const bool go = serial_phase(max_events);
-      if (!go) stop.store(true, std::memory_order_release);
-      gate.arrive_and_wait();  // release workers: run a window, or exit
-      if (!go) break;
-      gate.arrive_and_wait();  // window complete everywhere
-    }
+    gate.arrive_and_wait();  // release workers: run a window
+    gate.arrive_and_wait();  // window complete everywhere
+  }
+  if (!workers.empty()) {
+    stop.store(true, std::memory_order_release);
+    gate.arrive_and_wait();  // release workers: exit
     for (auto& w : workers) w.join();
   }
+  HCS_METRIC_ADD("sim.windows", windows);
+  HCS_METRIC_ADD("sim.windows_parallel", parallel_windows);
   if (fatal_) {
     auto error = fatal_;
     fatal_ = nullptr;
@@ -1027,20 +1063,12 @@ void World::drain_burst_halves() {
       half.state = BurstSlot::State::kOpen;
       continue;
     }
-    const int client_shard = shard_of_rank(half.is_client ? rank : partner);
-    sim::set_current_shard(client_shard);
-    trace::ScopedTracer tracer_guard(
-        shard_tracers_.empty() ? parent_tracer_
-                               : shard_tracers_[static_cast<std::size_t>(client_shard)].get());
-    trace::ScopedMetrics metrics_guard(
-        shard_registries_.empty() ? parent_metrics_
-                                  : shard_registries_[static_cast<std::size_t>(client_shard)].get());
+    const ShardScope scope(*this, shard_of_rank(half.is_client ? rank : partner));
     // Resumes clamp to the end of the window that just ran: a reference
     // whose service finished early may not re-enter its shard mid-window.
     // The clamp time is itself shard-count-invariant, so so are the resumes.
     pair(partner, rank, last_window_end_);
   }
-  sim::set_current_shard(0);
 }
 
 // Names the ranks a deadlock left suspended and what each waits for: a

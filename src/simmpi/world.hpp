@@ -11,10 +11,12 @@
 // shards concurrently inside conservative time windows bounded by the
 // network's minimum inter-node latency; inter-node messages cross shards via
 // per-shard outboxes drained in a deterministic merge order at window
-// boundaries, and cross-node ping-pong bursts rendezvous there too.  The
-// inter-node protocol is the same at every shard count — including
-// --shards 1, which runs the windows inline with no worker threads — so the
-// simulated timeline is bit-identical for any number of shards.
+// boundaries, and cross-node ping-pong bursts rendezvous there too.  A
+// window in which only one shard has events runs on the coordinating thread
+// while the workers stay parked; at --shards 1 every window is such a lone
+// window, so no worker thread ever starts.  The inter-node protocol is the
+// same at every shard count, so the simulated timeline is bit-identical for
+// any number of shards.
 //
 // The p2p_* and pingpong_burst members are the transport primitives used by
 // Comm; user code goes through Comm and the collectives API.
@@ -101,10 +103,11 @@ class World {
   /// regardless of how many trials run in parallel.  An empty plan leaves
   /// every code path identical to the fault-free model.
   ///
-  /// `shards` splits the event loop across that many worker threads
-  /// (clamped to [1, nodes]; shards never split a node, so intra-node fast
-  /// paths stay single-threaded).  0 uses the process-wide default_shards().
-  /// Results are bit-identical for any value.
+  /// `shards` splits the event loop into that many shards (clamped to
+  /// [1, nodes]; shards never split a node, so intra-node fast paths stay
+  /// single-threaded).  run() gives each shard a worker thread once a window
+  /// has events in two or more shards.  0 uses the process-wide
+  /// default_shards().  Results are bit-identical for any value.
   World(topology::MachineConfig machine, std::uint64_t seed, fault::FaultPlan fault_plan = {},
         int shards = 0);
   ~World();
@@ -349,8 +352,8 @@ class World {
     Message msg;
   };
 
-  /// Shard-confined engine state (only the owning worker thread touches it
-  /// between barriers; the coordinator drains it while workers are parked).
+  /// Shard-confined engine state (only the thread running the shard's window
+  /// touches it; the coordinator drains it while workers are parked).
   struct ShardState {
     std::vector<IngressRecord> outbox;
     std::uint64_t outbox_seq = 0;
@@ -365,6 +368,22 @@ class World {
     trace::HistogramMetric* burst_retries = nullptr;
     trace::Counter* exchanges_lost = nullptr;
     trace::Counter* dup_absorbed = nullptr;
+  };
+
+  // Installs shard `s`'s thread-local context on the calling thread (its
+  // index, tracer and metrics registry) and restores shard 0 and the previous
+  // sinks on exit.  Whoever runs work on a shard's behalf holds one: a worker,
+  // or the coordinator in a lone window or a burst drain.
+  class ShardScope {
+   public:
+    ShardScope(const World& world, int s);
+    ~ShardScope();
+    ShardScope(const ShardScope&) = delete;
+    ShardScope& operator=(const ShardScope&) = delete;
+
+   private:
+    trace::ScopedTracer tracer_;
+    trace::ScopedMetrics metrics_;
   };
 
   static WorldMetrics resolve_metrics(trace::MetricsRegistry* registry);
@@ -413,6 +432,7 @@ class World {
   void drain_outboxes();          // ingress merge + delivery spawns
   void drain_burst_halves();      // cross-node rendezvous + synthesis
   bool serial_phase(std::uint64_t max_events);  // drains + next window; false = done
+  void run_shard_window(int s);  // shard s's part of the window, in its ShardScope
   std::uint64_t total_events() const noexcept;
   std::string describe_blocked() const;  // deadlock report suffix
   void audit_finished_run();             // leftovers of a run that finished
@@ -468,6 +488,7 @@ class World {
   sim::Time window_end_ = 0.0;
   sim::Time last_window_end_ = 0.0;  // shard-count-invariant resume clamp
   std::vector<std::uint64_t> shard_caps_;  // per-shard lifetime event caps
+  int lone_shard_ = -1;  // the window's only shard with events, or -1 if several
   std::exception_ptr fatal_;
 };
 

@@ -1,11 +1,14 @@
 // Conservative-PDES engine (docs/parallel-simulation.md): window scheduler
-// lookahead math, shard partitioning, cross-shard mailbox ordering, and the
-// headline guarantee — bit-identical results for any shard count, clean and
-// under fault/crash plans.
+// lookahead math, shard partitioning, cross-shard mailbox ordering, lone
+// windows run on the coordinating thread, and the headline guarantee —
+// bit-identical results for any shard count, clean and under fault/crash
+// plans.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "clocksync/factory.hpp"
@@ -15,6 +18,7 @@
 #include "sim/simulation.hpp"
 #include "simmpi/comm.hpp"
 #include "topology/presets.hpp"
+#include "trace/metrics.hpp"
 #include "util/vec.hpp"
 
 namespace hcs::simmpi {
@@ -221,20 +225,46 @@ TEST(ShardDeterminism, RingTraceBitIdenticalCleanAndFaulted) {
   }
 }
 
-// End-to-end determinism: a full hierarchical sync (ping-pong bursts, fits,
-// collectives) must produce bit-identical per-rank corrections at every
-// shard count — the unit-level version of the bench golden gates.
-std::vector<double> sync_trace(int shards, const fault::FaultPlan& plan) {
-  World w(topology::testbox(4, 2), 9, plan, shards);
-  const int p = w.size();
-  std::vector<double> out(static_cast<std::size_t>(2 * p), 0.0);
-  w.run_all([&](RankCtx& ctx) -> sim::Task<void> {
-    auto sync = clocksync::make_sync("hca2/recompute_intercept/20/skampi_offset/5");
-    const auto clock = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
-    const std::size_t me = static_cast<std::size_t>(ctx.rank());
-    out[2 * me] = clock->at_exact(0.5);
-    out[2 * me + 1] = ctx.sim().now();
-  });
+// The run's PDES window counters: every window, and the windows that woke
+// the shard workers because two or more shards had events in them.  The
+// others are lone windows, run on the coordinating thread.
+struct WindowCounts {
+  std::uint64_t windows = 0;
+  std::uint64_t parallel = 0;
+};
+
+WindowCounts window_counts(trace::MetricsRegistry& registry) {
+  return {registry.counter("sim.windows").value(),
+          registry.counter("sim.windows_parallel").value()};
+}
+
+constexpr const char* kHCA2 = "hca2/recompute_intercept/20/skampi_offset/5";
+constexpr const char* kHCA3 = "hca3/recompute_intercept/20/skampi_offset/5";
+constexpr const char* kJK = "jk/20/skampi_offset/5";
+
+// End-to-end determinism: a full sync (ping-pong bursts, fits, collectives)
+// must produce bit-identical per-rank corrections at every shard count —
+// the unit-level version of the bench golden gates.  `counts`, when given,
+// receives the run's window counters.
+std::vector<double> sync_trace(int shards, const fault::FaultPlan& plan,
+                               const std::string& algo = kHCA2,
+                               WindowCounts* counts = nullptr) {
+  trace::MetricsRegistry registry;
+  std::optional<trace::ScopedMetrics> install;
+  if (counts != nullptr) install.emplace(&registry);
+  std::vector<double> out;
+  {
+    World w(topology::testbox(4, 2), 9, plan, shards);
+    out.assign(static_cast<std::size_t>(2 * w.size()), 0.0);
+    w.run_all([&](RankCtx& ctx) -> sim::Task<void> {
+      auto sync = clocksync::make_sync(algo);
+      const auto clock = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+      const std::size_t me = static_cast<std::size_t>(ctx.rank());
+      out[2 * me] = clock->at_exact(0.5);
+      out[2 * me + 1] = ctx.sim().now();
+    });
+  }  // ~World folds the shard registries into `registry`
+  if (counts != nullptr) *counts = window_counts(registry);
   return out;
 }
 
@@ -378,6 +408,96 @@ TEST(ShardedEngine, RankErrorPropagatesFromWorkerShard) {
     co_await ctx.sim().delay(1.0);
   });
   EXPECT_THROW(w.run(), std::logic_error);
+}
+
+// ------------------------------------------------------------ lone windows --
+
+// A window in which only one shard has events runs on the coordinating
+// thread; the workers wake only for windows with two or more.
+
+TEST(LoneWindows, WindowCountIsShardInvariant) {
+  for (const char* algo : {kJK, kHCA3}) {
+    WindowCounts base;
+    (void)sync_trace(1, {}, algo, &base);
+    EXPECT_GT(base.windows, 0u) << algo;
+    EXPECT_EQ(base.parallel, 0u) << algo;  // one shard: every window is lone
+    for (const int shards : {2, 4}) {
+      WindowCounts sharded;
+      (void)sync_trace(shards, {}, algo, &sharded);
+      EXPECT_EQ(sharded.windows, base.windows) << algo << " shards=" << shards;
+    }
+  }
+}
+
+// JK syncs one client at a time, so at most the first window has events in
+// more than one shard, and the workers never wake after it.
+TEST(LoneWindows, JKRunsOnTheCoordinatorBitIdentical) {
+  WindowCounts counts;
+  EXPECT_EQ(sync_trace(4, {}, kJK, &counts), sync_trace(1, {}, kJK));
+  EXPECT_LE(counts.parallel, 1u);
+  EXPECT_GT(counts.windows, 10 * counts.parallel);
+}
+
+// HCA3 pairs many clients at once, then narrows to a few: its run mixes
+// both window kinds, so a shard's state passes between the coordinator and
+// its worker thread (the TSan job runs this).
+TEST(LoneWindows, HCA3MixesLoneAndParallelWindowsBitIdentical) {
+  WindowCounts counts;
+  EXPECT_EQ(sync_trace(4, {}, kHCA3, &counts), sync_trace(1, {}, kHCA3));
+  EXPECT_GT(counts.parallel, 0u);
+  EXPECT_LT(counts.parallel, counts.windows);
+}
+
+// The lone-window counterparts of the ShardedEngine error tests.  Every
+// rank has an event in the first window, which wakes the workers; after it
+// only one shard has events, so the error is raised on the thread that
+// called run() and must still surface from it unchanged.
+TEST(LoneWindows, RankErrorPropagatesFromTheCoordinator) {
+  trace::MetricsRegistry registry;
+  const trace::ScopedMetrics install(&registry);
+  World w(topology::testbox(4, 1), 3, {}, 4);
+  std::thread::id thrower;
+  // Named, so the captures outlive launch(): the rank coroutines read them
+  // through the closure during run().
+  const World::RankFn body = [&](RankCtx& ctx) -> sim::Task<void> {
+    co_await ctx.sim().delay(1e-6);
+    if (ctx.rank() != 3) co_return;
+    co_await ctx.sim().delay(1.0);
+    thrower = std::this_thread::get_id();
+    throw std::logic_error("rank 3 exploded");
+  };
+  w.launch(body);
+  try {
+    w.run();
+    FAIL() << "expected the rank's error";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "rank 3 exploded");
+  }
+  EXPECT_EQ(thrower, std::this_thread::get_id());
+  const WindowCounts counts = window_counts(registry);
+  EXPECT_EQ(counts.windows, 2u);
+  EXPECT_EQ(counts.parallel, 1u);  // the first window only
+}
+
+TEST(LoneWindows, EventBudgetSurfacesFromTheCoordinator) {
+  trace::MetricsRegistry registry;
+  const trace::ScopedMetrics install(&registry);
+  World w(topology::testbox(4, 1), 3, {}, 4);
+  w.launch([](RankCtx& ctx) -> sim::Task<void> {
+    co_await ctx.sim().delay(1e-6);
+    if (ctx.rank() != 2) co_return;
+    co_await ctx.sim().delay(1.0);
+    for (;;) co_await ctx.sim().delay(1e-12);  // overruns within one window
+  });
+  try {
+    w.run(500);
+    FAIL() << "expected the event budget error";
+  } catch (const std::runtime_error& e) {
+    // Shard 2's cap: its own event in the first window plus the 496 left
+    // after it.
+    EXPECT_STREQ(e.what(), "Simulation::run: event budget exceeded (497 events)");
+  }
+  EXPECT_EQ(window_counts(registry).parallel, 1u);
 }
 
 }  // namespace
