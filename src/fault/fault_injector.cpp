@@ -218,6 +218,26 @@ sim::Time FaultInjector::link_down_time(int a, int b) const noexcept {
   return out;
 }
 
+bool FaultInjector::crash_delivered(int src, int dst, sim::Time send,
+                                    sim::Time arrive) const noexcept {
+  if (is_down(src, arrive) || is_down(dst, arrive) || arrive >= link_down_time(src, dst)) {
+    return false;
+  }
+  // Stale-view rejection: under churn a message may not cross an endpoint
+  // restart in flight — both ends must be in the same incarnation at send
+  // and at arrival.  With no churn every incarnation is 0, so pure crash
+  // plans keep the exact historical rule (arrive before both crash times).
+  if (churn_active_) {
+    if (incarnation(src, send) != incarnation(src, arrive)) return false;
+    if (incarnation(dst, send) != incarnation(dst, arrive)) return false;
+  }
+  return true;
+}
+
+sim::Time FaultInjector::live_until(int a, int b, sim::Time t0) const noexcept {
+  return std::min({next_down(a, t0), next_down(b, t0), link_down_time(a, b)});
+}
+
 void FaultInjector::count_crash_drop() {
   crash_drops_.fetch_add(1, std::memory_order_relaxed);
   if (trace::Counter* m = my_metrics().crash_drops) m->inc();

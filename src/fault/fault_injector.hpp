@@ -125,6 +125,22 @@ class FaultInjector {
   /// sim::kTimeInfinity if that link never goes down.  Symmetric.
   sim::Time link_down_time(int a, int b) const noexcept;
 
+  /// Uniform crash-era delivery rule: a message sent src->dst exists only
+  /// if it arrives while both endpoints are up and the link is up, and —
+  /// under churn — both endpoints are still in the same incarnation they
+  /// were in at `send` (a message from or to a previous life is stale and
+  /// dropped deterministically).
+  bool crash_delivered(int src, int dst, sim::Time send, sim::Time arrive) const noexcept;
+
+  /// Liveness horizon of the a<->b pair from `t0`: the earliest of
+  /// next_down(a, t0), next_down(b, t0) and link_down_time(a, b).  Before
+  /// it, no down interval of either rank begins or ends and the link is
+  /// intact, so crash_delivered holds for every message between them sent
+  /// at or after `t0` that arrives (no earlier than it is sent) before the
+  /// horizon.  A rank already down at `t0` puts the horizon at or before
+  /// `t0`.
+  sim::Time live_until(int a, int b, sim::Time t0) const noexcept;
+
   /// True when a message sent from `src` to `dst` at `send_time` must be
   /// dropped by the crash model: the sender is down, or the link is
   /// already severed.  (Arrival-side checks use is_down(dst) directly.)

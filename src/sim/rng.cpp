@@ -1,5 +1,6 @@
 #include "sim/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace hcs::sim {
@@ -76,17 +77,25 @@ bool Rng::bernoulli(double p) { return uniform() < p; }
 Rng Rng::split() { return Rng(next_u64()); }
 
 ChannelStreams::ChannelStreams(std::uint64_t seed, int nranks)
-    : seed_(seed), streams_(static_cast<std::size_t>(nranks > 0 ? nranks : 0)) {}
+    : seed_(seed), sources_(static_cast<std::size_t>(nranks > 0 ? nranks : 0)) {}
 
 Rng& ChannelStreams::at(int src, int dst) {
-  auto& per_src = streams_[static_cast<std::size_t>(src)];
-  auto it = per_src.find(dst);
-  if (it == per_src.end()) {
+  std::vector<Channel>& channels = sources_[static_cast<std::size_t>(src)];
+  auto it = std::lower_bound(channels.begin(), channels.end(), dst,
+                             [](const Channel& c, int d) { return c.dst < d; });
+  if (it == channels.end() || it->dst != dst) {
     std::uint64_t state = seed_ ^ (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(src) + 1)) ^
                           (0xd1b54a32d192ed03ULL * (static_cast<std::uint64_t>(dst) + 1));
-    it = per_src.emplace(dst, Rng(splitmix64(state))).first;
+    if (channels.empty()) {
+      // Most sources use one to three channels.  Starting at two slots skips
+      // the 1 -> 2 regrowth, whose freed block the allocator rarely reuses
+      // (bench_scale, HCA3 at 16k ranks: 4.5 MiB more peak RSS without it).
+      channels.reserve(2);
+      it = channels.begin();
+    }
+    it = channels.insert(it, Channel{dst, Rng(splitmix64(state))});
   }
-  return it->second;
+  return it->rng;
 }
 
 }  // namespace hcs::sim

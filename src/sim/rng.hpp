@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace hcs::sim {
@@ -59,16 +58,26 @@ std::uint64_t splitmix64(std::uint64_t& state);
 /// by channel rather than by global draw order keeps a channel's draws on
 /// its sender's timeline, so they do not depend on how events interleave
 /// across channels or shards.
+///
+/// Storage is flat and per source: each source keeps its channels in one
+/// vector sorted by destination.  Shards touch disjoint sources, so
+/// per-source storage needs no locking, where one shared table would race.
 class ChannelStreams {
  public:
   ChannelStreams(std::uint64_t seed, int nranks);
 
-  /// The (src -> dst) channel's stream.
+  /// The (src -> dst) channel's stream.  The reference stays valid until
+  /// the next at() with the same `src` (a first use may grow that source's
+  /// storage); calls on other sources never move it.
   Rng& at(int src, int dst);
 
  private:
+  struct Channel {
+    int dst;
+    Rng rng;
+  };
   std::uint64_t seed_;
-  std::vector<std::map<int, Rng>> streams_;  // [src][dst]
+  std::vector<std::vector<Channel>> sources_;  // [src], sorted by dst
 };
 
 }  // namespace hcs::sim

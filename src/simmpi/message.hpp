@@ -26,7 +26,7 @@ struct Message {
   // Membership view the message was sent under (fault plan epoch at
   // `sent_at`), stamped only while a churn plan is active.  Stale-view
   // messages — those whose endpoints changed incarnation in flight — are
-  // rejected deterministically by World::crash_delivered.
+  // rejected deterministically by FaultInjector::crash_delivered.
   std::uint64_t view = 0;
 };
 

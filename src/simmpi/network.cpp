@@ -86,12 +86,12 @@ double NetworkModel::retransmit_timeout(LinkLevel level, std::int64_t bytes) con
   return 6.0 * expected_delay(level, bytes) + 2.0 * (params_.send_overhead + params_.recv_overhead);
 }
 
-sim::Time NetworkModel::deliver_attempt(LinkLevel level, int src_rank, int dst_rank,
-                                        std::int64_t bytes, sim::Time depart_ready,
+sim::Time NetworkModel::deliver_attempt(LinkLevel level, sim::Rng& rng, std::int64_t bytes,
+                                        sim::Time depart_ready,
                                         const fault::NetFaultDecision* decision) {
   const double factor = decision ? decision->delay_factor : 1.0;
   const double extra = decision ? decision->extra_delay : 0.0;
-  const sim::Time d = sample_delay(level, bytes, channels_.at(src_rank, dst_rank)) * factor + extra;
+  const sim::Time d = sample_delay(level, bytes, rng) * factor + extra;
   if (!decision || !decision->drop) count_delivery(level, bytes, d);
   return depart_ready + d;
 }
@@ -121,11 +121,17 @@ sim::Time NetworkModel::ingress_admit(int dst_rank, std::int64_t bytes, sim::Tim
 
 sim::Time NetworkModel::transit_time(int src_rank, int dst_rank, std::int64_t bytes,
                                      sim::Time depart_ready, DeliveryFaults* faults) {
-  const LinkLevel level = classify(src_rank, dst_rank);
+  return transit_time(classify(src_rank, dst_rank), src_rank, dst_rank, bytes, depart_ready,
+                      faults);
+}
+
+sim::Time NetworkModel::transit_time(LinkLevel level, int src_rank, int dst_rank,
+                                     std::int64_t bytes, sim::Time depart_ready,
+                                     DeliveryFaults* faults) {
   const auto attempt = [&](sim::Time ready, const fault::NetFaultDecision* decision) {
     return level == LinkLevel::kInterNode
                ? egress_to_wire(src_rank, dst_rank, bytes, ready, decision)
-               : deliver_attempt(level, src_rank, dst_rank, bytes, ready, decision);
+               : deliver_attempt(level, channels_.at(src_rank, dst_rank), bytes, ready, decision);
   };
   if (!faults || !injector_ || !injector_->net_active()) return attempt(depart_ready, nullptr);
   const double rto = retransmit_timeout(level, bytes);
@@ -153,20 +159,23 @@ sim::Time NetworkModel::transit_time(int src_rank, int dst_rank, std::int64_t by
 
 sim::Time NetworkModel::deliver_time(int src_rank, int dst_rank, std::int64_t bytes,
                                      sim::Time depart_ready, DeliveryFaults* faults) {
-  const sim::Time t = transit_time(src_rank, dst_rank, bytes, depart_ready, faults);
-  if (classify(src_rank, dst_rank) != LinkLevel::kInterNode) return t;
+  const LinkLevel level = classify(src_rank, dst_rank);
+  const sim::Time t = transit_time(level, src_rank, dst_rank, bytes, depart_ready, faults);
+  if (level != LinkLevel::kInterNode) return t;
   return ingress_admit(dst_rank, bytes, t, depart_ready);
 }
 
-sim::Time NetworkModel::deliver_time_uncontended(int src_rank, int dst_rank, std::int64_t bytes,
-                                                 sim::Time depart_ready,
-                                                 fault::NetFaultDecision* decision) {
-  const LinkLevel level = classify(src_rank, dst_rank);
+BurstLeg NetworkModel::burst_leg(int src_rank, int dst_rank) {
+  return {src_rank, dst_rank, classify(src_rank, dst_rank), &channels_.at(src_rank, dst_rank)};
+}
+
+sim::Time NetworkModel::deliver_leg(const BurstLeg& leg, std::int64_t bytes,
+                                    sim::Time depart_ready, fault::NetFaultDecision* decision) {
   if (!decision || !injector_ || !injector_->net_active()) decision = nullptr;
   if (decision) {
-    *decision = injector_->on_message(src_rank, dst_rank, static_cast<int>(level), depart_ready);
+    *decision = injector_->on_message(leg.src, leg.dst, static_cast<int>(leg.level), depart_ready);
   }
-  return deliver_attempt(level, src_rank, dst_rank, bytes, depart_ready, decision);
+  return deliver_attempt(leg.level, *leg.rng, bytes, depart_ready, decision);
 }
 
 }  // namespace hcs::simmpi

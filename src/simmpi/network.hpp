@@ -16,9 +16,11 @@
 // retransmission loop — every lost attempt occupies the wire and NIC like a
 // real send, the sender times out, and the final attempt is always
 // delivered, so transport losses can never deadlock the MPI layer.  The
-// ping-pong burst fast path
-// (deliver_time_uncontended) instead reports the raw decision to the caller,
-// which implements its own timeout + retry (World::synthesize_burst).
+// ping-pong burst fast path resolves each direction once per burst
+// (burst_leg: link level and channel stream) and delivers every exchange on
+// it with deliver_leg, which bypasses the NICs and reports the raw fault
+// decision to the caller; the caller implements its own timeout + retry
+// (World::synthesize_burst).
 #pragma once
 
 #include <cstdint>
@@ -41,6 +43,17 @@ enum class LinkLevel { kIntraSocket, kIntraNode, kInterNode };
 struct DeliveryFaults {
   int retransmits = 0;
   bool duplicate = false;
+};
+
+/// One direction of a ping-pong burst, resolved once by
+/// NetworkModel::burst_leg: the link level and the channel's delay stream.
+/// `rng` follows ChannelStreams' reference rule: valid until the next
+/// stream lookup on `src`, which a burst's other leg never makes.
+struct BurstLeg {
+  int src = -1;
+  int dst = -1;
+  LinkLevel level = LinkLevel::kInterNode;
+  sim::Rng* rng = nullptr;
 };
 
 class NetworkModel {
@@ -66,14 +79,17 @@ class NetworkModel {
   sim::Time deliver_time(int src_rank, int dst_rank, std::int64_t bytes, sim::Time depart_ready,
                          DeliveryFaults* faults = nullptr);
 
-  /// As deliver_time but without touching NIC state — used by the ping-pong
-  /// burst fast path, whose pairwise traffic is modelled as uncontended.
-  /// When `decision` is non-null and an injector is active, the injector's
+  /// Resolves the src -> dst direction of a ping-pong burst once: its link
+  /// level and its channel's delay stream.
+  BurstLeg burst_leg(int src_rank, int dst_rank);
+
+  /// As deliver_time but without touching NIC state — the ping-pong burst
+  /// fast path, whose pairwise traffic is modelled as uncontended.  When
+  /// `decision` is non-null and an injector is active, the injector's
   /// verdict is written there (drop means the returned arrival time is moot
   /// and the caller must handle the loss itself).
-  sim::Time deliver_time_uncontended(int src_rank, int dst_rank, std::int64_t bytes,
-                                     sim::Time depart_ready,
-                                     fault::NetFaultDecision* decision = nullptr);
+  sim::Time deliver_leg(const BurstLeg& leg, std::int64_t bytes, sim::Time depart_ready,
+                        fault::NetFaultDecision* decision = nullptr);
 
   /// Sender half of the split inter-node path used by the sharded engine:
   /// NIC egress serialization + wire delay, drawn from the sender's channel
@@ -146,10 +162,15 @@ class NetworkModel {
   void count_delivery(LinkLevel level, std::int64_t bytes, sim::Time delay);
 
   /// One delivery attempt that bypasses the NICs (intra-node, or the
-  /// uncontended burst path); `decision` (nullable) scales/extends the
-  /// sampled delay and, on drop, skips delivery accounting.
-  sim::Time deliver_attempt(LinkLevel level, int src_rank, int dst_rank, std::int64_t bytes,
+  /// uncontended burst path), drawn from the channel stream `rng`;
+  /// `decision` (nullable) scales/extends the sampled delay and, on drop,
+  /// skips delivery accounting.
+  sim::Time deliver_attempt(LinkLevel level, sim::Rng& rng, std::int64_t bytes,
                             sim::Time depart_ready, const fault::NetFaultDecision* decision);
+
+  /// transit_time for an already classified (src, dst).
+  sim::Time transit_time(LinkLevel level, int src_rank, int dst_rank, std::int64_t bytes,
+                         sim::Time depart_ready, DeliveryFaults* faults);
 
   const topology::ClusterTopology* topo_;
   topology::NetworkParams params_;

@@ -478,7 +478,7 @@ sim::Task<void> deliver_later(World& world, sim::Simulation& s, sim::Time arrive
 void World::schedule_delivery(int dst, sim::Time arrive, Message msg) {
   if (fault_) arrive = fault_->release_time(dst, arrive);
   msg.arrived_at = arrive;
-  if (detector_ && !crash_delivered(msg.src, dst, msg.sent_at, arrive)) {
+  if (detector_ && !fault_->crash_delivered(msg.src, dst, msg.sent_at, arrive)) {
     // The crash rule trumps the reliable transport's "final retransmission
     // always lands": a dead endpoint or severed link loses the message for
     // good, in-flight copies included.
@@ -591,22 +591,6 @@ void World::dispatch_message(int src, int dst, std::vector<double> data, std::in
       network_.deliver_time(src, dst, bytes, ready, seq_tracking_ ? &df : nullptr);
   if (df.duplicate) schedule_delivery(dst, network_.deliver_time(src, dst, bytes, ready), msg);
   schedule_delivery(dst, arrive, std::move(msg));
-}
-
-bool World::crash_delivered(int src, int dst, sim::Time send, sim::Time arrive) const noexcept {
-  if (fault_->is_down(src, arrive) || fault_->is_down(dst, arrive) ||
-      arrive >= fault_->link_down_time(src, dst)) {
-    return false;
-  }
-  // Stale-view rejection: under churn a message may not cross an endpoint
-  // restart in flight — both ends must be in the same incarnation at send
-  // and at arrival.  With no churn every incarnation is 0, so pure crash
-  // plans keep the exact historical rule (arrive before both crash times).
-  if (fault_->churn_active()) {
-    if (fault_->incarnation(src, send) != fault_->incarnation(src, arrive)) return false;
-    if (fault_->incarnation(dst, send) != fault_->incarnation(dst, arrive)) return false;
-  }
-  return true;
 }
 
 sim::Task<void> World::p2p_send(int src, int dst, std::int64_t tag, std::vector<double> data,
@@ -827,16 +811,25 @@ std::pair<sim::Time, sim::Time> World::synthesize_burst(int client_rank, int ref
   // Crash-era bounds for this pair: the client stops once it would run past
   // its own crash time, and gives up on the whole burst once its detector
   // declares the reference dead (individual pings obey the uniform
-  // crash-delivery rule below).
+  // crash-delivery rule below).  Every message of the burst is sent at or
+  // after client.ready, so one that arrives before the pair's liveness
+  // horizon is delivered without consulting the exact rule.
   sim::Time client_crash = sim::kTimeInfinity;
   sim::Time abandon_at = sim::kTimeInfinity;
+  sim::Time horizon = sim::kTimeInfinity;
   if (crashy) {
     client_crash = fault_->next_down(client_rank, client.ready);
     abandon_at = detector_->detect_time_after(client_rank, ref_rank, client.ready);
+    horizon = fault_->live_until(client_rank, ref_rank, client.ready);
   }
-  const LinkLevel level = network_.classify(client_rank, ref_rank);
+  const auto delivered = [&](int src, int dst, sim::Time send, sim::Time arrive) {
+    return !crashy || arrive < horizon || fault_->crash_delivered(src, dst, send, arrive);
+  };
+  const BurstLeg ping_leg = network_.burst_leg(client_rank, ref_rank);
+  const BurstLeg pong_leg = network_.burst_leg(ref_rank, client_rank);
   const double timeout =
-      kPingTimeoutFactor * (2.0 * network_.expected_delay(level, bytes) + 2.0 * (o_s + o_r));
+      kPingTimeoutFactor *
+      (2.0 * network_.expected_delay(ping_leg.level, bytes) + 2.0 * (o_s + o_r));
   result.requested = client.nexchanges;
   result.samples.reserve(static_cast<std::size_t>(client.nexchanges));
   bool aborted = false;
@@ -860,12 +853,9 @@ std::pair<sim::Time, sim::Time> World::synthesize_burst(int client_rank, int ref
       PingSample s;
       s.client_send = client.clock->at(tc);
       fault::NetFaultDecision ping_fd;
-      const sim::Time arrive_ref = network_.deliver_time_uncontended(
-          client_rank, ref_rank, bytes, tc + o_s, faulty ? &ping_fd : nullptr);
-      bool timed_out = ping_fd.drop;
-      if (crashy && !crash_delivered(client_rank, ref_rank, tc, arrive_ref)) {
-        timed_out = true;
-      }
+      const sim::Time arrive_ref =
+          network_.deliver_leg(ping_leg, bytes, tc + o_s, faulty ? &ping_fd : nullptr);
+      const bool timed_out = ping_fd.drop || !delivered(client_rank, ref_rank, tc, arrive_ref);
       if (!timed_out) {
         sim::Time stamp_time = std::max(arrive_ref, tr) + o_r;
         if (pausing) stamp_time = fault_->release_time(ref_rank, stamp_time);
@@ -873,17 +863,15 @@ std::pair<sim::Time, sim::Time> World::synthesize_burst(int client_rank, int ref
         const sim::Time reply_depart = stamp_time + o_s;
         tr = reply_depart;  // the reference served this ping whether or not the pong survives
         fault::NetFaultDecision pong_fd;
-        const sim::Time arrive_client = network_.deliver_time_uncontended(
-            ref_rank, client_rank, bytes, reply_depart, faulty ? &pong_fd : nullptr);
+        const sim::Time arrive_client =
+            network_.deliver_leg(pong_leg, bytes, reply_depart, faulty ? &pong_fd : nullptr);
         // `faulty` gate: fault-free this branch must be taken unconditionally
         // so the synthesized schedule stays bit-identical to the seed model.
         // The crash rule also covers the reference dying mid-service: a
         // reply departing after its crash necessarily arrives after it.
-        if (pong_fd.drop || (faulty && arrive_client + o_r > deadline) ||
-            (crashy && !crash_delivered(ref_rank, client_rank, reply_depart,
-                                        arrive_client))) {
-          timed_out = true;  // pong lost, or it arrived after the client gave up
-        } else {
+        // Otherwise the pong was lost, or it arrived after the client gave up.
+        if (!pong_fd.drop && !(faulty && arrive_client + o_r > deadline) &&
+            delivered(ref_rank, client_rank, reply_depart, arrive_client)) {
           const sim::Time recv_time = arrive_client + o_r;
           s.client_recv = client.clock->at(recv_time);
           result.samples.push_back(s);

@@ -404,12 +404,6 @@ class World {
   /// crash rule below loses it.
   void schedule_delivery(int dst, sim::Time arrive, Message msg);
 
-  /// Uniform crash-era delivery rule: a message sent src->dst exists only
-  /// if it arrives while both endpoints are up and the link is up, and —
-  /// under churn — both endpoints are still in the same incarnation they
-  /// were in at `send` (a message from or to a previous life is stale and
-  /// dropped deterministically).
-  bool crash_delivered(int src, int dst, sim::Time send, sim::Time arrive) const noexcept;
   /// Runs `fn` once per up-period of a churning rank: delays to each
   /// scheduled (re)start, purges the mailbox and resets the communicator
   /// between incarnations, and records membership markers.

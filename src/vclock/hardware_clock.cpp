@@ -27,7 +27,7 @@ void HardwareClock::extend_path(std::size_t segment) const {
 double HardwareClock::skew_at(sim::Time true_time) const {
   if (true_time < 0) throw std::invalid_argument("HardwareClock: negative time");
   const auto seg = static_cast<std::size_t>(true_time / params_.skew_segment_s);
-  extend_path(seg);
+  if (seg >= segment_skews_.size()) extend_path(seg);
   double skew = segment_skews_[seg];
   for (const auto& [when, delta_skew] : freq_jumps_) {
     if (true_time > when) skew += delta_skew;
@@ -38,7 +38,7 @@ double HardwareClock::skew_at(sim::Time true_time) const {
 double HardwareClock::at_exact(sim::Time true_time) const {
   if (true_time < 0) throw std::invalid_argument("HardwareClock: negative time");
   const auto seg = static_cast<std::size_t>(true_time / params_.skew_segment_s);
-  extend_path(seg);
+  if (seg >= segment_skews_.size()) extend_path(seg);
   const double seg_start = static_cast<double>(seg) * params_.skew_segment_s;
   double value = boundary_locals_[seg] + (1.0 + segment_skews_[seg]) * (true_time - seg_start);
   for (const auto& [when, delta] : steps_) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 namespace hcs::sim {
@@ -136,6 +138,51 @@ TEST(ChannelStreams, StreamDependsOnlyOnSeedAndChannel) {
   EXPECT_EQ(forward.at(1, 2).next_u64(), backward.at(1, 2).next_u64());
   EXPECT_NE(ChannelStreams(43, 4).at(1, 2).next_u64(), ChannelStreams(43, 4).at(2, 1).next_u64());
   EXPECT_NE(ChannelStreams(43, 4).at(1, 2).next_u64(), ChannelStreams(44, 4).at(1, 2).next_u64());
+}
+
+// The flat per-source store hands out the same draws as a stream derived on
+// its own, whatever order the channels are first used in: one source with
+// 699 destinations (the root of JK and the flat algorithms) and eight more
+// sources interleaved with it, each met in a fresh shuffled order per round.
+TEST(ChannelStreams, DrawsMatchFreshStreamsInAnyFirstUseOrder) {
+  constexpr int kRanks = 700;
+  constexpr std::uint64_t kSeed = 91;
+  ChannelStreams streams(kSeed, kRanks);
+  std::map<std::pair<int, int>, std::vector<std::uint64_t>> drawn;
+  std::vector<int> order;
+  for (int dst = 1; dst < kRanks; ++dst) order.push_back(dst);
+  Rng shuffle(5);
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t i = order.size() - 1; i > 0; --i) {
+      std::swap(order[i], order[shuffle.uniform_index(i + 1)]);
+    }
+    for (const int dst : order) {
+      drawn[{0, dst}].push_back(streams.at(0, dst).next_u64());
+      const int src = 1 + dst % 8;
+      if (src != dst) drawn[{src, dst}].push_back(streams.at(src, dst).next_u64());
+    }
+  }
+  for (const auto& [channel, draws] : drawn) {
+    ChannelStreams fresh(kSeed, kRanks);
+    Rng& rng = fresh.at(channel.first, channel.second);
+    for (const std::uint64_t draw : draws) {
+      ASSERT_EQ(draw, rng.next_u64()) << channel.first << " -> " << channel.second;
+    }
+  }
+}
+
+// A held stream survives first uses on every other source: each source owns
+// its storage, which is what lets a burst keep both of its legs' streams.
+TEST(ChannelStreams, ReferenceSurvivesLookupsOnOtherSources) {
+  ChannelStreams streams(17, 64);
+  Rng& held = streams.at(3, 7);
+  Rng twin = held;
+  for (int src = 0; src < 64; ++src) {
+    if (src == 3) continue;
+    for (int dst = 0; dst < 64; ++dst) streams.at(src, dst).next_u64();
+  }
+  EXPECT_EQ(&held, &streams.at(3, 7));
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(held.next_u64(), twin.next_u64());
 }
 
 }  // namespace

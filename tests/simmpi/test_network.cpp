@@ -85,9 +85,37 @@ TEST_F(NetworkTest, InterNodeDeliveryIsTransitThenIngress) {
 
 TEST_F(NetworkTest, UncontendedIgnoresNicState) {
   for (int i = 0; i < 50; ++i) net_.deliver_time(0, 4, 8, 3.0);
-  const double t = net_.deliver_time_uncontended(0, 4, 8, 3.0);
+  const double t = net_.deliver_leg(net_.burst_leg(0, 4), 8, 3.0);
   // Bounded by base + serialization + a generous jitter allowance.
   EXPECT_LT(t, 3.0 + machine_.net.inter_node.base_latency + 1e-6);
+}
+
+// A burst leg resolves its channel stream once; the exchanges on it draw
+// exactly the delays a fresh stream of the same channel gives sample_delay,
+// in order.  Both models share the seed, so their channel streams match.
+TEST_F(NetworkTest, LegDrawsTheChannelStreamInOrder) {
+  auto cfg = machine_;
+  cfg.net.inter_node.spike_prob = 0.3;  // both draw paths of sample_delay
+  cfg.net.inter_node.spike_mean = 5e-6;
+  NetworkModel legs(cfg.topo, cfg.net, 17);
+  NetworkModel draws(cfg.topo, cfg.net, 17);
+  for (const int dst : {1, 5}) {
+    const BurstLeg leg = legs.burst_leg(0, dst);
+    EXPECT_EQ(leg.level, legs.classify(0, dst));
+    sim::Rng& rng = *draws.burst_leg(0, dst).rng;
+    for (int i = 0; i < 200; ++i) {
+      const double depart = 1.0 + 1e-3 * i;
+      EXPECT_EQ(legs.deliver_leg(leg, 64, depart),
+                depart + draws.sample_delay(leg.level, 64, rng))
+          << "dst " << dst << " exchange " << i;
+    }
+  }
+  // The leg draws from the same channel stream as the reliable path.
+  NetworkModel reliable(cfg.topo, cfg.net, 17);
+  const BurstLeg leg = draws.burst_leg(2, 3);
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(draws.deliver_leg(leg, 64, 2.0), reliable.deliver_time(2, 3, 64, 2.0));
+  }
 }
 
 TEST_F(NetworkTest, SpikesOccurAtConfiguredRate) {
