@@ -77,8 +77,9 @@ class Simulation {
   /// time strictly below `window_end` (ties with `window_end` stay queued for
   /// the next window).  Never throws — errors (including the event-budget
   /// guard, compared against lifetime events_processed() like run()) are
-  /// parked for take_error() so shard worker threads can't unwind across the
-  /// barrier.  Reports no metrics; the engine reports once per World::run.
+  /// parked for take_error() so a shard's worker thread never unwinds out of
+  /// the window handoff.  Reports no metrics; the engine reports once per
+  /// World::run.
   void run_window(Time window_end, std::uint64_t max_events = UINT64_MAX);
 
   /// True when no events are queued (a shard with nothing scheduled).

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
-#include <thread>
 
 #include "replay/feed.hpp"
 #include "replay/record.hpp"
+#include "sim/window_gate.hpp"
 #include "simmpi/comm.hpp"
 
 namespace hcs::simmpi {
@@ -390,20 +389,19 @@ void World::run_shard_window(int s) {
   sims_[i]->run_window(window_end_, shard_caps_[i]);
 }
 
-// One window loop for every shard count.  A lone window runs on this thread;
-// a window with events in two or more shards wakes one worker per shard and
-// waits for all of them.  The workers start on the first such window, so a
-// run whose windows are all lone (every run at --shards 1, nearly every JK
-// run) starts no thread.  Either way the window is cut at the same end, so
-// the timeline does not depend on which thread ran it.
+// One window loop for every shard count.  A lone window runs on this thread.
+// A window with events in two or more shards opens the gate for the workers
+// of shards 1..K-1, runs shard 0 here, and closes the gate once they are
+// done.  The workers start on the first such window, so a run whose windows
+// are all lone (every run at --shards 1, nearly every JK run) starts no
+// thread.  Either way the window is cut at the same end, so the timeline does
+// not depend on which thread ran it.
 void World::run(std::uint64_t max_events) {
   fatal_ = nullptr;
   sim::set_current_shard(0);
   const std::uint64_t events_before = total_events();
   std::uint64_t windows = 0, parallel_windows = 0;
-  std::barrier gate(static_cast<std::ptrdiff_t>(nshards_) + 1);
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> workers;
+  std::optional<sim::WindowGate> workers;  // stops and joins them on every exit
   while (serial_phase(max_events)) {
     ++windows;
     if (lone_shard_ >= 0) {
@@ -411,27 +409,12 @@ void World::run(std::uint64_t max_events) {
       continue;
     }
     ++parallel_windows;
-    if (workers.empty()) {
-      workers.reserve(static_cast<std::size_t>(nshards_));
-      for (int s = 0; s < nshards_; ++s) {
-        workers.emplace_back([this, s, &gate, &stop] {
-          for (;;) {
-            gate.arrive_and_wait();
-            if (stop.load(std::memory_order_acquire)) break;
-            run_shard_window(s);
-            gate.arrive_and_wait();
-          }
-        });
-      }
-    }
-    gate.arrive_and_wait();  // release workers: run a window
-    gate.arrive_and_wait();  // window complete everywhere
+    if (!workers) workers.emplace(nshards_ - 1, [this](int i) { run_shard_window(i + 1); });
+    workers->open();
+    run_shard_window(0);
+    workers->close();
   }
-  if (!workers.empty()) {
-    stop.store(true, std::memory_order_release);
-    gate.arrive_and_wait();  // release workers: exit
-    for (auto& w : workers) w.join();
-  }
+  workers.reset();
   HCS_METRIC_ADD("sim.windows", windows);
   HCS_METRIC_ADD("sim.windows_parallel", parallel_windows);
   if (fatal_) {

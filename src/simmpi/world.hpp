@@ -11,12 +11,14 @@
 // shards concurrently inside conservative time windows bounded by the
 // network's minimum inter-node latency; inter-node messages cross shards via
 // per-shard outboxes drained in a deterministic merge order at window
-// boundaries, and cross-node ping-pong bursts rendezvous there too.  A
-// window in which only one shard has events runs on the coordinating thread
-// while the workers stay parked; at --shards 1 every window is such a lone
-// window, so no worker thread ever starts.  The inter-node protocol is the
-// same at every shard count, so the simulated timeline is bit-identical for
-// any number of shards.
+// boundaries, and cross-node ping-pong bursts rendezvous there too.  In a
+// window with events in two or more shards, the coordinating thread runs
+// shard 0 and hands shards 1..K-1 to K-1 workers through a spin-then-park
+// gate (sim::WindowGate).  A window in which only one shard has events runs
+// on the coordinating thread while the workers stay parked; at --shards 1
+// every window is such a lone window, so no worker thread ever starts.  The
+// inter-node protocol is the same at every shard count, so the simulated
+// timeline is bit-identical for any number of shards.
 //
 // The p2p_* and pingpong_burst members are the transport primitives used by
 // Comm; user code goes through Comm and the collectives API.
@@ -105,9 +107,10 @@ class World {
   ///
   /// `shards` splits the event loop into that many shards (clamped to
   /// [1, nodes]; shards never split a node, so intra-node fast paths stay
-  /// single-threaded).  run() gives each shard a worker thread once a window
-  /// has events in two or more shards.  0 uses the process-wide
-  /// default_shards().  Results are bit-identical for any value.
+  /// single-threaded).  Once a window has events in two or more shards, run()
+  /// starts a worker thread for each of shards 1..K-1 and runs shard 0
+  /// itself.  0 uses the process-wide default_shards().  Results are
+  /// bit-identical for any value.
   World(topology::MachineConfig machine, std::uint64_t seed, fault::FaultPlan fault_plan = {},
         int shards = 0);
   ~World();

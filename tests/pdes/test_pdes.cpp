@@ -1,12 +1,16 @@
 // Conservative-PDES engine (docs/parallel-simulation.md): window scheduler
 // lookahead math, shard partitioning, cross-shard mailbox ordering, lone
-// windows run on the coordinating thread, and the headline guarantee —
+// windows run on the coordinating thread, the window handoff between the
+// coordinator and the shard workers, and the headline guarantee —
 // bit-identical results for any shard count, clean and under fault/crash
 // plans.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -245,16 +249,17 @@ constexpr const char* kJK = "jk/20/skampi_offset/5";
 // End-to-end determinism: a full sync (ping-pong bursts, fits, collectives)
 // must produce bit-identical per-rank corrections at every shard count —
 // the unit-level version of the bench golden gates.  `counts`, when given,
-// receives the run's window counters.
+// receives the run's window counters.  The machine has `nodes` two-core
+// nodes, so up to that many shards.
 std::vector<double> sync_trace(int shards, const fault::FaultPlan& plan,
                                const std::string& algo = kHCA2,
-                               WindowCounts* counts = nullptr) {
+                               WindowCounts* counts = nullptr, int nodes = 4) {
   trace::MetricsRegistry registry;
   std::optional<trace::ScopedMetrics> install;
   if (counts != nullptr) install.emplace(&registry);
   std::vector<double> out;
   {
-    World w(topology::testbox(4, 2), 9, plan, shards);
+    World w(topology::testbox(nodes, 2), 9, plan, shards);
     out.assign(static_cast<std::size_t>(2 * w.size()), 0.0);
     w.run_all([&](RankCtx& ctx) -> sim::Task<void> {
       auto sync = clocksync::make_sync(algo);
@@ -400,14 +405,37 @@ TEST(ShardedEngine, EventBudgetSurfacesFromRun) {
   }
 }
 
-TEST(ShardedEngine, RankErrorPropagatesFromWorkerShard) {
+// Every rank has an event in the first window, so it is a parallel one, and
+// the throwing rank raises its error there.  Returns the thread it threw on.
+std::thread::id throw_in_parallel_window(int thrower_rank) {
+  trace::MetricsRegistry registry;
+  const trace::ScopedMetrics install(&registry);
   World w(topology::testbox(4, 1), 3, {}, 4);
-  w.launch([](RankCtx& ctx) -> sim::Task<void> {
+  EXPECT_EQ(w.shard_of_rank(thrower_rank), thrower_rank);
+  std::thread::id thrower;
+  const World::RankFn body = [&](RankCtx& ctx) -> sim::Task<void> {
     co_await ctx.sim().delay(1e-6);
-    if (ctx.rank() == 3) throw std::logic_error("rank 3 exploded");
+    if (ctx.rank() == thrower_rank) {
+      thrower = std::this_thread::get_id();
+      throw std::logic_error("rank " + std::to_string(ctx.rank()) + " exploded");
+    }
     co_await ctx.sim().delay(1.0);
-  });
-  EXPECT_THROW(w.run(), std::logic_error);
+  };
+  w.launch(body);
+  try {
+    w.run();
+    ADD_FAILURE() << "expected the rank's error";
+  } catch (const std::logic_error& e) {
+    EXPECT_EQ(std::string(e.what()), "rank " + std::to_string(thrower_rank) + " exploded");
+  }
+  const WindowCounts counts = window_counts(registry);
+  EXPECT_EQ(counts.windows, 1u);
+  EXPECT_EQ(counts.parallel, 1u);
+  return thrower;
+}
+
+TEST(ShardedEngine, RankErrorPropagatesFromWorkerShard) {
+  EXPECT_NE(throw_in_parallel_window(3), std::this_thread::get_id());
 }
 
 // ------------------------------------------------------------ lone windows --
@@ -498,6 +526,56 @@ TEST(LoneWindows, EventBudgetSurfacesFromTheCoordinator) {
     EXPECT_STREQ(e.what(), "Simulation::run: event budget exceeded (497 events)");
   }
   EXPECT_EQ(window_counts(registry).parallel, 1u);
+}
+
+// ---------------------------------------------------------- window handoff --
+
+// A parallel window runs shard 0 on the thread that called run() and shards
+// 1..K-1 on K-1 workers, handed each window through sim::WindowGate.
+
+// K=3: shard 0 plus two workers.  K=8: more shards than a 4-core host has
+// hardware threads, so the workers park without spinning.
+TEST(WindowHandoff, HCA3BitIdenticalAtThreeAndEightShards) {
+  const std::vector<double> base = sync_trace(1, {}, kHCA3, nullptr, 8);
+  for (const int shards : {3, 8}) {
+    WindowCounts counts;
+    EXPECT_EQ(sync_trace(shards, {}, kHCA3, &counts, 8), base) << "shards=" << shards;
+    EXPECT_GT(counts.parallel, 0u) << "shards=" << shards;
+  }
+}
+
+TEST(WindowHandoff, RankErrorFromShardZeroIsThrownOnTheCallersThread) {
+  EXPECT_EQ(throw_in_parallel_window(0), std::this_thread::get_id());
+}
+
+// At --shards 4 rank code runs on the caller's thread (launch, shard 0,
+// lone windows) and on three workers: never more threads than shards.
+TEST(WindowHandoff, RankCodeRunsOnAtMostOneThreadPerShard) {
+  trace::MetricsRegistry registry;
+  const trace::ScopedMetrics install(&registry);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  const auto note = [&] {
+    const std::lock_guard<std::mutex> lock(mu);
+    threads.insert(std::this_thread::get_id());
+  };
+  {
+    World w(topology::testbox(8, 2), 5, {}, 4);
+    const int p = w.size();
+    w.run_all([&](RankCtx& ctx) -> sim::Task<void> {
+      auto& comm = ctx.comm_world();
+      const int me = ctx.rank();
+      note();
+      for (int i = 0; i < 4; ++i) {
+        co_await comm.send((me + 2) % p, i, util::vec(static_cast<double>(me)));
+        (void)co_await comm.recv((me + p - 2) % p, i);
+        note();
+      }
+    });
+  }
+  EXPECT_GT(window_counts(registry).parallel, 0u);
+  EXPECT_LE(threads.size(), 4u);
+  EXPECT_EQ(threads.count(std::this_thread::get_id()), 1u);
 }
 
 }  // namespace
