@@ -105,15 +105,8 @@ World::World(topology::MachineConfig machine, std::uint64_t seed, fault::FaultPl
         static_cast<int>((static_cast<std::int64_t>(n) * nshards_) / nodes);
   }
 
-  // Shard 0 keeps the World seed itself so --shards 1 reproduces the
-  // engine's historical ctx.sim().rng() streams; the rest chain off it.
-  // (ctx.sim().rng() draws are the one non-invariant under resharding —
-  // simulation results never consume them; see docs/parallel-simulation.md.)
   sims_.reserve(static_cast<std::size_t>(nshards_));
-  std::uint64_t shard_sm = seed ^ 0x2545f4914f6cdd1dULL;
-  for (int s = 0; s < nshards_; ++s) {
-    sims_.push_back(std::make_unique<sim::Simulation>(s == 0 ? seed : sim::splitmix64(shard_sm)));
-  }
+  for (int s = 0; s < nshards_; ++s) sims_.push_back(std::make_unique<sim::Simulation>());
   shard_states_.resize(static_cast<std::size_t>(nshards_));
 
   // One model bank per shard: sync algorithms append learned models to their
@@ -398,6 +391,7 @@ void World::run_shard_window(int s) {
 // not depend on which thread ran it.
 void World::run(std::uint64_t max_events) {
   fatal_ = nullptr;
+  bursts_clamped_ = 0;
   sim::set_current_shard(0);
   const std::uint64_t events_before = total_events();
   std::uint64_t windows = 0, parallel_windows = 0;
@@ -417,6 +411,7 @@ void World::run(std::uint64_t max_events) {
   workers.reset();
   HCS_METRIC_ADD("sim.windows", windows);
   HCS_METRIC_ADD("sim.windows_parallel", parallel_windows);
+  HCS_METRIC_ADD("simmpi.burst_clamped", bursts_clamped_);
   if (fatal_) {
     auto error = fatal_;
     fatal_ = nullptr;
@@ -891,8 +886,9 @@ std::pair<sim::Time, sim::Time> World::synthesize_burst(int client_rank, int ref
 // `second`: a parked half too (the window-boundary drain), or the calling
 // partner itself, which pairs inline and has no waiter.  Checks that the two
 // calls match, synthesizes the burst into both slots, and resumes every
-// parked caller no earlier than `floor`.  Returns when `second` is done.
-sim::Time World::pair(int first, int second, sim::Time floor) {
+// parked caller no earlier than `floor`.  Returns when each side is done
+// (first, second), before the floor.
+std::pair<sim::Time, sim::Time> World::pair(int first, int second, sim::Time floor) {
   BurstSlot& a = burst_slot(first);
   BurstSlot& b = burst_slot(second);
   if (a.nexchanges != b.nexchanges || a.is_client == b.is_client) {
@@ -907,7 +903,7 @@ sim::Time World::pair(int first, int second, sim::Time floor) {
   b.result = a.result;
   wake_parked(sim_of(first), a.waiter, a.timer, std::max(first_done, floor));
   if (b.waiter) wake_parked(sim_of(second), b.waiter, b.timer, std::max(second_done, floor));
-  return second_done;
+  return {first_done, second_done};
 }
 
 // Every burst pairs through pair(), and each rank's side lives in its one
@@ -940,7 +936,7 @@ sim::Task<BurstResult> World::pingpong_burst(int me, int partner, bool i_am_clie
                      node_of_rank_[static_cast<std::size_t>(partner)];
   const BurstSlot& other = burst_slot(partner);
   if (local && other.state == BurstSlot::State::kOpen && other.partner == me) {
-    ResumeAt resume{&s, pair(partner, me, 0.0)};
+    ResumeAt resume{&s, pair(partner, me, 0.0).second};
     co_await resume;
   } else {
     const sim::Time partner_dead =
@@ -1037,8 +1033,10 @@ void World::drain_burst_halves() {
     const ShardScope scope(*this, shard_of_rank(half.is_client ? rank : partner));
     // Resumes clamp to the end of the window that just ran: a reference
     // whose service finished early may not re-enter its shard mid-window.
-    // The clamp time is itself shard-count-invariant, so so are the resumes.
-    pair(partner, rank, last_window_end_);
+    // The clamp time is itself shard-count-invariant, so so are the resumes,
+    // and so is simmpi.burst_clamped, which counts the pairs it delayed.
+    const auto [first_done, second_done] = pair(partner, rank, last_window_end_);
+    if (std::min(first_done, second_done) < last_window_end_) ++bursts_clamped_;
   }
 }
 

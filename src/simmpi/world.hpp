@@ -398,7 +398,7 @@ class World {
   std::pair<sim::Time, sim::Time> synthesize_burst(int client, int ref, std::int64_t bytes,
                                                    BurstResult& result);
   /// The one burst pairing routine (world.cpp).
-  sim::Time pair(int first, int second, sim::Time floor);
+  std::pair<sim::Time, sim::Time> pair(int first, int second, sim::Time floor);
   void match_or_enqueue(int dst, Message msg);
   void dispatch_message(int src, int dst, std::vector<double> data, std::int64_t bytes,
                         std::int64_t tag, sim::Time ready);
@@ -449,8 +449,10 @@ class World {
   // Observability: the parent tracer/registry are whatever was installed on
   // the constructing thread.  When sharded, each shard gets a private tracer
   // and registry (the record paths are not thread-safe); they are absorbed /
-  // merged into the parent in shard-index order by ~World, reproducing the
-  // exact stream a 1-shard run records.
+  // merged into the parent in shard-index order by ~World.  Trace events and
+  // metric counts, minima and maxima then equal a 1-shard run's; histogram
+  // percentiles (merged per-shard sample reservoirs) and sim.windows_parallel
+  // depend on the shard layout (docs/observability.md).
   trace::Tracer* parent_tracer_ = nullptr;
   trace::MetricsRegistry* parent_metrics_ = nullptr;
   SimTimeSource time_source_;  // parent tracer's clock (shard 0)
@@ -484,6 +486,7 @@ class World {
   // Window-loop state shared between serial_phase and the worker loop.
   sim::Time window_end_ = 0.0;
   sim::Time last_window_end_ = 0.0;  // shard-count-invariant resume clamp
+  std::uint64_t bursts_clamped_ = 0;  // pairs the clamp delayed, this run
   std::vector<std::uint64_t> shard_caps_;  // per-shard lifetime event caps
   int lone_shard_ = -1;  // the window's only shard with events, or -1 if several
   std::exception_ptr fatal_;

@@ -49,7 +49,7 @@ TEST(Lookahead, IndependentOfShardCount) {
 }
 
 TEST(RunWindow, ProcessesStrictlyBelowTheBoundary) {
-  sim::Simulation s(1);
+  sim::Simulation s;
   int fired_early = 0, fired_late = 0;
   s.spawn([](sim::Simulation& sim, int& early, int& late) -> sim::Task<void> {
     co_await sim.delay(1.0);
@@ -68,7 +68,7 @@ TEST(RunWindow, ProcessesStrictlyBelowTheBoundary) {
 }
 
 TEST(RunWindow, ParksErrorsForTakeError) {
-  sim::Simulation s(1);
+  sim::Simulation s;
   s.spawn([](sim::Simulation& sim) -> sim::Task<void> {
     co_await sim.delay(1.0);
     throw std::runtime_error("boom");
@@ -82,7 +82,7 @@ TEST(RunWindow, ParksErrorsForTakeError) {
 }
 
 TEST(RunWindow, BudgetGuardCountsLifetimeEvents) {
-  sim::Simulation s(1);
+  sim::Simulation s;
   s.spawn([](sim::Simulation& sim) -> sim::Task<void> {
     for (int i = 0; i < 10; ++i) co_await sim.delay(1.0);
   }(s));
@@ -284,6 +284,35 @@ TEST(ShardDeterminism, FullSyncBitIdenticalCleanAndFaulted) {
     for (const int shards : {2, 4}) {
       EXPECT_EQ(base, sync_trace(shards, plan)) << "shards=" << shards;
     }
+  }
+}
+
+// ------------------------------------------------------ burst resume clamp --
+
+// A cross-node burst pairs at the window boundary, and both callers resume
+// no earlier than the end of the window just run.  Clean, the reference
+// sends its last reply after that, so the clamp never binds.  When every
+// ping is dropped, the reference serves none and is done at its own ready
+// time, inside the window: the clamp delays it, and simmpi.burst_clamped
+// counts that pair once, at every shard count.
+std::uint64_t clamped_bursts(int shards, const fault::FaultPlan& plan) {
+  trace::MetricsRegistry registry;
+  const trace::ScopedMetrics install(&registry);
+  {
+    World w(topology::testbox(2, 1), 3, plan, shards);
+    w.run_all([](RankCtx& ctx) -> sim::Task<void> {
+      auto clk = ctx.base_clock();
+      co_await ctx.sim().delay(1e-6);  // park inside a window, not before the first
+      (void)co_await ctx.comm_world().pingpong_burst(1 - ctx.rank(), ctx.rank() == 1, *clk, 5);
+    });
+  }  // ~World folds the shard registries into `registry`
+  return registry.counter("simmpi.burst_clamped").value();
+}
+
+TEST(BurstClamp, CountsEachDelayedPairAtEveryShardCount) {
+  for (const int shards : {1, 2}) {
+    EXPECT_EQ(clamped_bursts(shards, {}), 0u) << "shards=" << shards;
+    EXPECT_EQ(clamped_bursts(shards, plan_of({"drop:p=1"})), 1u) << "shards=" << shards;
   }
 }
 

@@ -1,3 +1,4 @@
+#include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 
 #include <gtest/gtest.h>
@@ -110,14 +111,15 @@ TEST(Simulation, ExceptionInProcessSurfacesFromRun) {
 
 TEST(Simulation, DeterministicTwoRunsSameSchedule) {
   auto run_once = [](std::uint64_t seed) {
-    Simulation sim(seed);
+    Simulation sim;
+    Rng rng(seed);
     std::vector<double> trace;
-    sim.spawn([](Simulation& s, std::vector<double>* trace) -> Task<void> {
+    sim.spawn([](Simulation& s, Rng* rng, std::vector<double>* trace) -> Task<void> {
       for (int i = 0; i < 50; ++i) {
-        co_await s.delay(s.rng().exponential(1e-3));
+        co_await s.delay(rng->exponential(1e-3));
         trace->push_back(s.now());
       }
-    }(sim, &trace));
+    }(sim, &rng, &trace));
     sim.run();
     return trace;
   };
