@@ -56,11 +56,18 @@ class TrialRunner {
     using R = std::invoke_result_t<Fn&, const Trial&>;
     static_assert(std::is_default_constructible_v<R>,
                   "TrialRunner::map: trial result type must be default-constructible");
-    std::vector<R> results(static_cast<std::size_t>(ntrials > 0 ? ntrials : 0));
+    // std::vector<bool> packs its elements into shared words, so two workers
+    // writing neighbouring slots race; bool results go through bytes.
+    using Slot = std::conditional_t<std::is_same_v<R, bool>, unsigned char, R>;
+    std::vector<Slot> results(static_cast<std::size_t>(ntrials > 0 ? ntrials : 0));
     run_indexed(ntrials, base_seed, [&](const Trial& trial) {
       results[static_cast<std::size_t>(trial.index)] = fn(trial);
     });
-    return results;
+    if constexpr (std::is_same_v<R, bool>) {
+      return std::vector<bool>(results.begin(), results.end());
+    } else {
+      return results;
+    }
   }
 
   /// Like map, but for trial bodies without a result (side effects into

@@ -91,6 +91,22 @@ TEST(TrialRunner, ExceptionStopsClaimingNewTrials) {
   EXPECT_EQ(started.load(), 5);  // trials 0-4; the poison flag halts the rest
 }
 
+// Bool results are the case std::vector<bool> packs into shared words:
+// workers writing neighbouring trials' slots must not lose each other's bits.
+TEST(TrialRunner, BoolResultsKeepEveryTrialsValue) {
+  for (const int jobs : {1, 4}) {
+    for (int round = 0; round < 20; ++round) {
+      TrialRunner pool(jobs);
+      const auto bits = pool.map(4096, 0, [](const Trial& trial) { return trial.index % 3 != 1; });
+      ASSERT_EQ(bits.size(), 4096u);
+      for (int i = 0; i < 4096; ++i) {
+        ASSERT_EQ(bits[static_cast<std::size_t>(i)], i % 3 != 1)
+            << "jobs=" << jobs << " round=" << round << " trial=" << i;
+      }
+    }
+  }
+}
+
 TEST(TrialRunner, NoSinksInstalledMeansNoSinksInTrials) {
   ASSERT_EQ(trace::active_tracer(), nullptr);
   ASSERT_EQ(trace::active_metrics(), nullptr);
