@@ -21,12 +21,8 @@ sim::Task<SyncResult> ClockPropSync::sync_clocks(simmpi::Comm& comm, vclock::Clo
 
   if (i_am_ref) co_return SyncResult{std::move(clk), {}};
   // Rebuild the reference's model chain on top of my own base clock; valid
-  // because both clocks tick off the same hardware time source.  The rebuilt
-  // levels store their models in the rank's shard bank (SoA layout).
-  co_return SyncResult{
-      vclock::unflatten_clock(std::move(clk), buffer,
-                              comm.world().model_bank_of(comm.my_world_rank())),
-      {}};
+  // because both clocks tick off the same hardware time source.
+  co_return SyncResult{vclock::unflatten_clock(std::move(clk), buffer), {}};
 }
 
 }  // namespace hcs::clocksync

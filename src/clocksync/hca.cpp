@@ -11,10 +11,9 @@ std::string HCASync::name() const { return sync_label("hca", cfg_, *oalg_); }
 
 sim::Task<SyncResult> HCASync::sync_clocks(simmpi::Comm& comm, vclock::ClockPtr clk) {
   LearnResult learned = co_await run_tree_and_scatter(comm, clk);
-  // Concrete BankedClockLM (not the ClockPtr make_synced_clock returns): the
-  // final pass below edits the intercept in place through the typed view.
-  const vclock::ModelBankPtr& bank = comm.world().model_bank_of(comm.my_world_rank());
-  auto global = std::make_shared<vclock::BankedClockLM>(clk, bank, bank->add(learned.model));
+  // Concrete GlobalClockLM, not a ClockPtr: the final pass below edits the
+  // intercept in place.
+  auto global = std::make_shared<vclock::GlobalClockLM>(clk, learned.model);
 
   // Final O(p) pass: the root measures the residual offset of each process's
   // *global* clock and the process absorbs it into its intercept.

@@ -164,8 +164,7 @@ sim::Task<LearnResult> HCA2Sync::run_tree_and_scatter(simmpi::Comm& comm, vclock
 
 sim::Task<SyncResult> HCA2Sync::sync_clocks(simmpi::Comm& comm, vclock::ClockPtr clk) {
   const LearnResult learned = co_await run_tree_and_scatter(comm, clk);
-  const vclock::ModelBankPtr& bank = comm.world().model_bank_of(comm.my_world_rank());
-  co_return SyncResult{vclock::make_synced_clock(std::move(clk), learned.model, bank),
+  co_return SyncResult{std::make_shared<vclock::GlobalClockLM>(std::move(clk), learned.model),
                        learned.report};
 }
 

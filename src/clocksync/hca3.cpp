@@ -65,8 +65,7 @@ sim::Task<SyncResult> HCA3Sync::sync_once(simmpi::Comm& comm, vclock::ClockPtr c
       const LearnResult learned =
           co_await learn_clock_model(comm, other_rank, r, *my_clk, *oalg_, cfg_);
       report.merge(learned.report);
-      my_clk = vclock::make_synced_clock(clk, learned.model,
-                                         comm.world().model_bank_of(comm.my_world_rank()));
+      my_clk = std::make_shared<vclock::GlobalClockLM>(clk, learned.model);
     }
   }
 
@@ -76,8 +75,7 @@ sim::Task<SyncResult> HCA3Sync::sync_once(simmpi::Comm& comm, vclock::ClockPtr c
     const LearnResult learned =
         co_await learn_clock_model(comm, other_rank, r, *my_clk, *oalg_, cfg_);
     report.merge(learned.report);
-    my_clk = vclock::make_synced_clock(clk, learned.model,
-                                       comm.world().model_bank_of(comm.my_world_rank()));
+    my_clk = std::make_shared<vclock::GlobalClockLM>(clk, learned.model);
   } else if (r < nprocs - max_power) {
     const int other_rank = r + max_power;
     (void)co_await learn_clock_model(comm, r, other_rank, *my_clk, *oalg_, cfg_);

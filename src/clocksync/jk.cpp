@@ -23,8 +23,7 @@ sim::Task<SyncResult> JKSync::sync_clocks(simmpi::Comm& comm, vclock::ClockPtr c
     co_return SyncResult{vclock::GlobalClockLM::identity(std::move(clk)), {}};
   }
   const LearnResult learned = co_await learn_clock_model(comm, 0, r, *clk, *oalg_, cfg_);
-  const vclock::ModelBankPtr& bank = comm.world().model_bank_of(comm.my_world_rank());
-  co_return SyncResult{vclock::make_synced_clock(std::move(clk), learned.model, bank),
+  co_return SyncResult{std::make_shared<vclock::GlobalClockLM>(std::move(clk), learned.model),
                        learned.report};
 }
 

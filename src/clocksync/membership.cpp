@@ -114,7 +114,7 @@ sim::Task<ReadmitResult> readmit(simmpi::Comm& view, ReadmitEvent event, vclock:
         co_await learn_clock_model(view, ref_pos, client_pos, *dummy, oalg, policy.sync);
     ReadmitResult out;
     out.report = learned.report;
-    out.clock = vclock::make_synced_clock(clk, learned.model, world.model_bank_of(me));
+    out.clock = std::make_shared<vclock::GlobalClockLM>(clk, learned.model);
     co_return out;
   }
   // Serving side: answer the ping-pongs with the synchronized clock, keep it.

@@ -40,8 +40,7 @@ sim::Task<SyncResult> SKaMPISync::sync_clocks(simmpi::Comm& comm, vclock::ClockP
   // Constant offset, no drift model: slope = 0 (an invalid measurement
   // carries offset 0.0, so the fallback is the uncorrected clock).
   co_return SyncResult{
-      vclock::make_synced_clock(std::move(clk), vclock::LinearModel{0.0, o.offset},
-                                comm.world().model_bank_of(comm.my_world_rank())),
+      std::make_shared<vclock::GlobalClockLM>(std::move(clk), vclock::LinearModel{0.0, o.offset}),
       report};
 }
 

@@ -239,7 +239,6 @@ sim::Time FaultInjector::live_until(int a, int b, sim::Time t0) const noexcept {
 }
 
 void FaultInjector::count_crash_drop() {
-  crash_drops_.fetch_add(1, std::memory_order_relaxed);
   if (trace::Counter* m = my_metrics().crash_drops) m->inc();
 }
 
@@ -268,16 +267,9 @@ NetFaultDecision FaultInjector::on_message(int src, int dst, int level, sim::Tim
     if (matches(r.level, level) && rng.bernoulli(r.p)) d.duplicate = true;
   }
   ShardMetrics& m = my_metrics();
-  if (d.drop) {
-    drops_.fetch_add(1, std::memory_order_relaxed);
-    if (m.drops) m.drops->inc();
-  }
-  if (d.duplicate) {
-    duplicates_.fetch_add(1, std::memory_order_relaxed);
-    if (m.duplicates) m.duplicates->inc();
-  }
+  if (d.drop && m.drops) m.drops->inc();
+  if (d.duplicate && m.duplicates) m.duplicates->inc();
   if (d.extra_delay > 0.0) {
-    delayed_.fetch_add(1, std::memory_order_relaxed);
     if (m.delayed) m.delayed->inc();
     if (m.extra_delay) m.extra_delay->observe(d.extra_delay);
   }
@@ -299,7 +291,6 @@ sim::Time FaultInjector::release_time(int rank, sim::Time t) const {
     }
   }
   if (out != t) {
-    pause_holds_.fetch_add(1, std::memory_order_relaxed);
     if (trace::Counter* m = my_metrics().pauses) m->inc();
   }
   return out;

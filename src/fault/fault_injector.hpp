@@ -9,17 +9,15 @@
 // verdict for a message depends only on its channel's draw history, which
 // follows the sender's timeline.  That makes fault decisions invariant under
 // World sharding (docs/parallel-simulation.md); a channel is only consulted
-// from its sender's shard, so the streams need no locking, and the firing
-// counters are relaxed atomics.
+// from its sender's shard, so the streams need no locking.
 //
 // Network faults are evaluated per message via on_message(); pause windows
 // translate timestamps via release_time(); clock faults are applied once by
-// the World at construction.  Fault firings are counted into the active
+// the World at construction.  Fault firings are counted only into the active
 // MetricsRegistry (handles resolved at construction, like NetworkModel;
 // re-bound per shard via bind_shards when the World is sharded).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -166,16 +164,6 @@ class FaultInjector {
   /// entries = metrics off); see NetworkModel::bind_shards.
   void bind_shards(const std::vector<trace::MetricsRegistry*>& registries);
 
-  // Firing counters (also exported as fault.* metrics when a registry is
-  // active); plain members so tests need no registry.
-  std::uint64_t drops() const noexcept { return drops_.load(std::memory_order_relaxed); }
-  std::uint64_t duplicates() const noexcept { return duplicates_.load(std::memory_order_relaxed); }
-  std::uint64_t delayed() const noexcept { return delayed_.load(std::memory_order_relaxed); }
-  std::uint64_t pause_holds() const noexcept { return pause_holds_.load(std::memory_order_relaxed); }
-  std::uint64_t crash_drops_count() const noexcept {
-    return crash_drops_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct ProbRule {
     NetLevel level;
@@ -236,12 +224,6 @@ class FaultInjector {
   bool net_active_ = false;
   bool crash_active_ = false;
   bool churn_active_ = false;
-
-  std::atomic<std::uint64_t> drops_{0};
-  std::atomic<std::uint64_t> duplicates_{0};
-  std::atomic<std::uint64_t> delayed_{0};
-  mutable std::atomic<std::uint64_t> pause_holds_{0};
-  std::atomic<std::uint64_t> crash_drops_{0};
 
   // Per-shard metric handles, indexed by sim::current_shard(); slot 0 is
   // resolved at construction, bind_shards replaces the table.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <string>
 
 #include "trace/metrics.hpp"
 
@@ -86,54 +88,44 @@ void Simulation::on_root_finished(std::size_t live_index, std::exception_ptr err
   if (error && !first_error_) first_error_ = error;
 }
 
-void Simulation::run(std::uint64_t max_events) {
-  // A process may have failed before its first suspension (spawn is eager).
-  if (first_error_) {
-    queue_.clear();
-    auto error = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(error);
-  }
-  // Metrics are reported once per run(), never inside the per-event loop:
-  // bench_micro_sim guards the loop's per-event cost.
-  const std::uint64_t events_before = events_processed_;
-  while (!queue_.empty()) {
-    if (events_processed_ >= max_events) {
-      throw std::runtime_error("Simulation::run: event budget exceeded (" +
-                               std::to_string(max_events) + " events)");
-    }
+namespace {
+std::runtime_error budget_exceeded(std::uint64_t max_events) {
+  return std::runtime_error("Simulation::run: event budget exceeded (" +
+                            std::to_string(max_events) + " events)");
+}
+}  // namespace
+
+bool Simulation::drain_through(Time last, std::uint64_t max_events) {
+  // A pending error (a process may fail before its first suspension, since
+  // spawn is eager) stops the loop before the next pop.
+  while (!first_error_ && !queue_.empty() && queue_.next_time() <= last) {
+    if (events_processed_ >= max_events) return false;
     const EventQueue::Event ev = queue_.pop();
     assert(ev.time >= now_);
     now_ = ev.time;
     ++events_processed_;
     ev.handle.resume();
-    if (first_error_) {
-      queue_.clear();
-      auto error = first_error_;
-      first_error_ = nullptr;
-      std::rethrow_exception(error);
-    }
   }
+  return true;
+}
+
+void Simulation::run(std::uint64_t max_events) {
+  // Metrics are reported once per run(), never inside the per-event loop:
+  // bench_micro_sim guards the loop's per-event cost.
+  const std::uint64_t events_before = events_processed_;
+  const bool within_budget = drain_through(kTimeInfinity, max_events);
+  if (std::exception_ptr error = take_error()) std::rethrow_exception(error);
+  if (!within_budget) throw budget_exceeded(max_events);
   HCS_METRIC_ADD("sim.events_processed", events_processed_ - events_before);
   HCS_METRIC_SET("sim.virtual_time_s", now_);
   HCS_METRIC_SET("sim.processes_spawned", static_cast<double>(spawned_));
 }
 
 void Simulation::run_window(Time window_end, std::uint64_t max_events) {
-  if (first_error_) return;  // collected by take_error() in the serial phase
-  while (!queue_.empty() && queue_.next_time() < window_end) {
-    if (events_processed_ >= max_events) {
-      first_error_ = std::make_exception_ptr(
-          std::runtime_error("Simulation::run: event budget exceeded (" +
-                             std::to_string(max_events) + " events)"));
-      return;
-    }
-    const EventQueue::Event ev = queue_.pop();
-    assert(ev.time >= now_);
-    now_ = ev.time;
-    ++events_processed_;
-    ev.handle.resume();
-    if (first_error_) return;
+  // The last representable time strictly below window_end: ties with
+  // window_end stay queued for the next window.
+  if (!drain_through(std::nextafter(window_end, -kTimeInfinity), max_events)) {
+    first_error_ = std::make_exception_ptr(budget_exceeded(max_events));
   }
 }
 

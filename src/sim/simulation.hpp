@@ -107,6 +107,12 @@ class Simulation {
   struct RootFrame;  // wrapper coroutine that notifies completion (internal)
 
  private:
+  // The one event loop behind run() and run_window(): pops and resumes events
+  // with time <= `last` until the queue runs dry, a process error is pending
+  // or `max_events` (lifetime events_processed()) is reached.  Returns false
+  // only in the last case, before popping the over-budget event.
+  bool drain_through(Time last, std::uint64_t max_events);
+
   Time now_ = 0.0;
   EventQueue queue_;
   std::uint64_t events_processed_ = 0;

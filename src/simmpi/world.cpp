@@ -109,14 +109,6 @@ World::World(topology::MachineConfig machine, std::uint64_t seed, fault::FaultPl
   for (int s = 0; s < nshards_; ++s) sims_.push_back(std::make_unique<sim::Simulation>());
   shard_states_.resize(static_cast<std::size_t>(nshards_));
 
-  // One model bank per shard: sync algorithms append learned models to their
-  // own shard's bank, so appends are single-threaded and append order is
-  // deterministic (row indices are unobservable either way).
-  model_banks_.reserve(static_cast<std::size_t>(nshards_));
-  for (int s = 0; s < nshards_; ++s) {
-    model_banks_.push_back(std::make_shared<vclock::LinearModelBank>());
-  }
-
   // Hardware clocks: seed chain unchanged from the unsharded engine (clock
   // paths must not depend on the shard count).  Each clock reads "now" from
   // the simulation of the shard owning its ranks; a time source is at most

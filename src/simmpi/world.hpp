@@ -51,7 +51,6 @@
 #include "trace/tracer.hpp"
 #include "vclock/clock.hpp"
 #include "vclock/hardware_clock.hpp"
-#include "vclock/model_bank.hpp"
 
 namespace hcs::replay {
 class ReplayFeed;
@@ -172,16 +171,10 @@ class World {
     return fault_ ? fault_->membership_epoch(now) : 0;
   }
 
-  /// Shared hardware clock of the rank's time source.
+  /// Shared hardware clock of the rank's time source.  A sync result's clock
+  /// holds it, so at()/at_exact() reads stay valid after the World is
+  /// destroyed; now() reads this World's simulation and does not.
   vclock::ClockPtr base_clock(int rank) const;
-
-  /// SoA model storage for the rank's shard: sync algorithms append each
-  /// learned LinearModel here instead of allocating a GlobalClockLM per rank
-  /// (vclock/model_bank.hpp).  Shard-confined, so appends never race; the
-  /// shared_ptr keeps results alive after the World is destroyed.
-  const vclock::ModelBankPtr& model_bank_of(int rank) const noexcept {
-    return model_banks_[static_cast<std::size_t>(shard_of_rank(rank))];
-  }
 
   /// The identity member list {0, ..., size() - 1}, built once: every world
   /// communicator of this World shares it instead of holding a copy.
@@ -462,7 +455,6 @@ class World {
   std::vector<WorldMetrics> world_metrics_;  // indexed by current_shard()
 
   std::vector<std::shared_ptr<vclock::HardwareClock>> hw_clocks_;  // per time source
-  std::vector<vclock::ModelBankPtr> model_banks_;                  // per shard
   std::vector<Mailbox> mailboxes_;
   std::vector<ShardState> shard_states_;            // per shard
   std::vector<std::unique_ptr<RankCtx>> ctxs_;

@@ -4,26 +4,17 @@
 #include <cstddef>
 #include <stdexcept>
 
-#include "vclock/model_bank.hpp"
-
 namespace hcs::vclock {
 
 namespace {
 
-// One step down a decorator chain, whichever representation the level uses:
-// heap GlobalClockLM or SoA BankedClockLM (model_bank.hpp).  Returns the
-// base clock and writes the level's model, or nullptr at the innermost
-// non-model clock.
+// One step down a decorator chain.  Returns the base clock and writes the
+// level's model, or nullptr at the innermost non-model clock.
 const Clock* chain_step(const Clock* cur, LinearModel* out) {
-  if (const auto* lm = dynamic_cast<const GlobalClockLM*>(cur)) {
-    *out = lm->model();
-    return lm->base().get();
-  }
-  if (const auto* banked = dynamic_cast<const BankedClockLM*>(cur)) {
-    *out = banked->model();
-    return banked->base().get();
-  }
-  return nullptr;
+  const auto* lm = dynamic_cast<const GlobalClockLM*>(cur);
+  if (lm == nullptr) return nullptr;
+  *out = lm->model();
+  return lm->base().get();
 }
 
 }  // namespace
@@ -54,8 +45,7 @@ std::vector<double> flatten_clock(const ClockPtr& clock) {
   return buffer;
 }
 
-ClockPtr unflatten_clock(ClockPtr base, const std::vector<double>& buffer,
-                         const ModelBankPtr& bank) {
+ClockPtr unflatten_clock(ClockPtr base, const std::vector<double>& buffer) {
   if (buffer.empty()) throw std::invalid_argument("unflatten_clock: empty buffer");
   const auto depth = static_cast<std::size_t>(std::llround(buffer[0]));
   if (buffer.size() != 1 + 2 * depth) {
@@ -65,7 +55,7 @@ ClockPtr unflatten_clock(ClockPtr base, const std::vector<double>& buffer,
   ClockPtr clock = std::move(base);
   for (std::size_t level = depth; level-- > 0;) {
     const LinearModel lm{buffer[1 + 2 * level], buffer[2 + 2 * level]};
-    clock = make_synced_clock(std::move(clock), lm, bank);
+    clock = std::make_shared<GlobalClockLM>(std::move(clock), lm);
   }
   return clock;
 }
@@ -77,12 +67,6 @@ LinearModel collapse_models(const ClockPtr& clock) {
     acc = merge(acc, lm);
   }
   return acc;
-}
-
-ClockPtr make_synced_clock(ClockPtr base, LinearModel lm, const ModelBankPtr& bank) {
-  if (bank == nullptr) return std::make_shared<GlobalClockLM>(std::move(base), lm);
-  const std::size_t row = bank->add(lm);
-  return std::make_shared<BankedClockLM>(std::move(base), bank, row);
 }
 
 }  // namespace hcs::vclock

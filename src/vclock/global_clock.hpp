@@ -11,7 +11,6 @@
 
 #include "vclock/clock.hpp"
 #include "vclock/linear_model.hpp"
-#include "vclock/model_bank.hpp"
 
 namespace hcs::vclock {
 
@@ -39,18 +38,14 @@ class GlobalClockLM final : public Clock {
   LinearModel lm_;
 };
 
-/// Serializes the model chain (GlobalClockLM and/or BankedClockLM levels)
-/// above the innermost non-model clock, outermost model first:
+/// Serializes the GlobalClockLM chain above the innermost non-model clock, outermost model first:
 /// [depth, s_1, i_1, ..., s_d, i_d].
 std::vector<double> flatten_clock(const ClockPtr& clock);
 
 /// Rebuilds the chain described by `buffer` on top of `base`.  The caller
 /// must guarantee `base` ticks identically to the clock that was flattened
 /// (same time source) — exactly ClockPropSync's applicability condition.
-/// With a bank, the rebuilt levels store their models in it (SoA layout);
-/// without one they are plain GlobalClockLM decorators.
-ClockPtr unflatten_clock(ClockPtr base, const std::vector<double>& buffer,
-                         const ModelBankPtr& bank = nullptr);
+ClockPtr unflatten_clock(ClockPtr base, const std::vector<double>& buffer);
 
 /// Collapses a decorator chain into one equivalent LinearModel (for tests
 /// and for reporting).

@@ -12,6 +12,7 @@
 #include "fault/fault_plan.hpp"
 #include "simmpi/world.hpp"
 #include "topology/presets.hpp"
+#include "trace/metrics.hpp"
 
 namespace hcs::fault {
 namespace {
@@ -29,22 +30,25 @@ struct RunResult {
 };
 
 RunResult run_sync(const FaultPlan& plan, std::uint64_t seed) {
-  simmpi::World w(topology::testbox(2, 2), seed, plan);
-  const int p = w.size();
-  std::vector<vclock::ClockPtr> clocks(static_cast<std::size_t>(p));
+  trace::MetricsRegistry metrics;
+  const trace::ScopedMetrics install(&metrics);
   RunResult out;
-  w.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
-    auto sync = clocksync::make_sync("hca3/50/skampi_offset/10");
-    clocks[static_cast<std::size_t>(ctx.rank())] =
-        co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
-    out.sync_end = std::max(out.sync_end, ctx.sim().now());
-  });
-  for (const vclock::ClockPtr& clk : clocks) out.readings.push_back(clk->at_exact(out.sync_end));
-  if (FaultInjector* inj = w.fault_injector()) {
-    out.drops = inj->drops();
-    out.duplicates = inj->duplicates();
-    out.delayed = inj->delayed();
+  {
+    simmpi::World w(topology::testbox(2, 2), seed, plan);
+    std::vector<vclock::ClockPtr> clocks(static_cast<std::size_t>(w.size()));
+    w.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
+      auto sync = clocksync::make_sync("hca3/50/skampi_offset/10");
+      clocks[static_cast<std::size_t>(ctx.rank())] =
+          co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+      out.sync_end = std::max(out.sync_end, ctx.sim().now());
+    });
+    for (const vclock::ClockPtr& clk : clocks) out.readings.push_back(clk->at_exact(out.sync_end));
   }
+  // Read after the World is gone: a sharded World folds its per-shard
+  // counters into the installed registry when it is destroyed.
+  out.drops = metrics.counter("fault.net.drops").value();
+  out.duplicates = metrics.counter("fault.net.duplicates").value();
+  out.delayed = metrics.counter("fault.net.delayed").value();
   return out;
 }
 

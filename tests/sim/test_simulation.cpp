@@ -90,6 +90,23 @@ TEST(Simulation, EventBudgetGuardsRunaway) {
   EXPECT_THROW(sim.run(1000), std::runtime_error);
 }
 
+TEST(Simulation, RunDrainsAnEventAtInfinity) {
+  // run() drains every queued event; a window bound, which excludes its own
+  // end, must not leave one at kTimeInfinity behind.
+  Simulation sim;
+  bool resumed = false;
+  sim.spawn([](Simulation& s, bool* out) -> Task<void> {
+    co_await s.delay(kTimeInfinity);
+    *out = true;
+  }(sim, &resumed));
+  sim.run();
+  EXPECT_TRUE(resumed);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.now(), kTimeInfinity);
+  EXPECT_EQ(sim.events_processed(), 1u);
+  EXPECT_EQ(sim.processes_finished(), 1u);
+}
+
 TEST(Simulation, EventsProcessedCounted) {
   Simulation sim;
   sim.spawn([](Simulation& s) -> Task<void> {
