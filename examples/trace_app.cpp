@@ -97,8 +97,8 @@ int main(int argc, char** argv) {
   print_gantt(run_app(machine, false, iterations, cli.seed(7)), "--- local clocks ---");
 
   // Pass 2 — HCA3 global clock under the structured tracer + metrics.  Both
-  // must be installed before the World is built so the network model and the
-  // ping-pong fast path resolve their metric handles.
+  // must be installed before the World is built: a World reports into the
+  // sinks installed at its construction.
   trace::Tracer structured;
   trace::MetricsRegistry metrics;
   {

@@ -13,9 +13,10 @@
 //
 // Network faults are evaluated per message via on_message(); pause windows
 // translate timestamps via release_time(); clock faults are applied once by
-// the World at construction.  Fault firings are counted only into the active
-// MetricsRegistry (handles resolved at construction, like NetworkModel;
-// re-bound per shard via bind_shards when the World is sharded).
+// the World at construction.  Fault firings are counted only into the
+// calling thread's active MetricsRegistry (fault.*, through
+// trace::MetricHandle, like NetworkModel): on a sharded World, the registry
+// of the shard that consulted the injector.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +25,6 @@
 #include "fault/fault_plan.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
-#include "trace/metrics.hpp"
 
 namespace hcs::fault {
 
@@ -139,14 +139,11 @@ class FaultInjector {
   /// `t0`.
   sim::Time live_until(int a, int b, sim::Time t0) const noexcept;
 
-  /// True when a message sent from `src` to `dst` at `send_time` must be
-  /// dropped by the crash model: the sender is down, or the link is
-  /// already severed.  (Arrival-side checks use is_down(dst) directly.)
-  bool crash_drops(int src, int dst, sim::Time send_time) const noexcept {
-    return is_down(src, send_time) || send_time >= link_down_time(src, dst);
-  }
+  /// Earliest failure event of the plan: the first down time of any rank
+  /// or the first link cut (sim::kTimeInfinity if there is none).
+  sim::Time first_failure_time() const noexcept;
 
-  /// Counts one message lost to a crash/crashlink (metrics + counter).
+  /// Counts one message lost to a crash/crashlink (fault.crash.drops).
   void count_crash_drop();
 
   /// Evaluates all network faults for one message hand-off.  `level` is the
@@ -159,10 +156,6 @@ class FaultInjector {
 
   /// Clock faults resolved per rank, for the World to apply.
   const std::vector<ClockFault>& clock_faults() const noexcept { return clock_faults_; }
-
-  /// Re-resolves the metric handles against one registry per shard (null
-  /// entries = metrics off); see NetworkModel::bind_shards.
-  void bind_shards(const std::vector<trace::MetricsRegistry*>& registries);
 
  private:
   struct ProbRule {
@@ -224,21 +217,6 @@ class FaultInjector {
   bool net_active_ = false;
   bool crash_active_ = false;
   bool churn_active_ = false;
-
-  // Per-shard metric handles, indexed by sim::current_shard(); slot 0 is
-  // resolved at construction, bind_shards replaces the table.
-  struct ShardMetrics {
-    trace::Counter* drops = nullptr;
-    trace::Counter* duplicates = nullptr;
-    trace::Counter* delayed = nullptr;
-    trace::Counter* pauses = nullptr;
-    trace::Counter* crash_drops = nullptr;
-    trace::HistogramMetric* extra_delay = nullptr;
-  };
-  static ShardMetrics resolve_metrics(trace::MetricsRegistry* registry);
-  ShardMetrics& my_metrics() const;
-
-  mutable std::vector<ShardMetrics> shard_metrics_;  // size >= 1
 };
 
 }  // namespace hcs::fault

@@ -51,13 +51,12 @@ void run_taint_rule(const TaintRule& tr, const std::vector<FileSummary>& files,
   // Sources: hazard sites inside a named function that the per-file rule
   // did NOT report — the file is exempt for it, or the site sits under a
   // suppression comment.  Reported sites already fail the gate on their own;
-  // duplicating them across every caller would only add noise.  A plain read
-  // of tl_current_shard re-points nothing, so it is no source.  The first
+  // duplicating them across every caller would only add noise.  The first
   // source in a function names its chain.
   std::map<const FunctionSummary*, std::string> tainted;  // fn -> chain to the hazard
   for (const FileSummary& file : files) {
     for (const HazardSite& h : file.hazards) {
-      if (h.kind != tr.kind || h.fn < 0 || h.read_only) continue;
+      if (h.kind != tr.kind || h.fn < 0) continue;
       const Finding probe{per_file->id, per_file->severity, file.rel_path, h.line, h.col, ""};
       const bool reported =
           !path_exempt(*per_file, file.rel_path) && !is_suppressed(file.suppressions, probe);

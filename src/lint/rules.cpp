@@ -374,37 +374,20 @@ void rule_task_discard(const FileCtx& ctx, const RuleInfo& rule, std::vector<Fin
 
 // The sharded World engine (docs/parallel-simulation.md) runs one event loop
 // per shard, each on its own worker thread.  Rank code and scheduler
-// callbacks must therefore (a) read time and RNG streams through their own
+// callbacks must therefore read time and RNG streams through their own
 // shard's accessors — Comm::sim() / RankCtx::sim() — never through
 // World::sim(), which is shard 0's Simulation: the wrong clock for ranks on
-// other shards and a data race with shard 0's worker; and (b) never re-point
-// the engine-owned thread-local shard context.  Cross-shard effects go
-// through the mailbox/outbox API (ordinary sends, drained at window
+// other shards and a data race with shard 0's worker.  Cross-shard effects
+// go through the mailbox/outbox API (ordinary sends, drained at window
 // boundaries) instead of touching another shard's state directly.
 void rule_shard_shared_state(const FileCtx& ctx, const RuleInfo& rule,
                              std::vector<Finding>& out) {
   for (const HazardSite& h : ctx.summary.hazards) {
     if (h.kind != HazardKind::kShardState) continue;
-    std::string message;
-    if (h.detail == "set_current_shard") {
-      message =
-          "the shard context is owned by the engine's window scheduler — re-pointing it from "
-          "rank/callback code lets writes bypass the cross-shard mailbox API; send a message "
-          "instead (it lands in the destination shard at the next window boundary)";
-    } else if (h.detail == "tl_current_shard") {
-      message =
-          "direct access to the thread-local shard slot bypasses the scheduler — read it via "
-          "sim::current_shard() and never write it outside the engine";
-    } else {
-      // world().sim() / world_->sim(): shard 0's event loop.  Rank code on any
-      // other shard reading time or drawing randomness through it observes
-      // the wrong clock and races with shard 0's worker thread.
-      message =
-          "World::sim() is shard 0's event loop — the wrong clock (and a data race) for ranks "
-          "on other shards; read time through Comm::sim() or RankCtx::sim(), which resolve "
-          "the rank's owning shard";
-    }
-    ctx.add(out, rule, h.line, h.col, std::move(message));
+    ctx.add(out, rule, h.line, h.col,
+            "World::sim() is shard 0's event loop — the wrong clock (and a data race) for ranks "
+            "on other shards; read time through Comm::sim() or RankCtx::sim(), which resolve "
+            "the rank's owning shard");
   }
 }
 
@@ -515,7 +498,7 @@ const std::vector<RuleInfo>& rule_table() {
       {"shard-shared-state", Severity::kError, "determinism",
        "no cross-shard state access from rank code — use the mailbox API and per-rank "
        "shard accessors",
-       {"src/sim/shard_context.hpp", "src/simmpi/world.cpp"},
+       {"src/simmpi/world.cpp"},
        {}},
       {"soa-point-state", Severity::kError, "performance",
        "per-point clock-sync state uses the SoA containers (clocksync/soa.hpp), not "
@@ -544,7 +527,7 @@ const std::vector<RuleInfo>& rule_table() {
        /*interprocedural=*/true},
       {"ip-shard-shared-state", Severity::kError, "determinism",
        "no call chain from rank code into helpers that touch another shard's state",
-       {"src/sim/shard_context.hpp", "src/simmpi/world.cpp"},
+       {"src/simmpi/world.cpp"},
        {},
        /*interprocedural=*/true},
       {"ip-unchecked-sync-result", Severity::kError, "collective-matching",

@@ -288,19 +288,7 @@ void scan_hazards(const Toks& t, const std::vector<NamedFn>& fns, std::vector<Ha
       if (unseeded) site(HazardKind::kRawRandom, i, s).var = t[i + 1].text;
       continue;
     }
-    // Shard confinement.  Every mention of the thread-local slot is a site,
-    // but only writes re-point it: current_shard() and other sanctioned reads
-    // are not escape hatches.
-    if (s == "set_current_shard" && i + 1 < t.size() && is(t[i + 1], "(")) {
-      site(HazardKind::kShardState, i, s);
-      continue;
-    }
-    if (s == "tl_current_shard") {
-      site(HazardKind::kShardState, i, s).read_only =
-          !(i + 1 < t.size() &&
-            (is_assign_op(t[i + 1]) || is(t[i + 1], "++") || is(t[i + 1], "--")));
-      continue;
-    }
+    // Shard confinement: reads of shard 0's event loop through the World.
     const bool via_call = s == "world" && i + 6 < t.size() && is(t[i + 1], "(") &&
                           is(t[i + 2], ")") && is(t[i + 3], ".") && is_ident(t[i + 4], "sim") &&
                           is(t[i + 5], "(") && is(t[i + 6], ")");

@@ -25,7 +25,7 @@ namespace hcs::lint {
 enum class HazardKind {
   kWallClock,   // chrono clocks, gettimeofday, clock_gettime
   kRawRandom,   // random_device, rand/srand, unseeded engines
-  kShardState,  // set_current_shard, tl_current_shard, World::sim() reads
+  kShardState,  // World::sim() reads
 };
 
 // How a call site treats the value the callee returns.  Only meaningful once
@@ -55,8 +55,7 @@ struct HazardSite {
   int col = 0;
   std::string detail;  // the offending identifier, e.g. "system_clock"
   int fn = -1;
-  std::string var;         // an unseeded engine: the variable it constructs
-  bool read_only = false;  // a plain read of tl_current_shard: re-points nothing
+  std::string var;  // an unseeded engine: the variable it constructs
 };
 
 // One rank-dependent `if`: what each arm does directly.  The per-file

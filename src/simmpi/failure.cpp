@@ -18,20 +18,13 @@ const char* to_string(PeerStatus status) {
 
 FailureDetector::FailureDetector(const fault::FaultInjector& injector, const NetworkModel& net,
                                  int nranks)
-    : injector_(&injector), nranks_(nranks) {
+    : injector_(&injector), nranks_(nranks), first_event_(injector.first_failure_time()) {
   // A real heartbeat daemon probes at a small multiple of the worst-case
   // small-message round-trip so in-time replies never look like misses.
   const double rtt = 2.0 * net.expected_delay(LinkLevel::kInterNode, 8) +
                      2.0 * (net.send_overhead() + net.recv_overhead());
   probe_period_ = 8.0 * rtt;
   detection_latency_ = probe_period_ * static_cast<double>((1 << kProbeMisses) - 1);
-  first_event_ = sim::kTimeInfinity;
-  for (int r = 0; r < nranks_; ++r) {
-    first_event_ = std::min(first_event_, injector_->crash_time(r));
-    for (int p = r + 1; p < nranks_; ++p) {
-      first_event_ = std::min(first_event_, injector_->link_down_time(r, p));
-    }
-  }
 }
 
 PeerStatus FailureDetector::status(int observer, int peer, sim::Time now) const noexcept {

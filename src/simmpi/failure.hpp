@@ -75,11 +75,6 @@ class FailureDetector {
     return std::min(injector_->crash_time(peer), injector_->link_down_time(observer, peer));
   }
 
-  /// First missed heartbeat (observer starts suspecting the peer).
-  sim::Time suspect_time(int observer, int peer) const noexcept {
-    return event_time(observer, peer) + probe_period_;
-  }
-
   /// When `observer` declares `peer` dead: event + P * (2^kProbeMisses - 1).
   /// This is the *first* declaration; under churn plans use
   /// detect_time_after, which walks every down window.
@@ -99,10 +94,6 @@ class FailureDetector {
   /// rejoin, and a later departure re-enters suspected/dead.
   PeerStatus status(int observer, int peer, sim::Time now) const noexcept;
 
-  /// Earliest failure event anywhere in the plan: the first crash or link
-  /// cut that will ever fire (kTimeInfinity if none does).
-  sim::Time first_event_time() const noexcept { return first_event_; }
-
   /// True once some crash or link cut has fired.  Before this instant no
   /// observer can perceive a failure, so cooperative recovery phases (which
   /// exchange real messages) can be skipped without perturbing the
@@ -121,7 +112,7 @@ class FailureDetector {
   int nranks_;
   double probe_period_;
   double detection_latency_;
-  sim::Time first_event_ = 0.0;
+  sim::Time first_event_;  // FaultInjector::first_failure_time()
 };
 
 }  // namespace hcs::simmpi

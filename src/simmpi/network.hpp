@@ -21,6 +21,10 @@
 // it with deliver_leg, which bypasses the NICs and reports the raw fault
 // decision to the caller; the caller implements its own timeout + retry
 // (World::synthesize_burst).
+//
+// Deliveries are counted into the calling thread's active registry through
+// trace::MetricHandle (net.* per link level, fault.net.retransmits), so on a
+// sharded World they land in the registry of the shard doing the delivery.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +35,6 @@
 #include "sim/time.hpp"
 #include "topology/params.hpp"
 #include "topology/topology.hpp"
-#include "trace/metrics.hpp"
 
 namespace hcs::simmpi {
 
@@ -138,29 +141,7 @@ class NetworkModel {
   /// paths behave exactly as the fault-free model.
   void set_fault_injector(fault::FaultInjector* injector) noexcept { injector_ = injector; }
 
-  /// Re-resolves the per-delivery metric handles against one registry per
-  /// shard (null entries allowed — metrics off).  Deliveries recorded on a
-  /// shard worker thread land in that shard's registry (indexed by
-  /// sim::current_shard()); the World merges registries deterministically.
-  void bind_shards(const std::vector<trace::MetricsRegistry*>& registries);
-
  private:
-  // Metric handles resolved once at construction against the registry that
-  // was active then (install metrics before building the World); null when
-  // metrics are off, so the per-message cost is one branch.  Slot 0 of
-  // shard_metrics_; bind_shards replaces the table with per-shard handles.
-  struct LevelMetrics {
-    trace::Counter* messages = nullptr;
-    trace::Counter* bytes = nullptr;
-    trace::HistogramMetric* delay = nullptr;
-  };
-  struct ShardMetrics {
-    LevelMetrics levels[3];  // indexed by LinkLevel
-    trace::Counter* retransmits = nullptr;
-  };
-  static ShardMetrics resolve_metrics(trace::MetricsRegistry* registry);
-  void count_delivery(LinkLevel level, std::int64_t bytes, sim::Time delay);
-
   /// One delivery attempt that bypasses the NICs (intra-node, or the
   /// uncontended burst path), drawn from the channel stream `rng`;
   /// `decision` (nullable) scales/extends the sampled delay and, on drop,
@@ -180,7 +161,6 @@ class NetworkModel {
   sim::ChannelStreams channels_;
   std::vector<sim::Time> egress_free_;   // per node; sender-shard state
   std::vector<sim::Time> ingress_free_;  // per node; receiver-side state
-  std::vector<ShardMetrics> shard_metrics_;  // size >= 1; [sim::current_shard()]
   fault::FaultInjector* injector_ = nullptr;
 };
 

@@ -4,7 +4,9 @@
 // pause faults resolve against the right ranks.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "clocksync/factory.hpp"
@@ -156,6 +158,28 @@ TEST(WorldClockFaults, FreqJumpChangesTheRateAfterOnset) {
   };
   EXPECT_NEAR(rate_delta(0.0, 10.0), 0.0, 1e-9);      // before: identical rate
   EXPECT_NEAR(rate_delta(10.0, 20.0), 100e-6, 1e-8);  // after: +100 ppm
+}
+
+// any_event_fired switches exactly at the plan's earliest crash or link cut,
+// wherever the cut sits (here between the two highest ranks).
+TEST(FailureDetector_, AnyEventFiredSwitchesAtTheEarliestCrashOrCut) {
+  const std::vector<std::vector<std::string>> plans = {
+      {"crash:rank=3,at=0.005"},
+      {"crashlink:rank=30,peer=31,at=0.002"},
+      {"crash:rank=3,at=0.005", "crashlink:rank=30,peer=31,at=0.002"},
+      {"crash:rank=3,at=0.001", "crashlink:rank=31,peer=30,at=0.002"},
+  };
+  const std::vector<double> earliest = {0.005, 0.002, 0.002, 0.001};
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    FaultPlan plan;
+    for (const std::string& spec : plans[i]) plan.add(spec);
+    const simmpi::World w(topology::testbox(16, 2), 1, plan);
+    const simmpi::FailureDetector* fd = w.failure_detector();
+    ASSERT_NE(fd, nullptr);
+    const double first = earliest[i];
+    EXPECT_FALSE(fd->any_event_fired(std::nextafter(first, 0.0))) << "plan " << i;
+    EXPECT_TRUE(fd->any_event_fired(first)) << "plan " << i;
+  }
 }
 
 }  // namespace

@@ -28,17 +28,4 @@ struct Comm {
   }
 };
 
-// Re-points the engine-owned shard context so subsequent writes land in
-// another shard's state, bypassing the window-boundary mailbox drain.
-void hijack_shard(int target, double* slot, double v) {
-  sim::set_current_shard(target);  // hcs-lint-expect: shard-shared-state
-  *slot = v;
-}
-
-// Reads the thread-local shard slot directly: the per-file rule flags every
-// mention, reads included — the accessor is sim::current_shard().
-int peek_shard() {
-  return sim::tl_current_shard;  // hcs-lint-expect: shard-shared-state
-}
-
 }  // namespace fixture

@@ -1,6 +1,6 @@
 // Good fixture for shard-shared-state: rank code stays inside its own shard —
-// time comes from the rank's accessors, cross-shard effects ride ordinary
-// sends (the engine's mailbox API), and the shard index is only ever read.
+// time comes from the rank's accessors and cross-shard effects ride ordinary
+// sends (the engine's mailbox API).
 namespace fixture {
 
 struct Simulation {
@@ -11,10 +11,6 @@ struct Ctx {
   Simulation& sim();  // resolves the rank's owning shard
   int rank() const;
 };
-
-namespace sim {
-int current_shard();
-}
 
 struct Payload {
   double value;
@@ -28,8 +24,5 @@ double observe(Ctx& ctx) { return ctx.sim().now(); }
 // Cross-shard communication through the transport: the message is queued in
 // the destination shard's mailbox and delivered at the next window boundary.
 void publish(Ctx& ctx, int dst, double v) { post(ctx, dst, Payload{v}); }
-
-// Reading the shard index is fine; only re-pointing it is a hazard.
-int where() { return sim::current_shard(); }
 
 }  // namespace fixture

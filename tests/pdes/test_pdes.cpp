@@ -3,16 +3,18 @@
 // windows run on the coordinating thread, the window handoff between the
 // coordinator and the shard workers, and the headline guarantee —
 // bit-identical results for any shard count, clean and under fault/crash
-// plans.
+// plans, down to the trace events and metric counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "clocksync/factory.hpp"
@@ -23,6 +25,7 @@
 #include "simmpi/comm.hpp"
 #include "topology/presets.hpp"
 #include "trace/metrics.hpp"
+#include "trace/span.hpp"
 #include "util/vec.hpp"
 
 namespace hcs::simmpi {
@@ -605,6 +608,126 @@ TEST(WindowHandoff, RankCodeRunsOnAtMostOneThreadPerShard) {
   EXPECT_GT(window_counts(registry).parallel, 0u);
   EXPECT_LE(threads.size(), 4u);
   EXPECT_EQ(threads.count(std::this_thread::get_id()), 1u);
+}
+
+// -------------------------------------------------- per-shard observability --
+
+// Every rank opens a span while launch() spawns it, before its first
+// suspension, and closes it after a rank-specific delay on the thread that
+// runs its shard.  Ranks of different shards wake in the same windows, so
+// the workers record concurrently.  Both ends must read the rank's own
+// shard clock: the events then equal the 1-shard run's at every shard count.
+using SpanKey = std::tuple<int, std::string, double, double>;
+
+std::multiset<SpanKey> launch_spans(int shards) {
+  trace::Tracer tracer;
+  {
+    const trace::ScopedTracer install(&tracer);
+    World w(topology::testbox(4, 2), 11, {}, shards);
+    const double step = 3.0 * w.lookahead();
+    w.run_all([step](RankCtx& ctx) -> sim::Task<void> {
+      HCS_TRACE_SCOPE(App, ctx.rank(), "launch_span");
+      co_await ctx.sim().delay(step * (1 + ctx.rank() % 3) + 1e-9 * ctx.rank());
+    });
+  }  // ~World absorbs the shard tracers into `tracer`
+  std::multiset<SpanKey> out;
+  for (const trace::TraceEvent& e : tracer.merged_events()) {
+    out.emplace(e.rank, e.name, e.ts, e.dur);
+  }
+  return out;
+}
+
+TEST(ShardObservability, SpansOpenedAtLaunchReadTheRanksShardClock) {
+  const std::multiset<SpanKey> base = launch_spans(1);
+  ASSERT_EQ(base.size(), 8u);
+  for (const int shards : {2, 4}) {
+    EXPECT_EQ(launch_spans(shards), base) << "shards=" << shards;
+  }
+}
+
+// One HCA3 sync under a composed plan: every fault kind that counts into a
+// registry, and a crash mid-sync, reported into `registry`.
+void composed_plan_metrics(int shards, trace::MetricsRegistry& registry) {
+  const fault::FaultPlan plan =
+      plan_of({"drop:p=0.1", "duplicate:p=0.05", "reorder:p=0.1,delay=20us",
+               "pause:rank=0,at=300us,duration=300us", "crash:rank=6,at=1500us"});
+  {
+    const trace::ScopedMetrics install(&registry);
+    World w(topology::testbox(4, 2), 13, plan, shards);
+    w.run_all([](RankCtx& ctx) -> sim::Task<void> {
+      auto sync = clocksync::make_sync(kHCA3);
+      (void)co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+    });
+  }  // ~World merges the shard registries into `registry`
+}
+
+// Counters and histogram count/min/max do not depend on which shard
+// registry recorded them; sim.windows_parallel does by definition.
+TEST(ShardObservability, MetricsEqualAtEveryShardCountUnderAComposedPlan) {
+  trace::MetricsRegistry base;
+  composed_plan_metrics(1, base);
+  for (const char* name :
+       {"fault.net.drops", "fault.net.duplicates", "fault.net.delayed", "fault.net.retransmits",
+        "fault.pause.holds", "fault.crash.drops", "net.messages.inter_node", "sync.pingpongs",
+        "sync.exchanges_lost"}) {
+    ASSERT_TRUE(base.counters().count(name) && base.counters().at(name).value() > 0)
+        << name << " never fired; the comparison would be vacuous";
+  }
+  for (const char* name : {"sync.rtt", "sync.burst_retries", "fault.net.extra_delay"}) {
+    ASSERT_TRUE(base.histograms().count(name) && base.histograms().at(name).count() > 0) << name;
+  }
+  for (const int shards : {2, 4}) {
+    trace::MetricsRegistry sharded;
+    composed_plan_metrics(shards, sharded);
+    std::map<std::string, std::uint64_t> expected, actual;
+    for (const auto& [name, c] : base.counters()) expected[name] = c.value();
+    for (const auto& [name, c] : sharded.counters()) actual[name] = c.value();
+    expected.erase("sim.windows_parallel");
+    actual.erase("sim.windows_parallel");
+    EXPECT_EQ(actual, expected) << "shards=" << shards;
+    ASSERT_EQ(sharded.histograms().size(), base.histograms().size()) << "shards=" << shards;
+    for (const auto& [name, h] : base.histograms()) {
+      const trace::HistogramMetric& other = sharded.histograms().at(name);
+      EXPECT_EQ(other.count(), h.count()) << name << " shards=" << shards;
+      EXPECT_EQ(other.min(), h.min()) << name << " shards=" << shards;
+      EXPECT_EQ(other.max(), h.max()) << name << " shards=" << shards;
+    }
+  }
+}
+
+// The sinks installed when the World is built are the World's: every shard
+// reports into them (or into per-shard registries merged into them), so
+// rank code and the network report there even when another registry is
+// installed around run().  Only run()'s own end-of-run counters follow the
+// caller's registry.
+TEST(ShardObservability, RankAndNetworkMetricsGoToTheRegistryInstalledAtConstruction) {
+  for (const int shards : {1, 2}) {
+    trace::MetricsRegistry at_construction, around_run;
+    {
+      std::optional<World> w;
+      {
+        const trace::ScopedMetrics install(&at_construction);
+        w.emplace(topology::testbox(4, 2), 3, fault::FaultPlan{}, shards);
+      }
+      const trace::ScopedMetrics install(&around_run);
+      const int p = w->size();
+      w->run_all([p](RankCtx& ctx) -> sim::Task<void> {
+        HCS_METRIC_INC("test.rank_code");
+        auto& comm = ctx.comm_world();
+        co_await comm.send((ctx.rank() + 2) % p, 0, util::vec(1.0));
+        (void)co_await comm.recv((ctx.rank() + p - 2) % p, 0);
+        HCS_METRIC_INC("test.rank_code");
+      });
+    }
+    EXPECT_EQ(at_construction.counter("test.rank_code").value(), 16u) << "shards=" << shards;
+    EXPECT_EQ(at_construction.counter("net.messages.inter_node").value(), 8u)
+        << "shards=" << shards;
+    for (const auto& [name, c] : around_run.counters()) {
+      EXPECT_NE(name, "test.rank_code") << "shards=" << shards;
+      EXPECT_NE(name.rfind("net.", 0), 0u) << name << " shards=" << shards;
+    }
+    EXPECT_GT(around_run.counter("sim.windows").value(), 0u) << "shards=" << shards;
+  }
 }
 
 }  // namespace
