@@ -29,11 +29,7 @@ int main(int argc, char** argv) {
       "hca3/recompute_intercept/" + std::to_string(nfit) + "/mean_rtt_offset/" +
           std::to_string(npp),
   };
-  util::Table table({"algorithm", "mpirun", "sync_duration_s", "max_offset_0s_us",
-                     "max_offset_10s_us"});
-  run_and_print_sync_experiment(table, machine, labels, nmpiruns, 10.0, 1.0, opt);
-  table.print(std::cout);
-  if (opt.csv) table.print_csv(std::cout);
+  run_and_print_sync_experiment(machine, labels, nmpiruns, 10.0, 1.0, opt);
   std::cout << "\nShape check: skampi_offset rows beat their mean_rtt_offset counterparts in "
                "accuracy for the same algorithm.\n";
   return 0;

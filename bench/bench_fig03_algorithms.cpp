@@ -36,11 +36,7 @@ int main(int argc, char** argv) {
       "jk/" + std::to_string(nfit) + "/skampi_offset/" + std::to_string(npp_jk),
   };
 
-  util::Table table({"algorithm", "mpirun", "sync_duration_s", "max_offset_0s_us",
-                     "max_offset_10s_us", "ok_ranks", "degraded_ranks", "failed_ranks"});
-  run_and_print_sync_experiment(table, machine, labels, nmpiruns, 10.0, 1.0, opt);
-  table.print(std::cout);
-  if (opt.csv) table.print_csv(std::cout);
+  run_and_print_sync_experiment(machine, labels, nmpiruns, 10.0, 1.0, opt);
   std::cout << "\nShape check: jk duration >> hca3 duration; hca3 offset at 10 s <= hca2 <= hca "
                "(on average).\n";
   return 0;

@@ -31,11 +31,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string> labels = {flat(nfit_hi), flat(nfit_lo), hier(nfit_hi),
                                            hier(nfit_lo)};
 
-  util::Table table({"algorithm", "mpirun", "sync_duration_s", "max_offset_0s_us",
-                     "max_offset_10s_us", "ok_ranks", "degraded_ranks", "failed_ranks"});
-  run_and_print_sync_experiment(table, machine, labels, nmpiruns, 10.0, 1.0, opt);
-  table.print(std::cout);
-  if (opt.csv) table.print_csv(std::cout);
+  run_and_print_sync_experiment(machine, labels, nmpiruns, 10.0, 1.0, opt);
   std::cout << "\nShape check: offsets at 0 s are smaller than on Jupiter (faster network); "
                "after 10 s the drift-walk is visible but H2HCA stays small.\n";
   return 0;

@@ -9,6 +9,7 @@
 // only the global clock reveals that every rank spends roughly the same few
 // tens of microseconds inside the Allreduce.
 #include <iostream>
+#include <optional>
 
 #include "clocksync/factory.hpp"
 #include "common.hpp"
@@ -31,16 +32,17 @@ TraceOutcome run_traced_app(const topology::MachineConfig& machine, bool use_glo
                             int iterations, const std::string& sync_label, std::uint64_t seed) {
   simmpi::World world(machine, seed);
   const int p = world.size();
-  std::vector<trace::IntervalTracer> tracers;
-  tracers.reserve(static_cast<std::size_t>(p));
+  // One slot per rank: rank programs run on shard worker threads, and
+  // gantt_rows wants the tracers in rank order.
+  std::vector<std::optional<trace::IntervalTracer>> slots(static_cast<std::size_t>(p));
   world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     vclock::ClockPtr trace_clock = ctx.base_clock();
     if (use_global_clock) {
       auto sync = hcs::clocksync::make_sync(sync_label);
       trace_clock = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
     }
-    tracers.emplace_back(ctx.rank(), trace_clock);
-    trace::IntervalTracer& tracer = tracers.back();
+    trace::IntervalTracer& tracer =
+        slots[static_cast<std::size_t>(ctx.rank())].emplace(ctx.rank(), trace_clock);
     for (int it = 0; it < iterations; ++it) {
       // Imbalanced compute phase (deterministic per-rank smoothing work).
       const double compute = 40e-6 + 0.4e-6 * (ctx.rank() % 16);
@@ -53,6 +55,8 @@ TraceOutcome run_traced_app(const topology::MachineConfig& machine, bool use_glo
       tracer.end_event(a);
     }
   });
+  std::vector<trace::IntervalTracer> tracers;
+  for (std::optional<trace::IntervalTracer>& slot : slots) tracers.push_back(std::move(*slot));
   TraceOutcome outcome;
   outcome.rows = trace::gantt_rows(tracers, "allreduce", iterations > 10 ? 10 : iterations - 1);
   return outcome;

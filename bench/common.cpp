@@ -252,12 +252,15 @@ SyncAccuracyPoint run_sync_accuracy(const topology::MachineConfig& machine,
   SyncAccuracyPoint point;
   const std::vector<int> clients =
       clocksync::sample_clients(world.size(), 0, sample_fraction, seed ^ 0xabcdefULL);
+  // Per-rank slots instead of a shared accumulator: rank programs run on
+  // shard worker threads, so the max is folded after the run.
+  std::vector<double> durations(static_cast<std::size_t>(world.size()), 0.0);
   world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto sync = clocksync::make_sync(label);
     const sim::Time begin = ctx.sim().now();
     const clocksync::SyncResult res =
         co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
-    point.duration = std::max(point.duration, ctx.sim().now() - begin);
+    durations[static_cast<std::size_t>(ctx.rank())] = ctx.sim().now() - begin;
     clocksync::SKaMPIOffset oalg(20);
     const clocksync::AccuracyResult acc = co_await clocksync::check_clock_accuracy(
         ctx.comm_world(), *res.clock, oalg, wait_time, clients);
@@ -275,11 +278,12 @@ SyncAccuracyPoint run_sync_accuracy(const topology::MachineConfig& machine,
       }
     }
   });
+  point.duration = *std::max_element(durations.begin(), durations.end());
   HCS_METRIC_ADD("hcs.sync.failed_ranks", static_cast<std::uint64_t>(point.failed_ranks));
   return point;
 }
 
-void run_and_print_sync_experiment(util::Table& table, const topology::MachineConfig& machine,
+void run_and_print_sync_experiment(const topology::MachineConfig& machine,
                                    const std::vector<std::string>& labels, int nmpiruns,
                                    double wait_time, double sample_fraction,
                                    const BenchOptions& opt) {
@@ -296,6 +300,8 @@ void run_and_print_sync_experiment(util::Table& table, const topology::MachineCo
                                  opt.seed + static_cast<std::uint64_t>(run), opt.fault_plan,
                                  opt.shards);
       });
+  util::Table table({"algorithm", "mpirun", "sync_duration_s", "max_offset_0s_us",
+                     "max_offset_10s_us", "ok_ranks", "degraded_ranks", "failed_ranks"});
   for (int label_idx = 0; label_idx < nlabels; ++label_idx) {
     const std::string& label = labels[static_cast<std::size_t>(label_idx)];
     std::vector<double> durations, t0s, t1s;
@@ -317,6 +323,8 @@ void run_and_print_sync_experiment(util::Table& table, const topology::MachineCo
                    util::fmt_us(util::mean(t0s), 3), util::fmt_us(util::mean(t1s), 3),
                    std::to_string(ok), std::to_string(degraded), std::to_string(failed)});
   }
+  table.print(std::cout);
+  if (opt.csv) table.print_csv(std::cout);
 }
 
 }  // namespace hcs::bench

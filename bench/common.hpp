@@ -138,9 +138,10 @@ SyncAccuracyPoint run_sync_accuracy(const topology::MachineConfig& machine,
                                     double sample_fraction, std::uint64_t seed,
                                     const fault::FaultPlan& fault_plan = {}, int shards = 1);
 
-/// Runs `label` nmpiruns times and prints one row per run plus a mean row,
-/// mirroring the point-clouds of the paper's Figs. 3-6.
-void run_and_print_sync_experiment(util::Table& table, const topology::MachineConfig& machine,
+/// Runs each label nmpiruns times and prints the table (and, with --csv, its
+/// CSV): one row per run plus a mean row, mirroring the point-clouds of the
+/// paper's Figs. 3-6.
+void run_and_print_sync_experiment(const topology::MachineConfig& machine,
                                    const std::vector<std::string>& labels, int nmpiruns,
                                    double wait_time, double sample_fraction,
                                    const BenchOptions& opt);

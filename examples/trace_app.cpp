@@ -13,6 +13,7 @@
 // sync algorithm saw — the paper's "where did the RTT budget go" question.
 #include <fstream>
 #include <iostream>
+#include <optional>
 
 #include "clocksync/factory.hpp"
 #include "simmpi/collectives.hpp"
@@ -34,8 +35,9 @@ using namespace hcs;
 std::vector<trace::GanttRow> run_app(const topology::MachineConfig& machine, bool global_clock,
                                      int iterations, std::uint64_t seed) {
   simmpi::World world(machine, seed);
-  std::vector<trace::IntervalTracer> tracers;
-  tracers.reserve(static_cast<std::size_t>(world.size()));
+  // One slot per rank: rank programs run on shard worker threads, and
+  // gantt_rows wants the tracers in rank order.
+  std::vector<std::optional<trace::IntervalTracer>> slots(static_cast<std::size_t>(world.size()));
   world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     vclock::ClockPtr clk = ctx.base_clock();
     if (global_clock) {
@@ -45,8 +47,8 @@ std::vector<trace::GanttRow> run_app(const topology::MachineConfig& machine, boo
       auto sync = clocksync::make_sync("hca3/recompute_intercept/200/skampi_offset/20");
       clk = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
     }
-    tracers.emplace_back(ctx.rank(), clk);
-    trace::IntervalTracer& tracer = tracers.back();
+    trace::IntervalTracer& tracer =
+        slots[static_cast<std::size_t>(ctx.rank())].emplace(ctx.rank(), clk);
     for (int it = 0; it < iterations; ++it) {
       {
         HCS_TRACE_SCOPE(App, ctx.rank(), "compute", it);
@@ -63,6 +65,8 @@ std::vector<trace::GanttRow> run_app(const topology::MachineConfig& machine, boo
       }
     }
   });
+  std::vector<trace::IntervalTracer> tracers;
+  for (std::optional<trace::IntervalTracer>& slot : slots) tracers.push_back(std::move(*slot));
   return trace::gantt_rows(tracers, "allreduce", iterations / 2);
 }
 

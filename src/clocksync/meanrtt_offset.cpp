@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "clocksync/soa.hpp"
 #include "replay/observe.hpp"
 
 namespace hcs::clocksync {
@@ -71,18 +70,24 @@ sim::Task<ClockOffset> MeanRttOffset::measure_offset(simmpi::Comm& comm, vclock:
 
   const double rtt = cached->second;
   // diff = local - ref - rtt/2, i.e. -(offset to reference).
-  ObsSoA observations;
+  struct Observation {
+    double timestamp;
+    double diff;
+  };
+  std::vector<Observation> observations;
   observations.reserve(burst.samples.size());
   double min_rtt = std::numeric_limits<double>::infinity();
   for (const simmpi::PingSample& s : burst.samples) {
-    observations.push(s.client_recv, s.client_recv - s.ref_reply - rtt / 2.0);
+    observations.push_back({s.client_recv, s.client_recv - s.ref_reply - rtt / 2.0});
     min_rtt = std::min(min_rtt, s.client_recv - s.client_send);
   }
-  const auto [median_ts, median_diff] = observations.median_by_diff();
+  const auto mid = observations.begin() + static_cast<std::ptrdiff_t>(observations.size() / 2);
+  std::nth_element(observations.begin(), mid, observations.end(),
+                   [](const Observation& a, const Observation& b) { return a.diff < b.diff; });
   // The paper's time_var is (local - ref): negate to report (ref - local),
   // the convention ClockOffset and the fitted models use.
-  result.timestamp = median_ts;
-  result.offset = -median_diff;
+  result.timestamp = mid->timestamp;
+  result.offset = -mid->diff;
   result.min_rtt = min_rtt;
   co_return result;
 }

@@ -391,86 +391,6 @@ void rule_shard_shared_state(const FileCtx& ctx, const RuleInfo& rule,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Rule: soa-point-state
-// ---------------------------------------------------------------------------
-
-// Point-struct discovery: struct definitions whose top-level members include
-// at least two floating-point fields.  That shape is per-point measurement
-// state (timestamp, offset, RTT, ...), and the passes over it — median scans,
-// outlier compaction, regression fits — touch one field at a time, so storing
-// it array-of-structs pays a wide stride on every pass.
-std::set<std::string> point_structs(const Toks& t) {
-  std::set<std::string> names;
-  for (std::size_t i = 0; i + 2 < t.size(); ++i) {
-    if (!is_ident(t[i], "struct") || !is_ident(t[i + 1]) || !is(t[i + 2], "{")) continue;
-    const std::size_t close = match_forward(t, i + 2);
-    int float_members = 0;
-    int depth = 0;
-    for (std::size_t k = i + 3; k < close && k + 2 < t.size(); ++k) {
-      if (opens(t[k])) {
-        ++depth;
-        continue;
-      }
-      if (closes(t[k])) {
-        --depth;
-        continue;
-      }
-      // A member variable, not a member function returning double.
-      if (depth == 0 && (is_ident(t[k], "double") || is_ident(t[k], "float")) &&
-          is_ident(t[k + 1]) && !is(t[k + 2], "(")) {
-        ++float_members;
-      }
-    }
-    if (float_members >= 2) names.insert(t[i + 1].text);
-  }
-  return names;
-}
-
-void rule_soa_point_state(const FileCtx& ctx, const RuleInfo& rule, std::vector<Finding>& out) {
-  const Toks& t = ctx.t;
-  // Per-point structs defined in clocksync headers: a vector of these is the
-  // exact AoS shape the SoA containers replaced, whether or not the
-  // definition is visible in this translation unit.
-  static const std::set<std::string> kKnownPointStructs = {"ClockOffset"};
-  const std::set<std::string> local = point_structs(t);
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (!is_ident(t[i], "vector") || !is(t[i + 1], "<")) continue;
-    // Walk the (possibly qualified) element type.
-    std::size_t k = i + 2;
-    std::string elem;
-    while (k < t.size() && (is_ident(t[k]) || is(t[k], "::"))) {
-      if (is_ident(t[k])) elem = t[k].text;
-      ++k;
-    }
-    if (k >= t.size()) continue;
-    if (elem == "pair" && is(t[k], "<")) {
-      // vector<pair<double, double>>: the two-field point record in disguise.
-      int depth = 1;
-      int floats = 0;
-      for (std::size_t p = k + 1; p < t.size() && depth > 0; ++p) {
-        if (is(t[p], "<")) {
-          ++depth;
-        } else if (is(t[p], ">")) {
-          --depth;
-        } else if (is(t[p], ">>")) {
-          depth -= 2;
-        } else if (is_ident(t[p], "double") || is_ident(t[p], "float")) {
-          ++floats;
-        }
-      }
-      if (floats < 2) continue;
-    } else if (!local.count(elem) && !kKnownPointStructs.count(elem)) {
-      continue;
-    }
-    ctx.add(out, rule, t[i],
-            "per-point state stored array-of-structs ('vector<" + elem +
-                ">'): every median/outlier/fit pass reads one field at a time with a wide "
-                "stride — use the structure-of-arrays containers in clocksync/soa.hpp "
-                "(FitPointsSoA / ObsSoA) so scans stay contiguous at 100k+ ranks");
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -498,13 +418,7 @@ const std::vector<RuleInfo>& rule_table() {
       {"shard-shared-state", Severity::kError, "determinism",
        "no cross-shard state access from rank code — use the mailbox API and per-rank "
        "shard accessors",
-       {"src/simmpi/world.cpp"},
-       {}},
-      {"soa-point-state", Severity::kError, "performance",
-       "per-point clock-sync state uses the SoA containers (clocksync/soa.hpp), not "
-       "vectors of point structs",
-       {},
-       {"src/clocksync/", "tests/lint/fixtures/"}},
+       {"src/simmpi/world.cpp"}},
       // Interprocedural rules (docs/static-analysis.md, "Whole-program
       // analysis"): run by the project phase over merged per-file summaries,
       // not here — run_interproc_rules in interproc_rules.cpp dispatches
@@ -513,27 +427,22 @@ const std::vector<RuleInfo>& rule_table() {
       {"ip-coll-rank-branch", Severity::kError, "collective-matching",
        "collectives reached through helper calls must match across rank-dependent branches",
        {},
-       {},
        /*interprocedural=*/true},
       {"ip-wall-clock", Severity::kError, "determinism",
        "no call chain from sim-visible code into an exempted/suppressed wall-clock read",
        {"src/runner/"},
-       {},
        /*interprocedural=*/true},
       {"ip-raw-random", Severity::kError, "determinism",
        "no call chain from sim-visible code into an exempted/suppressed raw-randomness source",
-       {},
        {},
        /*interprocedural=*/true},
       {"ip-shard-shared-state", Severity::kError, "determinism",
        "no call chain from rank code into helpers that touch another shard's state",
        {"src/simmpi/world.cpp"},
-       {},
        /*interprocedural=*/true},
       {"ip-unchecked-sync-result", Severity::kError, "collective-matching",
        "callers of SyncResult-returning functions must consult the SyncReport health",
        {"tests/"},
-       {},
        /*interprocedural=*/true},
   };
   return kTable;
@@ -558,12 +467,6 @@ void run_rules(const LexedFile& file, const FileSummary& summary,
         std::any_of(rule.exempt_path_prefixes.begin(), rule.exempt_path_prefixes.end(),
                     [&](const std::string& p) { return rel_path.rfind(p, 0) == 0; });
     if (exempt) continue;
-    if (!rule.limit_path_prefixes.empty()) {
-      const bool within =
-          std::any_of(rule.limit_path_prefixes.begin(), rule.limit_path_prefixes.end(),
-                      [&](const std::string& p) { return rel_path.rfind(p, 0) == 0; });
-      if (!within) continue;
-    }
     const double t0 = now ? now() : 0.0;
     if (rule.id == "coll-rank-branch") rule_coll_rank_branch(ctx, rule, out);
     if (rule.id == "ft-plain-recv") rule_ft_plain_recv(ctx, rule, out);
@@ -574,7 +477,6 @@ void run_rules(const LexedFile& file, const FileSummary& summary,
     if (rule.id == "coro-lambda-capture") rule_coro_lambda_capture(ctx, rule, out);
     if (rule.id == "task-discard") rule_task_discard(ctx, rule, out);
     if (rule.id == "shard-shared-state") rule_shard_shared_state(ctx, rule, out);
-    if (rule.id == "soa-point-state") rule_soa_point_state(ctx, rule, out);
     if (now && rule_seconds) (*rule_seconds)[rule.id] += now() - t0;
   }
 }

@@ -24,14 +24,11 @@ struct FileSummary;
 struct RuleInfo {
   std::string id;
   Severity severity = Severity::kError;
-  std::string category;  // collective-matching | determinism | coroutine-lifetime | performance
+  std::string category;  // collective-matching | determinism | coroutine-lifetime
   std::string summary;
   // Repo-relative path prefixes (forward slashes) where the rule is off by
   // design, e.g. the runner's wall-clock timing shim.
   std::vector<std::string> exempt_path_prefixes = {};
-  // When non-empty, the rule only runs on paths under these prefixes (plus
-  // the lint fixtures dir, so the rule's own fixture pair exercises it).
-  std::vector<std::string> limit_path_prefixes = {};
   // Interprocedural rules run in the whole-program phase (interproc_rules.cpp)
   // over merged per-file summaries instead of in run_rules; their fixtures are
   // multi-file sets under tests/lint/fixtures/ip/<id>/{bad,good}/.

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "clocksync/factory.hpp"
 #include "clocksync/skampi_offset.hpp"
+#include "fault/fault_plan.hpp"
 #include "topology/presets.hpp"
 #include "vclock/global_clock.hpp"
 #include "vclock/hardware_clock.hpp"
@@ -133,6 +136,35 @@ TEST(ModelLearning, DurationScalesWithWork) {
   (void)learn(machine, SyncConfig{50, false}, 17, &end_small);
   (void)learn(machine, SyncConfig{200, false}, 17, &end_large);
   EXPECT_NEAR(end_large / end_small, 4.0, 1.0);
+}
+
+// Pins the min-RTT outlier filter bit for bit.  Reordered pings inflate some
+// points' minimum RTT past twice the median, so the filter rejects them and
+// the fit runs on the survivors; any change to which points survive, or to
+// their order, moves the fitted model.
+TEST(ModelLearning, OutlierRejectionUnderReorderIsPinned) {
+  fault::FaultPlan plan;
+  plan.add("reorder:p=0.5,delay=20us");
+  simmpi::World w(topology::jupiter().with_nodes(2), 3, plan);
+  std::vector<SyncReport> reports(static_cast<std::size_t>(w.size()));
+  std::vector<vclock::LinearModel> models(static_cast<std::size_t>(w.size()));
+  w.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
+    auto sync = make_sync("hca3/recompute_intercept/40/skampi_offset/10");
+    const SyncResult res = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+    reports[static_cast<std::size_t>(ctx.rank())] = res.report;
+    models[static_cast<std::size_t>(ctx.rank())] = vclock::collapse_models(res.clock);
+  });
+  int rejected = 0;
+  for (const SyncReport& r : reports) rejected += r.outliers_rejected;
+  EXPECT_GT(rejected, 0);
+  EXPECT_EQ(rejected, 24);
+  // Ranks whose own fit dropped points (2 and 3 of 40).
+  EXPECT_EQ(reports[9].outliers_rejected, 2);
+  EXPECT_EQ(models[9].slope, 0x1.0e627f6f1e887p-20);
+  EXPECT_EQ(models[9].intercept, -0x1.c5b3bad689218p-28);
+  EXPECT_EQ(reports[13].outliers_rejected, 3);
+  EXPECT_EQ(models[13].slope, 0x1.3ad5df48ec29bp-21);
+  EXPECT_EQ(models[13].intercept, -0x1.2733e25e3a4eap-26);
 }
 
 }  // namespace

@@ -119,6 +119,28 @@ TEST(OffsetAlgorithms, RepeatedMeasurementsTrackDrift) {
   EXPECT_NEAR(observed_slope, skew_diff, 10e-6);
 }
 
+// Pins Mean-RTT-Offset's median selection bit for bit: the (timestamp,
+// offset) it reports is one exchange of the burst, picked by nth_element over
+// the per-exchange clock differences.  An odd and an even burst length cover
+// both median positions.
+TEST(OffsetAlgorithms, MeanRttMedianIsPinned) {
+  auto machine = offset_machine(10e-3);
+  machine.net.inter_node.jitter_mean = 2e-6;
+  struct Pin {
+    int nexchanges;
+    double timestamp;
+    double offset;
+  };
+  for (const Pin& pin : {Pin{7, 0x1.546b08aef293bp-13, 0x1.91aacc0e783cap-8},
+                         Pin{8, 0x1.9d1150e8d9508p-13, 0x1.91a3b9136dac4p-8}}) {
+    simmpi::World w(machine, 21);
+    MeanRttOffset a(pin.nexchanges), b(pin.nexchanges);
+    const ClockOffset o = run_measure(w, a, b);
+    EXPECT_EQ(o.timestamp, pin.timestamp) << "nexchanges " << pin.nexchanges;
+    EXPECT_EQ(o.offset, pin.offset) << "nexchanges " << pin.nexchanges;
+  }
+}
+
 TEST(OffsetAlgorithms, NonParticipantRejected) {
   simmpi::World w(topology::testbox(3, 1), 3);
   w.launch([](simmpi::RankCtx& ctx) -> sim::Task<void> {

@@ -197,7 +197,7 @@ TEST(RuleTable, EveryFixtureOnDiskNamesAKnownRule) {
 TEST(RuleTable, IdsAreUniqueAndCategorized) {
   std::set<std::string> seen;
   const std::set<std::string> kCategories = {"collective-matching", "determinism",
-                                             "coroutine-lifetime", "performance"};
+                                             "coroutine-lifetime"};
   for (const RuleInfo& r : rule_table()) {
     EXPECT_TRUE(seen.insert(r.id).second) << "duplicate rule id " << r.id;
     EXPECT_TRUE(kCategories.count(r.category)) << r.id << ": unknown category " << r.category;
