@@ -43,7 +43,7 @@ struct CrashPoint {
 
 CrashPoint run_crash(const topology::MachineConfig& machine, const std::string& label,
                      int victim, double crash_at, std::uint64_t seed,
-                     const fault::FaultPlan& extra) {
+                     const fault::FaultPlan& extra, int shards) {
   fault::FaultPlan plan = extra;
   fault::FaultSpec crash;
   crash.kind = fault::FaultKind::kCrash;
@@ -51,16 +51,19 @@ CrashPoint run_crash(const topology::MachineConfig& machine, const std::string& 
   crash.at = crash_at;
   plan.add(crash);
 
-  simmpi::World w(machine, seed, plan);
+  simmpi::World w(machine, seed, plan, shards);
   const int p = w.size();
   std::vector<std::optional<clocksync::SyncResult>> results(static_cast<std::size_t>(p));
-  sim::Time sync_end = 0.0;
+  // Per-rank end times, folded after the run: rank programs run on shard
+  // worker threads.  A crashed rank's slot stays 0.
+  std::vector<sim::Time> ends(static_cast<std::size_t>(p), 0.0);
   w.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto sync = clocksync::make_sync(label);
     clocksync::SyncResult res = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
-    sync_end = std::max(sync_end, ctx.sim().now());
+    ends[static_cast<std::size_t>(ctx.rank())] = ctx.sim().now();
     results[static_cast<std::size_t>(ctx.rank())] = std::move(res);
   });
+  const sim::Time sync_end = *std::max_element(ends.begin(), ends.end());
 
   CrashPoint pt;
   pt.duration = sync_end;
@@ -143,7 +146,8 @@ int main(int argc, char** argv) {
         return run_crash(machine, labels[static_cast<std::size_t>(label_idx)],
                          victims[static_cast<std::size_t>(victim_idx)].rank,
                          times[static_cast<std::size_t>(time_idx)].at,
-                         opt.seed + static_cast<std::uint64_t>(run), opt.fault_plan);
+                         opt.seed + static_cast<std::uint64_t>(run), opt.fault_plan,
+                         opt.shards);
       });
 
   util::Table table({"algorithm", "victim", "crash", "sync_duration_s", "ok_ranks",

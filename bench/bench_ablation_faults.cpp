@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
           plan.add(drop);
         }
         return run_sync_accuracy(machine, labels[static_cast<std::size_t>(label_idx)], 2.0, 1.0,
-                                 opt.seed + static_cast<std::uint64_t>(run), plan);
+                                 opt.seed + static_cast<std::uint64_t>(run), plan, opt.shards);
       });
 
   util::Table table({"drop_rate", "algorithm", "sync_duration_s", "max_offset_0s_us",

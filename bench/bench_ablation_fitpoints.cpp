@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
         return run_sync_accuracy(machine,
                                  cells[static_cast<std::size_t>(trial.index / nmpiruns)].label,
                                  10.0, 1.0,
-                                 opt.seed + static_cast<std::uint64_t>(trial.index % nmpiruns));
+                                 opt.seed + static_cast<std::uint64_t>(trial.index % nmpiruns),
+                                 {}, opt.shards);
       });
 
   util::Table table({"nfitpoints", "pingpongs", "mean_duration_s", "mean_offset_0s_us",

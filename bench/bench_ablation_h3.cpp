@@ -8,6 +8,7 @@
 // result; on a per-SOCKET-time-source machine H3 (with ClockPropSync only at
 // socket scope) is the correct scheme while H2's node-wide ClockPropSync
 // would violate its applicability condition.
+#include <algorithm>
 #include <iostream>
 
 #include "clocksync/clock_prop.hpp"
@@ -32,12 +33,14 @@ struct Outcome {
 };
 
 Outcome run(const topology::MachineConfig& machine, int levels, int nfit, int npp,
-            std::uint64_t seed) {
-  simmpi::World world(machine, seed);
+            std::uint64_t seed, int shards) {
+  simmpi::World world(machine, seed, {}, shards);
   const int p = world.size();
   std::vector<vclock::ClockPtr> clocks(static_cast<std::size_t>(p));
-  Outcome outcome;
-  sim::Time end = 0;
+  // Per-rank slots instead of shared accumulators: rank programs run on
+  // shard worker threads, so the maxima are folded after the run.
+  std::vector<double> durations(static_cast<std::size_t>(p), 0.0);
+  std::vector<sim::Time> ends(static_cast<std::size_t>(p), 0.0);
   world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     std::unique_ptr<clocksync::ClockSync> sync;
     if (levels == 2) {
@@ -50,9 +53,12 @@ Outcome run(const topology::MachineConfig& machine, int levels, int nfit, int np
     const sim::Time begin = ctx.sim().now();
     clocks[static_cast<std::size_t>(ctx.rank())] =
         co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
-    outcome.duration = std::max(outcome.duration, ctx.sim().now() - begin);
-    end = std::max(end, ctx.sim().now());
+    durations[static_cast<std::size_t>(ctx.rank())] = ctx.sim().now() - begin;
+    ends[static_cast<std::size_t>(ctx.rank())] = ctx.sim().now();
   });
+  Outcome outcome;
+  outcome.duration = *std::max_element(durations.begin(), durations.end());
+  const sim::Time end = *std::max_element(ends.begin(), ends.end());
   for (int r = 1; r < p; ++r) {
     outcome.max_offset_us = std::max(
         outcome.max_offset_us, std::abs(clocks[static_cast<std::size_t>(r)]->at_exact(end) -
@@ -97,7 +103,7 @@ int main(int argc, char** argv) {
       static_cast<int>(cases.size()) * nmpiruns, opt.seed, [&](const runner::Trial& trial) {
         const Case& c = cases[static_cast<std::size_t>(trial.index / nmpiruns)];
         return run(*c.machine, c.levels, nfit, npp,
-                   opt.seed + static_cast<std::uint64_t>(trial.index % nmpiruns));
+                   opt.seed + static_cast<std::uint64_t>(trial.index % nmpiruns), opt.shards);
       });
   for (std::size_t case_idx = 0; case_idx < cases.size(); ++case_idx) {
     const Case& c = cases[case_idx];

@@ -5,6 +5,7 @@
 // session keeps its global clock either from a single synchronization or
 // from a ResyncManager with varying intervals, and we report the residual
 // clock disagreement at the end of the session.
+#include <algorithm>
 #include <cmath>
 #include <iostream>
 
@@ -23,12 +24,15 @@ struct Outcome {
 };
 
 Outcome run_session(const topology::MachineConfig& machine, double interval,
-                    double session_s, const std::string& label, std::uint64_t seed) {
-  simmpi::World world(machine, seed);
+                    double session_s, const std::string& label, std::uint64_t seed,
+                    int shards) {
+  simmpi::World world(machine, seed, {}, shards);
   const int p = world.size();
   std::vector<vclock::ClockPtr> clocks(static_cast<std::size_t>(p));
-  Outcome outcome;
-  sim::Time end = 0;
+  Outcome outcome;  // written by rank 0 only
+  // Per-rank end times, folded after the run: rank programs run on shard
+  // worker threads.
+  std::vector<sim::Time> ends(static_cast<std::size_t>(p), 0.0);
   world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     clocksync::ResyncManager mgr(hcs::clocksync::make_sync(label), interval);
     const int steps = static_cast<int>(session_s);
@@ -40,8 +44,9 @@ Outcome run_session(const topology::MachineConfig& machine, double interval,
       co_await ctx.sim().delay(1.0);
     }
     if (ctx.rank() == 0) outcome.resyncs = mgr.resyncs();
-    end = std::max(end, ctx.sim().now());
+    ends[static_cast<std::size_t>(ctx.rank())] = ctx.sim().now();
   });
+  const sim::Time end = *std::max_element(ends.begin(), ends.end());
   for (int r = 1; r < p; ++r) {
     outcome.residual_us = std::max(
         outcome.residual_us, std::abs(clocks[static_cast<std::size_t>(r)]->at_exact(end) -
@@ -76,7 +81,7 @@ int main(int argc, char** argv) {
   const std::vector<Outcome> outcomes =
       pool.map(static_cast<int>(intervals.size()), opt.seed, [&](const runner::Trial& trial) {
         return run_session(machine, intervals[static_cast<std::size_t>(trial.index)], session_s,
-                           label, opt.seed);
+                           label, opt.seed, opt.shards);
       });
 
   util::Table table({"resync_interval_s", "resyncs", "sync_cost_s", "residual_after_60s_us"});

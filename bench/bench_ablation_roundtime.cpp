@@ -22,8 +22,8 @@ struct SchemeOutcome {
 
 template <typename RunFn>
 SchemeOutcome run_scheme(const topology::MachineConfig& machine, const std::string& sync_label,
-                         std::uint64_t seed, RunFn scheme_fn) {
-  simmpi::World world(machine, seed);
+                         std::uint64_t seed, int shards, RunFn scheme_fn) {
+  simmpi::World world(machine, seed, {}, shards);
   SchemeOutcome outcome;
   world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto sync = hcs::clocksync::make_sync(sync_label);
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   const std::vector<SchemeOutcome> window_outcomes =
       pool.map(static_cast<int>(windows_us.size()), opt.seed, [&](const runner::Trial& trial) {
         const double window_us = windows_us[static_cast<std::size_t>(trial.index)];
-        return run_scheme(machine, sync_label, opt.seed,
+        return run_scheme(machine, sync_label, opt.seed, opt.shards,
                           [&](simmpi::RankCtx& ctx, vclock::Clock& g) {
                             mpibench::WindowSchemeParams params;
                             params.nrep = nrep;
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   const std::vector<SchemeOutcome> slack_outcomes =
       pool.map(static_cast<int>(slacks.size()), opt.seed, [&](const runner::Trial& trial) {
         const double slack = slacks[static_cast<std::size_t>(trial.index)];
-        return run_scheme(machine, sync_label, opt.seed,
+        return run_scheme(machine, sync_label, opt.seed, opt.shards,
                           [&](simmpi::RankCtx& ctx, vclock::Clock& g) {
                             mpibench::RoundTimeParams params;
                             params.max_nrep = nrep;

@@ -22,8 +22,8 @@ struct DriftSeries {
 };
 
 DriftSeries measure_drift(const topology::MachineConfig& machine, double horizon,
-                          double interval, std::uint64_t seed) {
-  simmpi::World world(machine, seed);
+                          double interval, std::uint64_t seed, int shards) {
+  simmpi::World world(machine, seed, {}, shards);
   const int p = world.size();
   DriftSeries series;
   series.offsets.resize(static_cast<std::size_t>(p - 1));
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
                machine, opt);
 
   const double interval = std::max(0.25, horizon / 400.0);
-  const DriftSeries full = measure_drift(machine, horizon, interval, opt.seed);
+  const DriftSeries full = measure_drift(machine, horizon, interval, opt.seed, opt.shards);
   print_series(full, "Fig. 2a: offset to reference [us] over " + util::fmt(horizon, 0) + " s",
                20);
   print_fits(full, "Fig. 2b: linear fits over the full horizon (expect mediocre R2)");

@@ -22,8 +22,8 @@ struct Cell {
 
 Cell run_cell(const topology::MachineConfig& machine, std::int64_t msize,
               simmpi::BarrierAlgo barrier, int nrep, const std::string& sync_label,
-              std::uint64_t seed) {
-  simmpi::World world(machine, seed);
+              std::uint64_t seed, int shards) {
+  simmpi::World world(machine, seed, {}, shards);
   Cell cell{};
   world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto clk = ctx.base_clock();
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
       static_cast<int>(msizes.size()) * nbarriers, opt.seed, [&](const runner::Trial& trial) {
         return run_cell(machine, msizes[static_cast<std::size_t>(trial.index / nbarriers)],
                         barriers[static_cast<std::size_t>(trial.index % nbarriers)], nrep,
-                        sync_label, opt.seed);
+                        sync_label, opt.seed, opt.shards);
       });
 
   util::Table table({"msize_B", "barrier", "IMB_us", "OSU_us", "ReproMPI_us"});

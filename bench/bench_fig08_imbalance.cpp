@@ -18,8 +18,9 @@ namespace hcs::bench {
 namespace {
 
 std::vector<double> one_mpirun(const topology::MachineConfig& machine, simmpi::BarrierAlgo algo,
-                               int ncalls, const std::string& sync_label, std::uint64_t seed) {
-  simmpi::World world(machine, seed);
+                               int ncalls, const std::string& sync_label, std::uint64_t seed,
+                               int shards) {
+  simmpi::World world(machine, seed, {}, shards);
   std::vector<double> imbalances;
   world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto sync = hcs::clocksync::make_sync(sync_label);
@@ -63,7 +64,8 @@ int main(int argc, char** argv) {
                                return one_mpirun(
                                    machine, algos[static_cast<std::size_t>(trial.index / nmpiruns)],
                                    ncalls, sync_label,
-                                   opt.seed + static_cast<std::uint64_t>(trial.index % nmpiruns));
+                                   opt.seed + static_cast<std::uint64_t>(trial.index % nmpiruns),
+                                   opt.shards);
                              });
 
   util::Table table({"barrier", "n", "min_us", "q25_us", "median_us", "q75_us", "max_us",

@@ -21,8 +21,8 @@ struct Point {
 };
 
 Point one_mpirun(const topology::MachineConfig& machine, std::int64_t msize, int nrep,
-                 const std::string& sync_label, std::uint64_t seed) {
-  simmpi::World world(machine, seed);
+                 const std::string& sync_label, std::uint64_t seed, int shards) {
+  simmpi::World world(machine, seed, {}, shards);
   Point point{};
   world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto clk = ctx.base_clock();
@@ -73,7 +73,8 @@ int main(int argc, char** argv) {
       static_cast<int>(msizes.size()) * nmpiruns, opt.seed, [&](const runner::Trial& trial) {
         return one_mpirun(machine, msizes[static_cast<std::size_t>(trial.index / nmpiruns)], nrep,
                           sync_label,
-                          opt.seed + static_cast<std::uint64_t>(trial.index % nmpiruns));
+                          opt.seed + static_cast<std::uint64_t>(trial.index % nmpiruns),
+                          opt.shards);
       });
 
   util::Table table({"msize_B", "IMB_us", "OSU_us", "Repro_us", "Repro_min_us", "Repro_max_us",

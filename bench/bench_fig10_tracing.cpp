@@ -29,8 +29,9 @@ struct TraceOutcome {
 };
 
 TraceOutcome run_traced_app(const topology::MachineConfig& machine, bool use_global_clock,
-                            int iterations, const std::string& sync_label, std::uint64_t seed) {
-  simmpi::World world(machine, seed);
+                            int iterations, const std::string& sync_label, std::uint64_t seed,
+                            int shards) {
+  simmpi::World world(machine, seed, {}, shards);
   const int p = world.size();
   // One slot per rank: rank programs run on shard worker threads, and
   // gantt_rows wants the tracers in rank order.
@@ -133,7 +134,8 @@ int main(int argc, char** argv) {
   const std::vector<TraceOutcome> outcomes =
       pool.map(static_cast<int>(configs.size()), opt.seed, [&](const runner::Trial& trial) {
         const Config& c = configs[static_cast<std::size_t>(trial.index)];
-        return run_traced_app(*c.machine, c.use_global_clock, iterations, sync_label, opt.seed);
+        return run_traced_app(*c.machine, c.use_global_clock, iterations, sync_label, opt.seed,
+                              opt.shards);
       });
   for (std::size_t i = 0; i < configs.size(); ++i) {
     print_gantt(configs[i].title, outcomes[i].rows);

@@ -21,7 +21,7 @@ void BM_SimulatedBarrier(benchmark::State& state) {
     w.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
       co_await simmpi::barrier(ctx.comm_world(), algo);
     });
-    benchmark::DoNotOptimize(w.sim().events_processed());
+    benchmark::DoNotOptimize(w.events_processed());
   }
 }
 BENCHMARK(BM_SimulatedBarrier)
@@ -37,7 +37,7 @@ void BM_SimulatedAllreduce(benchmark::State& state) {
     w.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
       (void)co_await simmpi::allreduce(ctx.comm_world(), util::vec(1.0));
     });
-    benchmark::DoNotOptimize(w.sim().events_processed());
+    benchmark::DoNotOptimize(w.events_processed());
   }
 }
 BENCHMARK(BM_SimulatedAllreduce)->Arg(64)->Arg(256)->Arg(1024);

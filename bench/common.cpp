@@ -21,14 +21,12 @@
 namespace hcs::bench {
 
 const BenchFlag kBenchFlags[] = {
-    {"scale", "S",
-     "workload multiplier in (0, 4]; 1.0 = paper configuration ($HCLOCKSYNC_SCALE)"},
+    {"scale", "S", "workload multiplier in (0, 4]; 1.0 = paper configuration"},
     {"seed", "N", "base seed; mpirun i uses seed N + i"},
-    {"jobs", "J",
-     "worker threads for independent trials; 0 = one per hardware thread ($HCLOCKSYNC_JOBS)"},
+    {"jobs", "J", "worker threads for independent trials; 0 = one per hardware thread"},
     {"shards", "K",
      "event-loop shards inside each World (conservative PDES); 0 = one per hardware thread; "
-     "output is byte-identical for any K ($HCLOCKSYNC_SHARDS)"},
+     "output is byte-identical for any K"},
     {"csv", nullptr, "additionally emit CSV rows"},
     {"trace-out", "FILE", "write a Chrome trace (chrome://tracing / Perfetto)"},
     {"metrics-out", "FILE", "write the metrics registry as CSV"},
@@ -94,9 +92,6 @@ ParsedBench parse_common_extra(int argc, const char* const* argv, double default
     opt.seed = cli.seed(1);
     opt.jobs = cli.jobs(1);
     opt.shards = runner::resolve_jobs(cli.shards(1));
-    // Helpers that build Worlds internally (and don't thread opt through)
-    // pick the flag up via the process-wide default.
-    simmpi::set_default_shards(opt.shards);
     opt.csv = cli.has("csv");
     opt.trace_out = cli.trace_out();
     opt.metrics_out = cli.metrics_out();

@@ -24,8 +24,7 @@ std::string join_set(const std::set<std::string>& s) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism/shard taint reachability (ip-wall-clock, ip-raw-random,
-// ip-shard-shared-state)
+// Determinism taint reachability (ip-wall-clock, ip-raw-random)
 // ---------------------------------------------------------------------------
 
 struct TaintRule {
@@ -38,8 +37,6 @@ struct TaintRule {
 constexpr TaintRule kTaintRules[] = {
     {HazardKind::kWallClock, "ip-wall-clock", "wall-clock", "a wall-clock time source"},
     {HazardKind::kRawRandom, "ip-raw-random", "raw-random", "a raw-randomness source"},
-    {HazardKind::kShardState, "ip-shard-shared-state", "shard-shared-state",
-     "engine-owned shard state"},
 };
 
 void run_taint_rule(const TaintRule& tr, const std::vector<FileSummary>& files,

@@ -16,9 +16,6 @@
 //                            exempt files or under a suppression comment) —
 //                            the "laundered through a utility" case.
 //   ip-raw-random            the same reachability for raw-randomness sources.
-//   ip-shard-shared-state    call chains from non-exempt code into helpers
-//                            that re-point the shard context or read
-//                            World::sim().
 //   ip-unchecked-sync-result call sites of SyncResult-returning functions that
 //                            drop the SyncReport health (discarded value,
 //                            implicit ClockPtr narrowing, or a binding whose

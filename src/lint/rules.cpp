@@ -368,29 +368,6 @@ void rule_task_discard(const FileCtx& ctx, const RuleInfo& rule, std::vector<Fin
   }
 }
 
-// ---------------------------------------------------------------------------
-// Rule: shard-shared-state
-// ---------------------------------------------------------------------------
-
-// The sharded World engine (docs/parallel-simulation.md) runs one event loop
-// per shard, each on its own worker thread.  Rank code and scheduler
-// callbacks must therefore read time and RNG streams through their own
-// shard's accessors — Comm::sim() / RankCtx::sim() — never through
-// World::sim(), which is shard 0's Simulation: the wrong clock for ranks on
-// other shards and a data race with shard 0's worker.  Cross-shard effects
-// go through the mailbox/outbox API (ordinary sends, drained at window
-// boundaries) instead of touching another shard's state directly.
-void rule_shard_shared_state(const FileCtx& ctx, const RuleInfo& rule,
-                             std::vector<Finding>& out) {
-  for (const HazardSite& h : ctx.summary.hazards) {
-    if (h.kind != HazardKind::kShardState) continue;
-    ctx.add(out, rule, h.line, h.col,
-            "World::sim() is shard 0's event loop — the wrong clock (and a data race) for ranks "
-            "on other shards; read time through Comm::sim() or RankCtx::sim(), which resolve "
-            "the rank's owning shard");
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -415,10 +392,6 @@ const std::vector<RuleInfo>& rule_table() {
        "lambda coroutines must not outlive their captures", {}},
       {"task-discard", Severity::kError, "coroutine-lifetime",
        "Task-returning calls must be co_awaited, stored or spawned", {}},
-      {"shard-shared-state", Severity::kError, "determinism",
-       "no cross-shard state access from rank code — use the mailbox API and per-rank "
-       "shard accessors",
-       {"src/simmpi/world.cpp"}},
       // Interprocedural rules (docs/static-analysis.md, "Whole-program
       // analysis"): run by the project phase over merged per-file summaries,
       // not here — run_interproc_rules in interproc_rules.cpp dispatches
@@ -435,10 +408,6 @@ const std::vector<RuleInfo>& rule_table() {
       {"ip-raw-random", Severity::kError, "determinism",
        "no call chain from sim-visible code into an exempted/suppressed raw-randomness source",
        {},
-       /*interprocedural=*/true},
-      {"ip-shard-shared-state", Severity::kError, "determinism",
-       "no call chain from rank code into helpers that touch another shard's state",
-       {"src/simmpi/world.cpp"},
        /*interprocedural=*/true},
       {"ip-unchecked-sync-result", Severity::kError, "collective-matching",
        "callers of SyncResult-returning functions must consult the SyncReport health",
@@ -476,7 +445,6 @@ void run_rules(const LexedFile& file, const FileSummary& summary,
     if (rule.id == "co-await-subexpr") rule_co_await_subexpr(ctx, rule, out);
     if (rule.id == "coro-lambda-capture") rule_coro_lambda_capture(ctx, rule, out);
     if (rule.id == "task-discard") rule_task_discard(ctx, rule, out);
-    if (rule.id == "shard-shared-state") rule_shard_shared_state(ctx, rule, out);
     if (now && rule_seconds) (*rule_seconds)[rule.id] += now() - t0;
   }
 }

@@ -2,9 +2,8 @@
 //
 // Rules are table-driven: rule_table() is the single source of truth for rule
 // ids, default severities, categories and per-rule path exemptions.  The
-// per-file rules wall-clock, raw-random, shard-shared-state and
-// coll-rank-branch are queries over the hazard and rank-branch records of a
-// FileSummary; the others are token-stream checks over the LexedFile (see
+// per-file rules wall-clock, raw-random and coll-rank-branch are queries
+// over the hazard and rank-branch records of a FileSummary; the others are token-stream checks over the LexedFile (see
 // docs/static-analysis.md for the catalogue with rationale and examples).
 #pragma once
 

@@ -286,15 +286,7 @@ void scan_hazards(const Toks& t, const std::vector<NamedFn>& fns, std::vector<Ha
           (is(t[after], ";") ||
            (is(t[after], "{") && after + 1 < t.size() && is(t[after + 1], "}")));
       if (unseeded) site(HazardKind::kRawRandom, i, s).var = t[i + 1].text;
-      continue;
     }
-    // Shard confinement: reads of shard 0's event loop through the World.
-    const bool via_call = s == "world" && i + 6 < t.size() && is(t[i + 1], "(") &&
-                          is(t[i + 2], ")") && is(t[i + 3], ".") && is_ident(t[i + 4], "sim") &&
-                          is(t[i + 5], "(") && is(t[i + 6], ")");
-    const bool via_member = s == "world_" && i + 4 < t.size() && is(t[i + 1], "->") &&
-                            is_ident(t[i + 2], "sim") && is(t[i + 3], "(") && is(t[i + 4], ")");
-    if (via_call || via_member) site(HazardKind::kShardState, i, "World::sim()");
   }
 }
 

@@ -2,11 +2,11 @@
 //
 // A FileSummary is everything the rules need to know about one translation
 // unit: every function definition with its call sites and the collectives it
-// performs directly, the determinism/shard hazard sites and rank-dependent
+// performs directly, the determinism hazard sites and rank-dependent
 // branches of the whole file, the per-file findings (all rules, pre-filter)
 // and the suppression tables.  build_summary is the one scanner for hazards
-// and rank branches: the per-file rules wall-clock, raw-random,
-// shard-shared-state and coll-rank-branch query its records, and so do the
+// and rank branches: the per-file rules wall-clock, raw-random and
+// coll-rank-branch query its records, and so do the
 // interprocedural rules of phase 2.  Summaries are config-independent — rule
 // selection and baselines are applied later.
 #pragma once
@@ -23,9 +23,8 @@
 namespace hcs::lint {
 
 enum class HazardKind {
-  kWallClock,   // chrono clocks, gettimeofday, clock_gettime
-  kRawRandom,   // random_device, rand/srand, unseeded engines
-  kShardState,  // World::sim() reads
+  kWallClock,  // chrono clocks, gettimeofday, clock_gettime
+  kRawRandom,  // random_device, rand/srand, unseeded engines
 };
 
 // How a call site treats the value the callee returns.  Only meaningful once

@@ -175,9 +175,9 @@ RankOutcome parse_outcome(const std::string& line) {
   return o;
 }
 
-std::vector<RankOutcome> run_scenario(const Scenario& scenario, std::uint64_t seed) {
+std::vector<RankOutcome> run_scenario(const Scenario& scenario, std::uint64_t seed, int shards) {
   if (Recorder* recorder = active_recorder()) recorder->set_pending_label(scenario.name);
-  simmpi::World world(scenario.machine, seed, scenario.faults);
+  simmpi::World world(scenario.machine, seed, scenario.faults, shards);
   std::vector<RankOutcome> outcomes(static_cast<std::size_t>(world.size()));
   world.run_all([&scenario, seed, &outcomes](simmpi::RankCtx& ctx) {
     return scenario_rank(&scenario, seed, outcomes.data(), ctx);

@@ -42,10 +42,11 @@ std::string describe_outcome(const RankOutcome& outcome);
 /// malformed input.
 RankOutcome parse_outcome(const std::string& line);
 
-/// Runs the scenario's World to completion (recording it when a Recorder is
-/// installed on this thread — the scenario name becomes the section label)
-/// and returns every rank's outcome.
-std::vector<RankOutcome> run_scenario(const Scenario& scenario, std::uint64_t seed);
+/// Runs the scenario's World on `shards` event-loop shards to completion
+/// (recording it when a Recorder is installed on this thread — the scenario
+/// name becomes the section label) and returns every rank's outcome.
+std::vector<RankOutcome> run_scenario(const Scenario& scenario, std::uint64_t seed,
+                                      int shards = 1);
 
 /// Replays `rank` of a recording of this scenario without simulating the
 /// other ranks.  The RecordedWorld's header must match the scenario (same

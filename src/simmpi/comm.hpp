@@ -50,8 +50,8 @@ class Comm {
   int world_rank(int comm_rank) const { return (*members_)[static_cast<std::size_t>(comm_rank)]; }
   int my_world_rank() const { return world_rank(my_index_); }
   World& world() const noexcept { return *world_; }
-  /// The simulation advancing this rank's shard — rank code must read time
-  /// through here (or RankCtx::sim()), never through world().sim().
+  /// The simulation advancing this rank's shard (World::sim_of of this
+  /// rank); rank code reads time through here or RankCtx::sim().
   sim::Simulation& sim() const noexcept { return world_->sim_of(my_world_rank()); }
 
   /// Point-to-point by communicator rank.  `bytes` defaults to the payload

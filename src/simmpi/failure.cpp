@@ -16,9 +16,8 @@ const char* to_string(PeerStatus status) {
   return "?";
 }
 
-FailureDetector::FailureDetector(const fault::FaultInjector& injector, const NetworkModel& net,
-                                 int nranks)
-    : injector_(&injector), nranks_(nranks), first_event_(injector.first_failure_time()) {
+FailureDetector::FailureDetector(const fault::FaultInjector& injector, const NetworkModel& net)
+    : injector_(&injector), first_event_(injector.first_failure_time()) {
   // A real heartbeat daemon probes at a small multiple of the worst-case
   // small-message round-trip so in-time replies never look like misses.
   const double rtt = 2.0 * net.expected_delay(LinkLevel::kInterNode, 8) +

@@ -62,31 +62,13 @@ class FailureDetector {
   /// Consecutive missed probes before a peer is declared dead.
   static constexpr int kProbeMisses = 3;
 
-  FailureDetector(const fault::FaultInjector& injector, const NetworkModel& net, int nranks);
-
-  int nranks() const noexcept { return nranks_; }
-
-  /// Crash-stop time of `rank` (sim::kTimeInfinity if it never crashes).
-  sim::Time crash_time(int rank) const noexcept { return injector_->crash_time(rank); }
-
-  /// The failure event `observer` can perceive about `peer`: the peer's
-  /// crash, or the cut of the observer<->peer link, whichever is earlier.
-  sim::Time event_time(int observer, int peer) const noexcept {
-    return std::min(injector_->crash_time(peer), injector_->link_down_time(observer, peer));
-  }
-
-  /// When `observer` declares `peer` dead: event + P * (2^kProbeMisses - 1).
-  /// This is the *first* declaration; under churn plans use
-  /// detect_time_after, which walks every down window.
-  sim::Time detect_time(int observer, int peer) const noexcept {
-    return event_time(observer, peer) + detection_latency_;
-  }
+  FailureDetector(const fault::FaultInjector& injector, const NetworkModel& net);
 
   /// Begin of the dead-declaration window containing `now`, or of the next
   /// one after it (sim::kTimeInfinity when `observer` will never declare
-  /// `peer` dead again).  For a single-failure plan this equals
-  /// detect_time(observer, peer) at every instant, so crash-only call
-  /// sites keep their exact deadlines when migrated.
+  /// `peer` dead again).  For a single-failure plan this is, at every
+  /// instant, the failure event `observer` perceives (the peer's crash or
+  /// the cut of their link, whichever is earlier) plus detection_latency().
   sim::Time detect_time_after(int observer, int peer, sim::Time now) const noexcept;
 
   /// Pure per-peer status at `now`: walks the peer's down intervals so a
@@ -109,7 +91,6 @@ class FailureDetector {
 
  private:
   const fault::FaultInjector* injector_;
-  int nranks_;
   double probe_period_;
   double detection_latency_;
   sim::Time first_event_;  // FaultInjector::first_failure_time()

@@ -1,7 +1,6 @@
 #include "simmpi/world.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -15,8 +14,6 @@
 namespace hcs::simmpi {
 
 namespace {
-std::atomic<int> g_default_shards{1};
-
 // The World's own metrics (trace::MetricHandle).
 constinit trace::HistogramHandle g_rtt{"sync.rtt"};
 constinit trace::CounterHandle g_pingpongs{"sync.pingpongs"};
@@ -67,12 +64,6 @@ void wake_parked(sim::Simulation& s, std::coroutine_handle<>& waiter, sim::Timer
 }
 }  // namespace
 
-void set_default_shards(int shards) noexcept {
-  g_default_shards.store(shards < 1 ? 1 : shards, std::memory_order_relaxed);
-}
-
-int default_shards() noexcept { return g_default_shards.load(std::memory_order_relaxed); }
-
 // ---------------------------------------------------------------- RankCtx --
 
 RankCtx::RankCtx(World& world, int rank)
@@ -95,7 +86,6 @@ World::World(topology::MachineConfig machine, std::uint64_t seed, fault::FaultPl
     : machine_(std::move(machine)),
       network_(machine_.topo, machine_.net, seed ^ 0x9e3779b97f4a7c15ULL) {
   const int nodes = machine_.topo.nodes();
-  if (shards <= 0) shards = default_shards();
   nshards_ = std::clamp(shards, 1, nodes);
   lookahead_ = network_.min_inter_node_latency();
 
@@ -192,7 +182,7 @@ World::World(topology::MachineConfig machine, std::uint64_t seed, fault::FaultPl
     network_.set_fault_injector(fault_.get());
     seq_tracking_ = fault_->net_active();
     if (fault_->crash_active()) {
-      detector_ = std::make_unique<FailureDetector>(*fault_, network_, size());
+      detector_ = std::make_unique<FailureDetector>(*fault_, network_);
     }
     if (seq_tracking_) channel_seqs_.resize(static_cast<std::size_t>(size()));
     for (const fault::ClockFault& cf : fault_->clock_faults()) {

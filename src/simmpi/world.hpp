@@ -62,13 +62,6 @@ namespace hcs::simmpi {
 class World;
 class Comm;
 
-/// Process-wide default shard count, used by Worlds constructed with
-/// `shards = 0` (the bench binaries' --shards flag routes through here so
-/// helpers that build Worlds internally don't need an extra parameter).
-/// Values < 1 reset to the built-in default of 1.
-void set_default_shards(int shards) noexcept;
-int default_shards() noexcept;
-
 /// Per-rank execution context handed to rank programs.
 class RankCtx {
  public:
@@ -107,17 +100,12 @@ class World {
   /// [1, nodes]; shards never split a node, so intra-node fast paths stay
   /// single-threaded).  Once a window has events in two or more shards, run()
   /// starts a worker thread for each of shards 1..K-1 and runs shard 0
-  /// itself.  0 uses the process-wide default_shards().  Results are
-  /// bit-identical for any value.
+  /// itself.  Results are bit-identical for any value.
   World(topology::MachineConfig machine, std::uint64_t seed, fault::FaultPlan fault_plan = {},
-        int shards = 0);
+        int shards = 1);
   ~World();
   World(const World&) = delete;
   World& operator=(const World&) = delete;
-
-  /// Shard 0's simulation.  With --shards 1 (the default) this is the whole
-  /// world's event loop, which is what tests and examples drive.
-  sim::Simulation& sim() noexcept { return *sims_[0]; }
 
   /// The simulation advancing `rank`'s timeline.
   sim::Simulation& sim_of(int rank) noexcept {

@@ -1,11 +1,8 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
-
-#include "trace/chrome_export.hpp"
 
 namespace hcs::trace {
 
@@ -47,26 +44,6 @@ std::vector<GanttRow> gantt_rows(const std::vector<IntervalTracer>& tracers, con
   }
   for (GanttRow& row : rows) row.start -= min_start;
   return rows;
-}
-
-std::string to_chrome_trace_json(const std::vector<IntervalTracer>& tracers) {
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  char buf[256];
-  for (const IntervalTracer& tracer : tracers) {
-    for (const Interval& iv : tracer.intervals()) {
-      if (!first) out += ',';
-      first = false;
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"%s\",\"cat\":\"mpi\",\"ph\":\"X\",\"pid\":0,"
-                    "\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"iteration\":%d}}",
-                    json_escape(iv.event).c_str(), tracer.rank(), iv.start * 1e6,
-                    iv.duration() * 1e6, iv.iteration);
-      out += buf;
-    }
-  }
-  out += "]}";
-  return out;
 }
 
 }  // namespace hcs::trace

@@ -54,12 +54,4 @@ struct GanttRow {
 std::vector<GanttRow> gantt_rows(const std::vector<IntervalTracer>& tracers, const std::string& event,
                                  int iteration);
 
-/// Serializes all recorded intervals into the Chrome Trace Event Format
-/// (load in chrome://tracing or https://ui.perfetto.dev): one "complete"
-/// event per interval, pid 0, tid = rank, microsecond timestamps on each
-/// tracer's own clock.  This is the practical payoff of a global clock for
-/// tracing (paper §V-C): recorded with local clocks the timeline is
-/// scrambled; with a synchronized clock it lines up.
-std::string to_chrome_trace_json(const std::vector<IntervalTracer>& tracers);
-
 }  // namespace hcs::trace

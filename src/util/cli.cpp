@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace hcs::util {
@@ -10,7 +9,7 @@ namespace hcs::util {
 namespace {
 
 // Whole-string numeric parse: "2x", "0.5abc", "" and out-of-range values
-// throw, naming `what` (an option or environment variable) and the text.
+// throw, naming `what` (an option or list entry) and the text.
 template <typename T>
 T parse_number(const std::string& text, const std::string& what) {
   T value{};
@@ -25,13 +24,10 @@ T parse_number(const std::string& text, const std::string& what) {
   return value;
 }
 
-// Worker/shard counts: --key beats $env_var beats fallback.  A whole number
-// in [0, INT_MAX]; a wider value is out of range, not silently narrowed.
-int count_option(const Cli& cli, const std::string& key, const char* env_var, int fallback) {
+// Worker/shard counts: --key beats fallback.  A whole number in
+// [0, INT_MAX]; a wider value is out of range, not silently narrowed.
+int count_option(const Cli& cli, const std::string& key, int fallback) {
   int n = fallback;
-  if (const char* env = std::getenv(env_var)) {
-    n = parse_number<int>(env, std::string("$") + env_var);
-  }
   if (cli.has(key)) n = parse_number<int>(cli.get(key, ""), "--" + key);
   if (n < 0) {
     throw std::invalid_argument(key + " must be >= 0 (0 = one per hardware thread), got " +
@@ -107,11 +103,7 @@ std::vector<std::string> Cli::get_all(const std::string& key) const {
 }
 
 double Cli::scale(double fallback) const {
-  double s = fallback;
-  if (const char* env = std::getenv("HCLOCKSYNC_SCALE")) {
-    s = parse_number<double>(env, "$HCLOCKSYNC_SCALE");
-  }
-  s = get_double("scale", s);
+  const double s = get_double("scale", fallback);
   if (!(s > 0.0 && s <= 4.0)) {
     throw std::invalid_argument("scale must be in (0, 4], got " + std::to_string(s));
   }
@@ -123,11 +115,11 @@ std::uint64_t Cli::seed(std::uint64_t fallback) const {
 }
 
 int Cli::jobs(int fallback) const {
-  return count_option(*this, "jobs", "HCLOCKSYNC_JOBS", fallback);
+  return count_option(*this, "jobs", fallback);
 }
 
 int Cli::shards(int fallback) const {
-  return count_option(*this, "shards", "HCLOCKSYNC_SHARDS", fallback);
+  return count_option(*this, "shards", fallback);
 }
 
 }  // namespace hcs::util

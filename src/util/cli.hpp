@@ -3,11 +3,7 @@
 // Supports "--key value", "--key=value" and boolean "--flag" forms;
 // positional arguments are collected in order.  Callers that know their full
 // option set call reject_unknown() after construction, turning typos like
-// "--job 4" into an error instead of a silently ignored option.  The scale
-// factor used by every bench binary is also read from the HCLOCKSYNC_SCALE
-// environment variable, the worker count from HCLOCKSYNC_JOBS and the shard
-// count from HCLOCKSYNC_SHARDS (command line wins in each case; a malformed
-// environment value is an error naming the variable).
+// "--job 4" into an error instead of a silently ignored option.
 #pragma once
 
 #include <cstdint>
@@ -43,22 +39,21 @@ class Cli {
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }
 
-  /// Benchmark scale in (0, 4]: --scale beats $HCLOCKSYNC_SCALE beats 1.0.
+  /// Benchmark scale in (0, 4]: --scale beats fallback.
   double scale(double fallback = 1.0) const;
 
   /// Seed: --seed beats fallback.
   std::uint64_t seed(std::uint64_t fallback) const;
 
-  /// Worker threads: --jobs beats $HCLOCKSYNC_JOBS beats fallback.
+  /// Worker threads: --jobs beats fallback.
   /// 0 means "one per hardware thread" (resolved by runner::resolve_jobs);
   /// negative values and values above INT_MAX throw.
   int jobs(int fallback = 1) const;
 
-  /// Event-loop shards per World: --shards beats $HCLOCKSYNC_SHARDS beats
-  /// fallback.  0 means "one per hardware thread" (resolved by
-  /// runner::resolve_jobs); negative values and values above INT_MAX throw.
-  /// Orthogonal to jobs():
-  /// jobs parallelizes across independent trials, shards inside one World.
+  /// Event-loop shards per World: --shards beats fallback.  0 means "one per
+  /// hardware thread" (resolved by runner::resolve_jobs); negative values and
+  /// values above INT_MAX throw.  Orthogonal to jobs(): jobs parallelizes
+  /// across independent trials, shards inside one World.
   int shards(int fallback = 1) const;
 
   /// Observability outputs: "--trace-out run.json" requests a Chrome-trace

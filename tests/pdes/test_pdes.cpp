@@ -125,7 +125,6 @@ TEST(ShardPartition, RanksOnSameNodeShareTheSimulation) {
   World w(topology::testbox(4, 2), 5, {}, 4);
   EXPECT_EQ(&w.sim_of(0), &w.sim_of(1));
   EXPECT_NE(&w.sim_of(0), &w.sim_of(2));
-  EXPECT_EQ(&w.sim_of(0), &w.sim());  // rank 0 lives in shard 0
 }
 
 // ------------------------------------------------- cross-shard transport --

@@ -68,7 +68,7 @@ SoakStats soak(double duration) {
     return clocksync::service_rank(params, logs[static_cast<std::size_t>(ctx.rank())], ctx);
   });
   SoakStats stats;
-  world.sim().spawn(probe(world.sim(), duration, &stats.max_live));
+  world.sim_of(0).spawn(probe(world.sim_of(0), duration, &stats.max_live));
   world.run();
   if (logs[0].history.size() < static_cast<std::size_t>(duration / params.interval) / 2) {
     throw std::logic_error("the soak did not resync");

@@ -152,7 +152,7 @@ TEST(Burst, TimedOutCrossNodeHalfNeverPairsButItsRankBurstsAgain) {
   fault::FaultPlan plan;
   plan.add(crash);
   World w(topology::testbox(3, 1), 29, plan);
-  const double declared_dead = w.failure_detector()->detect_time(1, 0);
+  const double declared_dead = w.failure_detector()->detect_time_after(1, 0, 0.0);
   ASSERT_GT(declared_dead, kCrashAt);
   BurstResult withdrawn_partner, next_burst, third_rank;
   sim::Time next_start = -1.0;
@@ -190,7 +190,7 @@ TEST(Burst, HalfParkedAndTimedOutInOneWindowLeavesNoTrace) {
   fault::FaultPlan plan;
   plan.add(crash);
   World w(topology::testbox(3, 1), 31, plan);
-  const double declared_dead = w.failure_detector()->detect_time(1, 0);
+  const double declared_dead = w.failure_detector()->detect_time_after(1, 0, 0.0);
   const double park_at = declared_dead - 0.5 * w.lookahead();
   ASSERT_GT(park_at, 1e-3);
   BurstResult timed_out;

@@ -2,10 +2,10 @@
 //
 // Every bench binary parses its options through bench/common.cpp's
 // parse_common, which must exit with status 2 and a message naming the
-// offending option (or environment variable) and value for:
+// offending option and value for:
 //   * an unknown option ("--frobnicate 1");
-//   * a numeric option or HCLOCKSYNC_* variable that is not wholly a number
-//     ("--jobs 2x", "--seed abc", "--scale 0.5abc");
+//   * a numeric option that is not wholly a number ("--jobs 2x",
+//     "--seed abc", "--scale 0.5abc");
 //   * a count that does not fit an int ("--jobs 4294967297").
 // A binary that accepted one of these would run its full workload instead,
 // which the ctest time limit turns into a failure too.
@@ -25,8 +25,7 @@
 namespace {
 
 struct BadInvocation {
-  std::string env;                  // "VAR=value " prefix, or empty
-  std::string args;                 // appended to the binary path
+  std::string args;                  // appended to the binary path
   std::vector<std::string> needles;  // each must appear in the output
 };
 
@@ -48,12 +47,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::vector<BadInvocation> cases = {
-      {"", "--frobnicate 1", {"--frobnicate"}},
-      {"", "--jobs 2x", {"--jobs", "'2x'"}},
-      {"", "--jobs 4294967297", {"--jobs", "'4294967297'"}},
-      {"", "--seed abc", {"--seed", "'abc'"}},
-      {"", "--scale 0.5abc", {"--scale", "'0.5abc'"}},
-      {"HCLOCKSYNC_JOBS=2x ", "", {"HCLOCKSYNC_JOBS", "'2x'"}},
+      {"--frobnicate 1", {"--frobnicate"}},
+      {"--jobs 2x", {"--jobs", "'2x'"}},
+      {"--jobs 4294967297", {"--jobs", "'4294967297'"}},
+      {"--seed abc", {"--seed", "'abc'"}},
+      {"--scale 0.5abc", {"--scale", "'0.5abc'"}},
   };
   if (argc > 2) cases.clear();
   for (int i = 2; i < argc; ++i) {
@@ -65,11 +63,11 @@ int main(int argc, char** argv) {
     }
     std::string quoted = "'";
     quoted.append(args, space + 1).push_back('\'');
-    cases.push_back({"", args, {args.substr(0, space), quoted}});
+    cases.push_back({args, {args.substr(0, space), quoted}});
   }
   int failures = 0;
   for (const BadInvocation& c : cases) {
-    const std::string command = c.env + "'" + argv[1] + "' " + c.args;
+    const std::string command = "'" + std::string(argv[1]) + "' " + c.args;
     std::string output;
     const int status = run(command, output);
     if (status == -1 || !WIFEXITED(status) || WEXITSTATUS(status) != 2) {

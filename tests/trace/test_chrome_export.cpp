@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "support/mini_json.hpp"
-#include "trace/trace.hpp"
 
 namespace hcs::trace {
 namespace {
@@ -116,26 +115,6 @@ TEST(ChromeExport, ThreadMetadataNamesEveryRankOnce) {
     }
   }
   EXPECT_EQ(named_tids, (std::vector<double>{0.0, 1.0, 3.0}));
-}
-
-struct ZeroClock final : vclock::Clock {
-  double at(sim::Time) override { return 0.0; }
-  double at_exact(sim::Time) const override { return 0.0; }
-  double now() override { return 0.0; }
-};
-
-TEST(ChromeExport, LegacyGanttExporterEmitsParseableJson) {
-  // The pre-existing IntervalTracer JSON path must satisfy the same parser.
-  auto clock = std::make_shared<ZeroClock>();
-  std::vector<IntervalTracer> tracers;
-  tracers.emplace_back(0, clock);
-  const std::size_t idx = tracers[0].begin_event("all\"reduce", 3);
-  tracers[0].end_event(idx);
-  const JsonValue doc = JsonParser::parse(to_chrome_trace_json(tracers));
-  const auto& events = doc.at("traceEvents").as_array();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].at("name").as_string(), "all\"reduce");
-  EXPECT_EQ(events[0].at("args").at("iteration").as_number(), 3.0);
 }
 
 }  // namespace

@@ -101,37 +101,5 @@ TEST(Gantt, LocalClockOffsetsDistortStarts) {
   EXPECT_LT(shared_spread, 1e-6);   // true simultaneity visible
 }
 
-TEST(ChromeTrace, EmitsValidEventPerInterval) {
-  simmpi::World w(topology::testbox(1, 2), 11);
-  std::vector<IntervalTracer> tracers;
-  tracers.emplace_back(0, w.base_clock(0));
-  tracers.emplace_back(1, w.base_clock(1));
-  w.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
-    const std::size_t idx =
-        tracers[static_cast<std::size_t>(ctx.rank())].begin_event("allreduce", 3);
-    co_await ctx.sim().delay(25e-6);
-    tracers[static_cast<std::size_t>(ctx.rank())].end_event(idx);
-  });
-  const std::string json = to_chrome_trace_json(tracers);
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"allreduce\""), std::string::npos);
-  EXPECT_NE(json.find("\"tid\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"iteration\":3"), std::string::npos);
-  // Two intervals -> two complete events.
-  std::size_t count = 0, pos = 0;
-  while ((pos = json.find("\"ph\":\"X\"", pos)) != std::string::npos) {
-    ++count;
-    pos += 1;
-  }
-  EXPECT_EQ(count, 2u);
-}
-
-TEST(ChromeTrace, EmptyTracersYieldEmptyEventList) {
-  const std::string json = to_chrome_trace_json({});
-  EXPECT_EQ(json, "{\"traceEvents\":[]}");
-}
-
 }  // namespace
 }  // namespace hcs::trace

@@ -31,7 +31,6 @@
 #include "replay/harness.hpp"
 #include "replay/record.hpp"
 #include "replay/scenario.hpp"
-#include "simmpi/world.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -72,14 +71,13 @@ int main(int argc, char** argv) {
       throw std::invalid_argument("--shards must be >= 1 for hcs_capture (got " +
                                   std::to_string(shards) + ")");
     }
-    simmpi::set_default_shards(shards);
     const std::uint64_t seed = cli.seed(1);
 
     replay::Recorder recorder;
     std::vector<replay::RankOutcome> outcomes;
     {
       const replay::ScopedRecorder install(&recorder);
-      outcomes = replay::run_scenario(scenario, seed);
+      outcomes = replay::run_scenario(scenario, seed, shards);
     }
     if (recorder.world_count() != 1) {
       throw std::runtime_error("expected exactly one recorded World, got " +
