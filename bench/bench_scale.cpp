@@ -15,7 +15,6 @@
 // --ranks R[,R...] overrides the sweep (each R rounds up to whole 16-core
 // Titan nodes), which is how the smoke tests keep this binary cheap.
 #include <algorithm>
-#include <chrono>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -27,6 +26,7 @@
 #include "common.hpp"
 #include "sim/frame_pool.hpp"
 #include "simmpi/world.hpp"
+#include "util/host_clock.hpp"
 
 namespace {
 
@@ -45,8 +45,7 @@ struct ScalePoint {
 
 ScalePoint run_scale_point(const topology::MachineConfig& machine, const std::string& label,
                            std::uint64_t seed, int shards, double sample_fraction) {
-  // hcs-lint: allow-next-line(wall-clock) real host time: events/sec evidence
-  const auto wall0 = std::chrono::steady_clock::now();
+  const double wall0 = util::host_seconds();
   simmpi::World world(machine, seed, {}, shards);
   ScalePoint point;
   const std::vector<int> clients =
@@ -73,9 +72,7 @@ ScalePoint run_scale_point(const topology::MachineConfig& machine, const std::st
   });
   point.sync_duration = *std::max_element(durations.begin(), durations.end());
   point.events = world.events_processed();
-  // hcs-lint: allow-next-line(wall-clock) real host time: events/sec evidence
-  const auto wall1 = std::chrono::steady_clock::now();
-  point.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
+  point.wall_s = util::host_seconds() - wall0;
   point.peak_rss = peak_rss_bytes();
   point.pool_bytes = sim::detail::FramePool::reserved_bytes();
   return point;
@@ -150,7 +147,6 @@ int main(int argc, char** argv) {
         // depends only on the rank count, so output stays deterministic.
         const double sample_fraction =
             std::min(0.10, 2000.0 / static_cast<double>(job.ranks));
-        // hcs-lint: allow-next-line(ip-wall-clock) host timing by design: events/sec evidence
         return run_scale_point(job.machine, job.label, opt.seed, opt.shards, sample_fraction);
       });
 

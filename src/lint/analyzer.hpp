@@ -9,9 +9,9 @@
 //
 // Suppression comment forms, each naming one or more rule ids (the examples
 // use real ids so this header lints clean against its own parser):
-//   hcs-lint: allow(wall-clock, raw-random)   — suppresses on the comment's line
-//   hcs-lint: allow-next-line(co-await-subexpr) — suppresses on the next line
-//   hcs-lint: allow-file(task-discard)          — suppresses in the whole file
+//   hcs-lint: allow(unordered-iter, coll-rank-branch) — suppresses on the comment's line
+//   hcs-lint: allow-next-line(co-await-subexpr)        — suppresses on the next line
+//   hcs-lint: allow-file(coro-lambda-capture)          — suppresses in the whole file
 // A justification after the closing paren is encouraged and ignored by the
 // tool.  Unknown rule names in a suppression are themselves reported (a typo
 // would otherwise silently disable nothing).
@@ -33,8 +33,8 @@ struct AnalyzerOptions {
   std::set<std::string> enabled_rules;  // empty = all
   std::string root;                     // paths are reported relative to this
   // Host-time source (seconds) for stats.  Left empty, no timings are taken —
-  // the library itself never reads a wall clock (it must lint clean under its
-  // own wall-clock rule); tools/hcs_lint injects one.
+  // the library itself cannot read a host clock (util/poison.hpp);
+  // tools/hcs_lint injects util::host_seconds.
   std::function<double()> now;
 };
 

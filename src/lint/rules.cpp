@@ -18,7 +18,7 @@ using namespace scan;  // NOLINT(google-build-using-namespace) — rule bodies r
 
 struct FileCtx {
   const Toks& t;
-  const FileSummary& summary;  // hazard and rank-branch records
+  const FileSummary& summary;  // rank-branch records
 
   void add(std::vector<Finding>& out, const RuleInfo& rule, int line, int col,
            std::string message) const {
@@ -73,43 +73,6 @@ void rule_ft_plain_recv(const FileCtx& ctx, const RuleInfo& rule, std::vector<Fi
               "plain recv() in a file using the failure-detector path (recv_ft/peer_status): "
               "recv blocks forever if the peer has crashed — use recv_ft");
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: wall-clock
-// ---------------------------------------------------------------------------
-
-void rule_wall_clock(const FileCtx& ctx, const RuleInfo& rule, std::vector<Finding>& out) {
-  for (const HazardSite& h : ctx.summary.hazards) {
-    if (h.kind != HazardKind::kWallClock) continue;
-    ctx.add(out, rule, h.line, h.col,
-            "wall-clock time source '" + h.detail +
-                "' breaks byte-identical reproducibility — simulated code must use "
-                "sim::Simulation time; host-side timing belongs in src/runner/");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: raw-random
-// ---------------------------------------------------------------------------
-
-void rule_raw_random(const FileCtx& ctx, const RuleInfo& rule, std::vector<Finding>& out) {
-  for (const HazardSite& h : ctx.summary.hazards) {
-    if (h.kind != HazardKind::kRawRandom) continue;
-    std::string message;
-    if (h.detail == "random_device") {
-      message =
-          "std::random_device is nondeterministic by construction — derive streams from the "
-          "run seed (sim::Rng / World RNG streams)";
-    } else if (h.var.empty()) {  // rand() / srand()
-      message = h.detail +
-                "() uses hidden global state and is not seedable per trial — use sim::Rng";
-    } else {
-      message = "default-constructed random engine '" + h.var +
-                "' has an implementation-defined seed — seed it explicitly from the run seed";
-    }
-    ctx.add(out, rule, h.line, h.col, std::move(message));
   }
 }
 
@@ -289,85 +252,6 @@ void rule_coro_lambda_capture(const FileCtx& ctx, const RuleInfo& rule,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Rule: task-discard
-// ---------------------------------------------------------------------------
-
-const std::set<std::string>& task_returning() {
-  static const std::set<std::string> k = {"send",
-                                          "recv",
-                                          "recv_ft",
-                                          "wait",
-                                          "pingpong_burst",
-                                          "split",
-                                          "split_shared_node",
-                                          "split_shared_socket",
-                                          "barrier",
-                                          "bcast",
-                                          "reduce",
-                                          "allreduce",
-                                          "gather",
-                                          "scatter",
-                                          "allgather",
-                                          "alltoall",
-                                          "reduce_scatter",
-                                          "scan",
-                                          "sync_clocks",
-                                          "measure_offset",
-                                          "agree_any",
-                                          "surviving_quorum",
-                                          "p2p_recv",
-                                          "p2p_send",
-                                          "block_on_recv",
-                                          "await_recv_until",
-                                          "delay"};
-  return k;
-}
-
-void rule_task_discard(const FileCtx& ctx, const RuleInfo& rule, std::vector<Finding>& out) {
-  const Toks& t = ctx.t;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!is_ident(t[i]) || !task_returning().count(t[i].text)) continue;
-    if (call_kind(t, i) == CallKind::kNone) continue;
-    const std::size_t close = match_forward(t, i + 1);
-    if (close + 1 >= t.size() || !is(t[close + 1], ";")) continue;
-    // Statement scan: bail if the value is consumed (co_await, assignment,
-    // return, spawn) or if the call sits inside a larger expression.
-    bool consumed = false;
-    int depth = 0;
-    for (std::size_t k = i; k-- > 0;) {
-      const Token& tok = t[k];
-      if (closes(tok)) {
-        ++depth;
-        continue;
-      }
-      if (opens(tok)) {
-        if (depth == 0) {
-          // "{" starts the enclosing block (statement position); "(" or "["
-          // means the call is an argument of a larger expression.
-          consumed = !is(tok, "{");
-          break;
-        }
-        --depth;
-        continue;
-      }
-      if (depth != 0) continue;
-      if (is(tok, ";") || is(tok, "}") || is(tok, ":")) break;
-      if (is_ident(tok, "co_await") || is_assign_op(tok) || is_exit_kw(tok) ||
-          is_ident(tok, "co_yield") || is_ident(tok, "spawn") || is_ident(tok, "for") ||
-          is_ident(tok, "while") || is_ident(tok, "if")) {
-        consumed = true;
-        break;
-      }
-    }
-    if (consumed) continue;
-    ctx.add(out, rule, t[i],
-            "Task-returning call '" + t[i].text +
-                "' is never awaited or stored — the operation is destroyed before it runs; "
-                "co_await it (or hand it to Simulation::spawn)");
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -380,18 +264,12 @@ const std::vector<RuleInfo>& rule_table() {
        "simmpi collective calls must match across rank-dependent branches", {}},
       {"ft-plain-recv", Severity::kError, "collective-matching",
        "plain recv() is forbidden in files using the failure-detector path", {}},
-      {"wall-clock", Severity::kError, "determinism",
-       "no wall-clock time sources outside the runner's timing shim", {"src/runner/"}},
-      {"raw-random", Severity::kError, "determinism",
-       "no rand()/random_device/unseeded engines — randomness derives from the run seed", {}},
       {"unordered-iter", Severity::kError, "determinism",
        "no iteration over unordered containers (unspecified order)", {}},
       {"co-await-subexpr", Severity::kError, "coroutine-lifetime",
        "no co_await inside ?:/&&/|| subexpressions (GCC 12 miscompile class)", {}},
       {"coro-lambda-capture", Severity::kError, "coroutine-lifetime",
        "lambda coroutines must not outlive their captures", {}},
-      {"task-discard", Severity::kError, "coroutine-lifetime",
-       "Task-returning calls must be co_awaited, stored or spawned", {}},
       // Interprocedural rules (docs/static-analysis.md, "Whole-program
       // analysis"): run by the project phase over merged per-file summaries,
       // not here — run_interproc_rules in interproc_rules.cpp dispatches
@@ -399,14 +277,6 @@ const std::vector<RuleInfo>& rule_table() {
       // suppressions and fixtures are handled uniformly.
       {"ip-coll-rank-branch", Severity::kError, "collective-matching",
        "collectives reached through helper calls must match across rank-dependent branches",
-       {},
-       /*interprocedural=*/true},
-      {"ip-wall-clock", Severity::kError, "determinism",
-       "no call chain from sim-visible code into an exempted/suppressed wall-clock read",
-       {"src/runner/"},
-       /*interprocedural=*/true},
-      {"ip-raw-random", Severity::kError, "determinism",
-       "no call chain from sim-visible code into an exempted/suppressed raw-randomness source",
        {},
        /*interprocedural=*/true},
       {"ip-unchecked-sync-result", Severity::kError, "collective-matching",
@@ -424,27 +294,25 @@ const RuleInfo* find_rule(const std::string& id) {
   return nullptr;
 }
 
+bool path_exempt(const RuleInfo& rule, const std::string& rel_path) {
+  return std::any_of(rule.exempt_path_prefixes.begin(), rule.exempt_path_prefixes.end(),
+                     [&](const std::string& p) { return rel_path.rfind(p, 0) == 0; });
+}
+
 void run_rules(const LexedFile& file, const FileSummary& summary,
                const std::set<std::string>& enabled, std::vector<Finding>& out,
                const std::function<double()>& now, std::map<std::string, double>* rule_seconds) {
   const FileCtx ctx{file.tokens, summary};
-  const std::string& rel_path = summary.rel_path;
   for (const auto& rule : rule_table()) {
     if (rule.interprocedural) continue;  // phase 2: run_interproc_rules
     if (!enabled.empty() && !enabled.count(rule.id)) continue;
-    const bool exempt =
-        std::any_of(rule.exempt_path_prefixes.begin(), rule.exempt_path_prefixes.end(),
-                    [&](const std::string& p) { return rel_path.rfind(p, 0) == 0; });
-    if (exempt) continue;
+    if (path_exempt(rule, summary.rel_path)) continue;
     const double t0 = now ? now() : 0.0;
     if (rule.id == "coll-rank-branch") rule_coll_rank_branch(ctx, rule, out);
     if (rule.id == "ft-plain-recv") rule_ft_plain_recv(ctx, rule, out);
-    if (rule.id == "wall-clock") rule_wall_clock(ctx, rule, out);
-    if (rule.id == "raw-random") rule_raw_random(ctx, rule, out);
     if (rule.id == "unordered-iter") rule_unordered_iter(ctx, rule, out);
     if (rule.id == "co-await-subexpr") rule_co_await_subexpr(ctx, rule, out);
     if (rule.id == "coro-lambda-capture") rule_coro_lambda_capture(ctx, rule, out);
-    if (rule.id == "task-discard") rule_task_discard(ctx, rule, out);
     if (now && rule_seconds) (*rule_seconds)[rule.id] += now() - t0;
   }
 }

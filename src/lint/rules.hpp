@@ -1,10 +1,13 @@
 // The hcs-lint rule catalogue and rule engine.
 //
 // Rules are table-driven: rule_table() is the single source of truth for rule
-// ids, default severities, categories and per-rule path exemptions.  The
-// per-file rules wall-clock, raw-random and coll-rank-branch are queries
-// over the hazard and rank-branch records of a FileSummary; the others are token-stream checks over the LexedFile (see
-// docs/static-analysis.md for the catalogue with rationale and examples).
+// ids, default severities, categories and per-rule path exemptions.  Of the
+// five per-file rules, coll-rank-branch queries the rank-branch records of a
+// FileSummary; the others are token-stream checks over the LexedFile.  The
+// two interprocedural rules run in phase 2 (interproc_rules.hpp).  Host
+// clocks, raw randomness and discarded Tasks are not rules: the compiler
+// rejects them (docs/static-analysis.md has the catalogue with rationale and
+// examples, and "What the compiler enforces").
 #pragma once
 
 #include <functional>
@@ -26,7 +29,7 @@ struct RuleInfo {
   std::string category;  // collective-matching | determinism | coroutine-lifetime
   std::string summary;
   // Repo-relative path prefixes (forward slashes) where the rule is off by
-  // design, e.g. the runner's wall-clock timing shim.
+  // design, e.g. tests/ for ip-unchecked-sync-result.
   std::vector<std::string> exempt_path_prefixes = {};
   // Interprocedural rules run in the whole-program phase (interproc_rules.cpp)
   // over merged per-file summaries instead of in run_rules; their fixtures are
@@ -36,6 +39,9 @@ struct RuleInfo {
 
 const std::vector<RuleInfo>& rule_table();
 const RuleInfo* find_rule(const std::string& id);
+
+// True when `rel_path` lies under one of the rule's exempt prefixes.
+bool path_exempt(const RuleInfo& rule, const std::string& rel_path);
 
 // Runs every per-file rule whose id is in `enabled` (empty set = all rules)
 // over `file` and its summary's records, and appends raw findings.

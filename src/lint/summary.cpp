@@ -237,7 +237,7 @@ ResultUse classify_use(const Toks& t, std::size_t i, const FuncExtent& fe) {
 }
 
 // ---------------------------------------------------------------------------
-// Hazard sites
+// Rank branches
 // ---------------------------------------------------------------------------
 
 // Index of the innermost named function whose body holds token `i`, or -1.
@@ -249,50 +249,6 @@ int innermost_named(const std::vector<NamedFn>& fns, std::size_t i) {
   }
   return best;
 }
-
-void scan_hazards(const Toks& t, const std::vector<NamedFn>& fns, std::vector<HazardSite>& out) {
-  static const std::set<std::string> kEngines = {
-      "mt19937",  "mt19937_64", "minstd_rand",           "minstd_rand0",
-      "ranlux24", "ranlux48",   "default_random_engine", "knuth_b"};
-  const auto site = [&](HazardKind kind, std::size_t i, std::string detail) -> HazardSite& {
-    HazardSite& h = out.emplace_back();
-    h.kind = kind;
-    h.line = t[i].line;
-    h.col = t[i].col;
-    h.detail = std::move(detail);
-    h.fn = innermost_named(fns, i);
-    return h;
-  };
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!is_ident(t[i])) continue;
-    const std::string& s = t[i].text;
-    // Wall clock.
-    if (s == "system_clock" || s == "steady_clock" || s == "high_resolution_clock" ||
-        ((s == "gettimeofday" || s == "clock_gettime") && call_kind(t, i) == CallKind::kFree)) {
-      site(HazardKind::kWallClock, i, s);
-      continue;
-    }
-    // Raw randomness.
-    if (s == "random_device" ||
-        ((s == "rand" || s == "srand") && call_kind(t, i) == CallKind::kFree)) {
-      site(HazardKind::kRawRandom, i, s);
-      continue;
-    }
-    if (kEngines.count(s) && i + 1 < t.size() && is_ident(t[i + 1]) &&
-        t[i + 1].text.back() != '_') {  // trailing _ = member, seeded in the ctor
-      const std::size_t after = i + 2;
-      const bool unseeded =
-          after < t.size() &&
-          (is(t[after], ";") ||
-           (is(t[after], "{") && after + 1 < t.size() && is(t[after + 1], "}")));
-      if (unseeded) site(HazardKind::kRawRandom, i, s).var = t[i + 1].text;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Rank branches
-// ---------------------------------------------------------------------------
 
 std::vector<std::string> call_names_in(const Toks& t, std::size_t b, std::size_t e) {
   std::vector<std::string> names;
@@ -438,7 +394,6 @@ FileSummary build_summary(const LexedFile& file, const std::string& rel_path,
     fs.direct_colls.assign(colls.begin(), colls.end());
     out.functions.push_back(std::move(fs));
   }
-  scan_hazards(t, fns, out.hazards);
   scan_rank_branches(t, extents, fns, out.rank_branches);
 
   // Per-file findings for every rule: selection and suppression are config,

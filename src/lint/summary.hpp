@@ -2,13 +2,12 @@
 //
 // A FileSummary is everything the rules need to know about one translation
 // unit: every function definition with its call sites and the collectives it
-// performs directly, the determinism hazard sites and rank-dependent
-// branches of the whole file, the per-file findings (all rules, pre-filter)
-// and the suppression tables.  build_summary is the one scanner for hazards
-// and rank branches: the per-file rules wall-clock, raw-random and
-// coll-rank-branch query its records, and so do the
-// interprocedural rules of phase 2.  Summaries are config-independent — rule
-// selection and baselines are applied later.
+// performs directly, the rank-dependent branches of the whole file, the
+// per-file findings (all rules, pre-filter) and the suppression tables.
+// build_summary is the one scanner for rank branches: the per-file rule
+// coll-rank-branch queries its records, and so do the interprocedural rules
+// of phase 2.  Summaries are config-independent — rule selection and
+// baselines are applied later.
 #pragma once
 
 #include <functional>
@@ -21,11 +20,6 @@
 #include "lint/lexer.hpp"
 
 namespace hcs::lint {
-
-enum class HazardKind {
-  kWallClock,  // chrono clocks, gettimeofday, clock_gettime
-  kRawRandom,  // random_device, rand/srand, unseeded engines
-};
 
 // How a call site treats the value the callee returns.  Only meaningful once
 // the project phase knows the callee returns SyncResult; classified for every
@@ -45,22 +39,12 @@ struct CallSite {
   ResultUse use = ResultUse::kConsumed;
 };
 
-// Records of the whole file, file scope included.  `fn` tags each with its
-// innermost enclosing named function (an index into FileSummary::functions),
-// or -1 outside any; the interprocedural rules use only tagged records.
-struct HazardSite {
-  HazardKind kind = HazardKind::kWallClock;
-  int line = 0;
-  int col = 0;
-  std::string detail;  // the offending identifier, e.g. "system_clock"
-  int fn = -1;
-  std::string var;  // an unseeded engine: the variable it constructs
-};
-
-// One rank-dependent `if`: what each arm does directly.  The per-file
-// coll-rank-branch rule fires when the *direct* collectives diverge; the
-// interprocedural rule fires when they match but the transitive bags
-// (through then_calls/else_calls) do not.
+// One rank-dependent `if`, file scope included: what each arm does directly.
+// `fn` tags it with its innermost enclosing named function (an index into
+// FileSummary::functions), or -1 outside any; the interprocedural rule uses
+// only tagged records.  The per-file coll-rank-branch rule fires when the
+// *direct* collectives diverge; the interprocedural rule fires when they
+// match but the transitive bags (through then_calls/else_calls) do not.
 struct RankBranchSummary {
   int line = 0;
   int col = 0;
@@ -93,7 +77,6 @@ struct SuppressionSummary {
 struct FileSummary {
   std::string rel_path;
   std::vector<FunctionSummary> functions;
-  std::vector<HazardSite> hazards;              // token order
   std::vector<RankBranchSummary> rank_branches;  // token order
   // Findings from every per-file rule plus bad-suppression diagnostics,
   // before rule selection and suppression filtering (both are config).
@@ -109,8 +92,8 @@ SuppressionSummary collect_suppressions(const LexedFile& file, const std::string
 
 bool is_suppressed(const SuppressionSummary& sup, const Finding& f);
 
-// Phase 1: extracts the full summary (functions, hazards, branches,
-// suppressions) from one lexed file and runs the per-file rules over it.
+// Phase 1: extracts the full summary (functions, branches, suppressions)
+// from one lexed file and runs the per-file rules over it.
 // `now`/`rule_seconds` (both optional) accumulate per-rule runtimes for
 // --stats; the library takes no timings of its own.
 FileSummary build_summary(const LexedFile& file, const std::string& rel_path,

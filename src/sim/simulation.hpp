@@ -50,8 +50,9 @@ class Simulation {
 
   /// Awaitable that suspends the calling coroutine for `dt` (>= 0) seconds.
   /// Even dt == 0 goes through the event queue, preserving FIFO fairness.
+  /// Discarding it is a compile error (-Werror=unused-result), as for Task.
   auto delay(Time dt) {
-    struct Awaiter {
+    struct [[nodiscard]] Awaiter {
       Simulation& sim;
       Time dt;
       bool await_ready() const noexcept { return false; }

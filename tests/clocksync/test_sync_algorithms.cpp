@@ -3,8 +3,10 @@
 // error, for every algorithm, on power-of-two and odd world sizes.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "clocksync/factory.hpp"
@@ -73,6 +75,16 @@ TEST_P(SyncAlgoTest, GlobalClocksAgree) {
   EXPECT_LT(max_abs(r5), c.tol_at_5) << c.label << " 5 s after sync";
 }
 
+// <label>_<nodes>x<cores>, with the label's separators as underscores.
+std::string case_name(const ::testing::TestParamInfo<SyncAlgoTest::ParamType>& info) {
+  const auto& [c, shape] = info.param;
+  std::string name = c.label;
+  for (char& ch : name) {
+    if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+  }
+  return name + "_" + std::to_string(shape.first) + "x" + std::to_string(shape.second);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Algorithms, SyncAlgoTest,
     ::testing::Combine(
@@ -88,7 +100,8 @@ INSTANTIATE_TEST_SUITE_P(
                  "hca3/recompute_intercept/50/skampi_offset/10",
                  3e-6, 120e-6}),
         ::testing::Values(std::pair<int, int>{4, 4}, std::pair<int, int>{3, 5},
-                          std::pair<int, int>{8, 2})));
+                          std::pair<int, int>{8, 2})),
+    case_name);
 
 TEST(SyncAlgorithms, SingleRankIsIdentity) {
   simmpi::World w(machine(1, 1), 3);

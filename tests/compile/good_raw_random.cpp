@@ -1,4 +1,5 @@
-// Good fixture for raw-random: all randomness derives from the run seed.
+// Compile fixture: all randomness derives from the run seed, or from a seed
+// the standard fixes.  Compiles with no diagnostic.
 #include <cstdint>
 #include <random>
 
@@ -6,7 +7,6 @@
 
 namespace fixture {
 
-// Member engines ending in _ are seeded in the constructor.
 struct Streams {
   explicit Streams(std::uint64_t seed) : rng_(seed) {}
   std::mt19937_64 rng_;
@@ -16,6 +16,13 @@ struct Streams {
 double jitter(std::uint64_t seed) {
   std::mt19937 gen(seed);
   return static_cast<double>(gen());
+}
+
+// A default-constructed std::mt19937 starts from the standard's fixed seed
+// (5489), so its sequence is the same everywhere.
+std::uint32_t fixed_draw() {
+  std::mt19937 gen;
+  return gen();
 }
 
 // The project RNG carries the per-trial seed.

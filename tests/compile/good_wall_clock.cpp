@@ -1,5 +1,5 @@
-// Good fixture for wall-clock: simulated code reads time from the
-// Simulation; chrono *types* without a clock source are fine too.
+// Compile fixture: simulated code reads time from the Simulation; chrono
+// *types* without a clock source are fine too.  Compiles with no diagnostic.
 #include <chrono>
 
 #include "sim/simulation.hpp"

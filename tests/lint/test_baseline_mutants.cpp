@@ -34,19 +34,19 @@ constexpr char kFormatChars[] = "\t#0123456789\n +-x";
 
 // Two entries for one key whose counts sum to INT_MAX + 1.
 constexpr const char* kOverflowPair =
-    "2147483647\traw-random\tsrc/a.cpp\tint x = rand();\n"
-    "1\traw-random\tsrc/a.cpp\tint x = rand();\n";
+    "2147483647\tunordered-iter\tsrc/a.cpp\tfor (int v : s) use(v);\n"
+    "1\tunordered-iter\tsrc/a.cpp\tfor (int v : s) use(v);\n";
 
 std::string serialized_baseline() {
   const std::map<std::string, std::vector<std::string>> lines = {
-      {"src/a.cpp", {"int x = rand();", "f(rand(), rand());"}},
-      {"src/my dir/b.cpp", {"auto t = std::chrono::steady_clock::now();"}},
+      {"src/a.cpp", {"for (int v : s) use(v);", "for (int v : s) for (int w : s) use(v, w);"}},
+      {"src/my dir/b.cpp", {"auto t = co_await a() && b();"}},
   };
   const std::vector<Finding> findings = {
-      {"raw-random", Severity::kError, "src/a.cpp", 1, 1, "msg"},
-      {"raw-random", Severity::kError, "src/a.cpp", 2, 1, "msg"},
-      {"raw-random", Severity::kError, "src/a.cpp", 2, 1, "msg"},
-      {"wall-clock", Severity::kError, "src/my dir/b.cpp", 1, 1, "msg"},
+      {"unordered-iter", Severity::kError, "src/a.cpp", 1, 1, "msg"},
+      {"unordered-iter", Severity::kError, "src/a.cpp", 2, 1, "msg"},
+      {"unordered-iter", Severity::kError, "src/a.cpp", 2, 1, "msg"},
+      {"co-await-subexpr", Severity::kError, "src/my dir/b.cpp", 1, 1, "msg"},
   };
   return Baseline::serialize(findings, lines);
 }

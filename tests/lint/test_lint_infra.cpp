@@ -11,6 +11,7 @@
 #include "lint/analyzer.hpp"
 #include "lint/baseline.hpp"
 #include "lint/lexer.hpp"
+#include "lint/rules.hpp"
 
 namespace hcs::lint {
 namespace {
@@ -27,10 +28,10 @@ std::vector<Finding> run(const std::string& source, std::set<std::string> rules 
 
 TEST(LintLexer, KeywordsInCommentsAndStringsAreNotTokens) {
   const std::string src =
-      "// co_await rand() inside a comment\n"
-      "/* gettimeofday(&tv, 0); */\n"
+      "// co_await a() || b() inside a comment\n"
+      "/* for (int v : std::unordered_set<int>{}) {} */\n"
       "const char* s = \"co_await x && y\";\n"
-      "const char* r = R\"(std::random_device rd;)\";\n";
+      "const char* r = R\"(for (auto& kv : unordered_map_) {})\";\n";
   EXPECT_TRUE(run(src).empty());
 }
 
@@ -44,14 +45,14 @@ TEST(LintLexer, RawStringWithCustomDelimiter) {
 TEST(LintLexer, PreprocessorDirectivesProduceNoTokens) {
   const std::string src =
       "#include <random>\n"
-      "#define BAD rand() + \\\n"
-      "            rand()\n"
+      "#define BAD co_await a() + \\\n"
+      "            b() && c()\n"
       "int x;\n";
   const LexedFile f = lex("x.cpp", src);
   ASSERT_EQ(f.tokens.size(), 4u);  // int x ; <eof>
   EXPECT_EQ(f.tokens[0].text, "int");
   EXPECT_EQ(f.tokens[1].line, 4);
-  EXPECT_TRUE(run(src).empty());  // the rand() in the macro body is not scanned
+  EXPECT_TRUE(run(src).empty());  // the co_await in the macro body is not scanned
 }
 
 TEST(LintLexer, MultiCharPunctuatorsAreLongestMunch) {
@@ -82,13 +83,13 @@ TEST(LintLexer, LineCommentCrlfContinuationAlsoSplices) {
 
 TEST(LintLexer, SplicedAllowNextLineCountsFromTheLastPhysicalLine) {
   const std::string src =
-      "// hcs-lint: allow-next-line(raw-random) justified \\\n   shim\n"
-      "int f() { return rand(); }\n";
+      "// hcs-lint: allow-next-line(unordered-iter) justified \\\n   shim\n"
+      "void f(std::unordered_set<int>& s) { for (int v : s) use(v); }\n";
   EXPECT_TRUE(run(src).empty());
 }
 
 TEST(LintLexer, DirectiveCrlfContinuationStaysInsideTheDirective) {
-  const std::string src = "#define BAD rand() \\\r\n            rand()\r\nint y;\n";
+  const std::string src = "#define BAD x \\\r\n            co_await a() && b()\r\nint y;\n";
   const LexedFile f = lex("x.cpp", src);
   ASSERT_EQ(f.tokens.size(), 4u);  // int y ; <eof>
   EXPECT_EQ(f.tokens[0].text, "int");
@@ -124,52 +125,58 @@ TEST(LintLexer, CommentsCarryLineRanges) {
 // Suppressions
 // ---------------------------------------------------------------------------
 
-const char* kOneRand = "int f() { return rand(); }\n";
+const char* kOneLoop = "void f(std::unordered_set<int>& s) { for (int v : s) use(v); }\n";
 
 TEST(LintSuppression, FiresWithoutSuppression) {
-  const std::vector<Finding> fs = run(kOneRand);
+  const std::vector<Finding> fs = run(kOneLoop);
   ASSERT_EQ(fs.size(), 1u);
-  EXPECT_EQ(fs[0].rule, "raw-random");
+  EXPECT_EQ(fs[0].rule, "unordered-iter");
   EXPECT_EQ(fs[0].line, 1);
 }
 
 TEST(LintSuppression, AllowOnSameLine) {
-  EXPECT_TRUE(run("int f() { return rand(); }  // hcs-lint: allow(raw-random)\n").empty());
+  const std::string src =
+      "void f(std::unordered_set<int>& s) { for (int v : s) use(v); }"
+      "  // hcs-lint: allow(unordered-iter)\n";
+  EXPECT_TRUE(run(src).empty());
 }
 
 TEST(LintSuppression, AllowNextLine) {
-  EXPECT_TRUE(run("// hcs-lint: allow-next-line(raw-random) seed shim\nint f() { return rand(); }\n")
-                  .empty());
+  const std::string src =
+      "// hcs-lint: allow-next-line(unordered-iter) summed, order-free\n"
+      "void f(std::unordered_set<int>& s) { for (int v : s) use(v); }\n";
+  EXPECT_TRUE(run(src).empty());
 }
 
 TEST(LintSuppression, AllowNextLineAfterBlockCommentCountsFromItsLastLine) {
   const std::string src =
       "/* justification spanning\n"
-      "   hcs-lint: allow-next-line(raw-random) */\n"
-      "int f() { return rand(); }\n";
+      "   hcs-lint: allow-next-line(unordered-iter) */\n"
+      "void f(std::unordered_set<int>& s) { for (int v : s) use(v); }\n";
   EXPECT_TRUE(run(src).empty());
 }
 
 TEST(LintSuppression, AllowFile) {
   const std::string src =
-      "// hcs-lint: allow-file(raw-random)\n"
-      "int f() { return rand(); }\n"
-      "int g() { return rand(); }\n";
+      "// hcs-lint: allow-file(unordered-iter)\n"
+      "void f(std::unordered_set<int>& s) { for (int v : s) use(v); }\n"
+      "void g(std::unordered_set<int>& s) { for (int v : s) use(v); }\n";
   EXPECT_TRUE(run(src).empty());
 }
 
 TEST(LintSuppression, SuppressionIsRuleSpecific) {
   const std::string src =
-      "int f() { return rand(); }  // hcs-lint: allow(wall-clock)\n";
+      "void f(std::unordered_set<int>& s) { for (int v : s) use(v); }"
+      "  // hcs-lint: allow(co-await-subexpr)\n";
   const std::vector<Finding> fs = run(src);
   ASSERT_EQ(fs.size(), 1u);
-  EXPECT_EQ(fs[0].rule, "raw-random");
+  EXPECT_EQ(fs[0].rule, "unordered-iter");
 }
 
 TEST(LintSuppression, MultipleRulesInOneAllow) {
   const std::string src =
-      "void f() { std::mt19937 g; auto t = std::chrono::steady_clock::now(); }"
-      "  // hcs-lint: allow(raw-random, wall-clock)\n";
+      "Task<void> f(std::unordered_set<int>& s) { for (int v : s) co_await g(v) && h(); }"
+      "  // hcs-lint: allow(unordered-iter, co-await-subexpr)\n";
   EXPECT_TRUE(run(src).empty());
 }
 
@@ -178,6 +185,22 @@ TEST(LintSuppression, UnknownRuleNameIsItselfAFinding) {
   ASSERT_EQ(fs.size(), 1u);
   EXPECT_EQ(fs[0].rule, "bad-suppression");
   EXPECT_NE(fs[0].message.find("no-such-rule"), std::string::npos);
+}
+
+TEST(LintSuppression, DeletedRuleNamesAreBadSuppressions) {
+  // Host clocks, raw randomness and discarded Tasks are compile errors now,
+  // not rules: an allow() naming one of the retired rules suppresses nothing
+  // and is reported like any unknown name.
+  for (const char* retired :
+       {"wall-clock", "raw-random", "task-discard", "ip-wall-clock", "ip-raw-random"}) {
+    SCOPED_TRACE(retired);
+    EXPECT_EQ(find_rule(retired), nullptr);
+    const std::vector<Finding> fs =
+        run(std::string("int x;  // hcs-lint: allow(") + retired + ")\n");
+    ASSERT_EQ(fs.size(), 1u);
+    EXPECT_EQ(fs[0].rule, "bad-suppression");
+    EXPECT_NE(fs[0].message.find(retired), std::string::npos);
+  }
 }
 
 TEST(LintSuppression, MalformedAnnotationIsItselfAFinding) {
@@ -190,24 +213,49 @@ TEST(LintSuppression, MalformedAnnotationIsItselfAFinding) {
 // Rule selection and path exemptions
 // ---------------------------------------------------------------------------
 
+// One line that fires two rules: unordered-iter and co-await-subexpr.
 const char* kTwoRuleSource =
-    "void f() { std::mt19937 g; auto t = std::chrono::steady_clock::now(); }\n";
+    "Task<void> f(std::unordered_set<int>& s) { for (int v : s) co_await g(v) && h(); }\n";
 
 TEST(LintSelection, EnabledRulesFilter) {
-  const std::vector<Finding> fs = run(kTwoRuleSource, {"wall-clock"});
+  const std::vector<Finding> fs = run(kTwoRuleSource, {"co-await-subexpr"});
   ASSERT_EQ(fs.size(), 1u);
-  EXPECT_EQ(fs[0].rule, "wall-clock");
+  EXPECT_EQ(fs[0].rule, "co-await-subexpr");
 }
 
 TEST(LintSelection, AllRulesRunByDefault) {
   EXPECT_EQ(run(kTwoRuleSource).size(), 2u);
 }
 
-TEST(LintSelection, RunnerIsExemptFromWallClock) {
-  const std::string src = "auto t = std::chrono::steady_clock::now();\n";
+TEST(LintSelection, TestsAreExemptFromUncheckedSyncResult) {
+  // The same discarded SyncResult is a finding under src/ and exempt under
+  // tests/, the prefix in the rule's table row.
+  const std::string def = "SyncResult run_sync() { return {}; }\n";
+  const std::string call = "Task<void> go() { co_await run_sync(); }\n";
   AnalyzerOptions opts;
-  EXPECT_EQ(analyze_source("src/runner/timer.cpp", src, opts).size(), 0u);
-  EXPECT_EQ(analyze_source("src/clocksync/timer.cpp", src, opts).size(), 1u);
+  const std::vector<Finding> in_tests =
+      analyze_sources({{"tests/a.cpp", def}, {"tests/b.cpp", call}}, opts).findings;
+  EXPECT_TRUE(in_tests.empty());
+  const std::vector<Finding> fs =
+      analyze_sources({{"src/clocksync/a.cpp", def}, {"src/clocksync/b.cpp", call}}, opts).findings;
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_EQ(fs[0].rule, "ip-unchecked-sync-result");
+  EXPECT_EQ(fs[0].path, "src/clocksync/b.cpp");
+}
+
+TEST(LintSelection, PathExemptMatchesWholePrefixesOnly) {
+  const RuleInfo* sync = find_rule("ip-unchecked-sync-result");
+  ASSERT_NE(sync, nullptr);
+  EXPECT_TRUE(path_exempt(*sync, "tests/a.cpp"));
+  EXPECT_TRUE(path_exempt(*sync, "tests/lint/deep/b.cpp"));
+  EXPECT_FALSE(path_exempt(*sync, "src/tests/a.cpp")) << "a prefix, not a substring";
+  EXPECT_FALSE(path_exempt(*sync, "tests.cpp"));
+  EXPECT_FALSE(path_exempt(*sync, "src/clocksync/a.cpp"));
+  // A rule without exempt prefixes applies everywhere.
+  const RuleInfo* iter = find_rule("unordered-iter");
+  ASSERT_NE(iter, nullptr);
+  EXPECT_FALSE(path_exempt(*iter, "tests/a.cpp"));
+  EXPECT_FALSE(path_exempt(*iter, "src/runner/a.cpp"));
 }
 
 TEST(LintPaths, FixtureDirectoryIsSkipped) {
@@ -226,8 +274,8 @@ Finding finding(const std::string& rule, const std::string& path, int line) {
 }
 
 TEST(LintBaseline, RoundTripAndConsume) {
-  const std::vector<std::string> lines = {"int a;", "int x = rand();", "int b;"};
-  const Finding f = finding("raw-random", "src/a.cpp", 2);
+  const std::vector<std::string> lines = {"int a;", "for (int v : s) f(v);", "int b;"};
+  const Finding f = finding("unordered-iter", "src/a.cpp", 2);
   const std::string text = Baseline::serialize({f}, {{"src/a.cpp", lines}});
 
   Baseline b;
@@ -239,30 +287,31 @@ TEST(LintBaseline, RoundTripAndConsume) {
 }
 
 TEST(LintBaseline, KeyIsLineNumberFree) {
-  const std::vector<std::string> before = {"int x = rand();"};
-  const std::vector<std::string> after = {"", "", "int  x =  rand();"};  // shifted + respaced
+  const std::vector<std::string> before = {"for (int v : s) f(v);"};
+  // Shifted down two lines and respaced.
+  const std::vector<std::string> after = {"", "", "for  (int v :  s)  f(v);"};
   const std::string text =
-      Baseline::serialize({finding("raw-random", "src/a.cpp", 1)}, {{"src/a.cpp", before}});
+      Baseline::serialize({finding("unordered-iter", "src/a.cpp", 1)}, {{"src/a.cpp", before}});
   Baseline b;
   std::string err;
   ASSERT_TRUE(b.parse(text, &err)) << err;
-  EXPECT_TRUE(b.consume(finding("raw-random", "src/a.cpp", 3), after));
+  EXPECT_TRUE(b.consume(finding("unordered-iter", "src/a.cpp", 3), after));
 }
 
 TEST(LintBaseline, DifferentRuleOrPathDoesNotMatch) {
-  const std::vector<std::string> lines = {"int x = rand();"};
+  const std::vector<std::string> lines = {"for (int v : s) f(v);"};
   const std::string text =
-      Baseline::serialize({finding("raw-random", "src/a.cpp", 1)}, {{"src/a.cpp", lines}});
+      Baseline::serialize({finding("unordered-iter", "src/a.cpp", 1)}, {{"src/a.cpp", lines}});
   Baseline b;
   std::string err;
   ASSERT_TRUE(b.parse(text, &err)) << err;
-  EXPECT_FALSE(b.consume(finding("wall-clock", "src/a.cpp", 1), lines));
-  EXPECT_FALSE(b.consume(finding("raw-random", "src/b.cpp", 1), lines));
+  EXPECT_FALSE(b.consume(finding("co-await-subexpr", "src/a.cpp", 1), lines));
+  EXPECT_FALSE(b.consume(finding("unordered-iter", "src/b.cpp", 1), lines));
 }
 
 TEST(LintBaseline, CountsAccumulatePerIdenticalLine) {
-  const std::vector<std::string> lines = {"f(rand(), rand());"};
-  const Finding f1 = finding("raw-random", "src/a.cpp", 1);
+  const std::vector<std::string> lines = {"for (int v : s) for (int w : s) use(v, w);"};
+  const Finding f1 = finding("unordered-iter", "src/a.cpp", 1);
   const std::string text = Baseline::serialize({f1, f1}, {{"src/a.cpp", lines}});
   Baseline b;
   std::string err;
@@ -283,19 +332,19 @@ TEST(LintBaseline, CountIsDigitsOnly) {
   for (const char* count : {" 3", "+3", "3x", "-3", "0", "", "2147483648"}) {
     Baseline b;
     std::string err;
-    EXPECT_FALSE(b.parse(std::string(count) + "\traw-random\tsrc/a.cpp\tint x;\n", &err))
+    EXPECT_FALSE(b.parse(std::string(count) + "\tunordered-iter\tsrc/a.cpp\tint x;\n", &err))
         << "'" << count << "'";
     EXPECT_NE(err.find("bad count"), std::string::npos) << err;
   }
   Baseline b;
   std::string err;
-  EXPECT_TRUE(b.parse("2147483647\traw-random\tsrc/a.cpp\tint x;\n", &err)) << err;
+  EXPECT_TRUE(b.parse("2147483647\tunordered-iter\tsrc/a.cpp\tint x;\n", &err)) << err;
 }
 
 TEST(LintBaseline, CountTotalPastIntMaxRejected) {
   const std::string text =
-      "2147483647\traw-random\tsrc/a.cpp\tint x;\n"
-      "1\traw-random\tsrc/a.cpp\tint x;\n";
+      "2147483647\tunordered-iter\tsrc/a.cpp\tint x;\n"
+      "1\tunordered-iter\tsrc/a.cpp\tint x;\n";
   Baseline b;
   std::string err;
   EXPECT_FALSE(b.parse(text, &err));
@@ -311,8 +360,8 @@ TEST(LintBaseline, CommentsAndBlankLinesIgnored) {
 }
 
 TEST(LintBaseline, PathsWithSpacesRoundTrip) {
-  const std::vector<std::string> lines = {"int x = rand();"};
-  const Finding f = finding("raw-random", "src/my dir/a file.cpp", 1);
+  const std::vector<std::string> lines = {"for (int v : s) f(v);"};
+  const Finding f = finding("unordered-iter", "src/my dir/a file.cpp", 1);
   const std::string text = Baseline::serialize({f}, {{"src/my dir/a file.cpp", lines}});
   Baseline b;
   std::string err;
@@ -326,8 +375,8 @@ TEST(LintBaseline, StaleRuleIdWarnsInsteadOfFailing) {
   // the entry is inert and surfaced as a warning.
   const std::string text =
       "# header\n"
-      "1\tretired-rule\tsrc/a.cpp\tint x = rand();\n"
-      "1\traw-random\tsrc/a.cpp\tint x = rand();\n";
+      "1\tretired-rule\tsrc/a.cpp\tfor (int v : s) f(v);\n"
+      "1\tunordered-iter\tsrc/a.cpp\tfor (int v : s) f(v);\n";
   Baseline b;
   std::string err;
   ASSERT_TRUE(b.parse(text, &err)) << err;
@@ -335,8 +384,23 @@ TEST(LintBaseline, StaleRuleIdWarnsInsteadOfFailing) {
   EXPECT_NE(b.unknown_rule_warnings()[0].find("retired-rule"), std::string::npos);
   EXPECT_NE(b.unknown_rule_warnings()[0].find("line 2"), std::string::npos);
   // The known entry still works; the stale one never matches anything.
-  EXPECT_TRUE(b.consume(finding("raw-random", "src/a.cpp", 1), {"int x = rand();"}));
-  EXPECT_FALSE(b.consume(finding("retired-rule", "src/a.cpp", 1), {"int x = rand();"}));
+  EXPECT_TRUE(b.consume(finding("unordered-iter", "src/a.cpp", 1), {"for (int v : s) f(v);"}));
+  EXPECT_FALSE(b.consume(finding("retired-rule", "src/a.cpp", 1), {"for (int v : s) f(v);"}));
+}
+
+TEST(LintBaseline, EntriesOfRetiredRulesLoadAsStale) {
+  // A baseline committed while wall-clock and ip-raw-random were rules still
+  // loads: each of their entries is one warning and matches nothing.
+  const std::string text =
+      "1\twall-clock\tbench/a.cpp\tauto t = now();\n"
+      "1\tip-raw-random\tsrc/b.cpp\tjitter();\n";
+  Baseline b;
+  std::string err;
+  ASSERT_TRUE(b.parse(text, &err)) << err;
+  ASSERT_EQ(b.unknown_rule_warnings().size(), 2u);
+  EXPECT_NE(b.unknown_rule_warnings()[0].find("wall-clock"), std::string::npos);
+  EXPECT_NE(b.unknown_rule_warnings()[1].find("ip-raw-random"), std::string::npos);
+  EXPECT_FALSE(b.consume(finding("wall-clock", "bench/a.cpp", 1), {"auto t = now();"}));
 }
 
 TEST(LintBaseline, BadSuppressionEntriesAreNotStale) {
@@ -348,8 +412,9 @@ TEST(LintBaseline, BadSuppressionEntriesAreNotStale) {
 
 TEST(LintBaseline, ApplyBaselineKeepsOnlyFreshFindings) {
   AnalysisResult res;
-  res.lines["src/a.cpp"] = {"int x = rand();", "auto t = std::chrono::steady_clock::now();"};
-  res.findings = {finding("raw-random", "src/a.cpp", 1), finding("wall-clock", "src/a.cpp", 2)};
+  res.lines["src/a.cpp"] = {"for (int v : s) f(v);", "auto t = co_await a() && b();"};
+  res.findings = {finding("unordered-iter", "src/a.cpp", 1),
+                  finding("co-await-subexpr", "src/a.cpp", 2)};
 
   Baseline b;
   std::string err;
@@ -358,7 +423,7 @@ TEST(LintBaseline, ApplyBaselineKeepsOnlyFreshFindings) {
       << err;
   const std::vector<Finding> fresh = apply_baseline(res, std::move(b));
   ASSERT_EQ(fresh.size(), 1u);
-  EXPECT_EQ(fresh[0].rule, "wall-clock");
+  EXPECT_EQ(fresh[0].rule, "co-await-subexpr");
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 //
 // Every fixture file's first line is a virtual-path directive
 //   // hcs-lint-path: <rel path>
-// so one on-disk set can model exempt directories (src/runner/, tests/, ...)
+// so one on-disk set can model exempt directories (tests/, ...)
 // without polluting the real tree.  Bad files carry hcs-lint-expect
 // annotations naming the exact rule + line of every finding.
 #include <gtest/gtest.h>
@@ -217,28 +217,68 @@ TEST(ProjectIndex, StdIshNamesNeverBecomeCallEdges) {
 }
 
 TEST(InterprocDepth, MaxCallDepthBoundsThePropagation) {
-  // A 6-edge chain: c6 -> c5 -> c4 -> c3 -> c2 -> c1 -> hidden_clock
-  // (a suppressed wall clock).  Four rounds taint c1..c4, so the five edges
-  // into tainted callees are findings and the outermost c6 -> c5 is not.
+  // A 6-edge chain: c6 -> c5 -> c4 -> c3 -> c2 -> c1 -> barrier.  Four
+  // rounds carry the barrier into the bags of c2..c5, so the five
+  // rank-dependent branches that call c1..c5 diverge from their empty else
+  // arms, and the one that calls c6 does not.  The chain is declared in call
+  // order, which a round that read the bags it was updating would cross in
+  // one pass: the bound holds in call edges whatever the order.
   const Sources sources = {
       {"src/clocksync/z.cpp",
-       "double hidden_clock() {\n"
-       "  return std::chrono::steady_clock::now().time_since_epoch().count();"
-       "  // hcs-lint: allow(wall-clock) fixture\n"
-       "}\n"
-       "double c1() { return hidden_clock(); }\n"
-       "double c2() { return c1(); }\n"
-       "double c3() { return c2(); }\n"
-       "double c4() { return c3(); }\n"
-       "double c5() { return c4(); }\n"
-       "double c6() { return c5(); }\n"},
+       "sim::Task<void> c1(Comm& comm) { co_await barrier(comm); }\n"
+       "sim::Task<void> c2(Comm& comm) { co_await c1(comm); }\n"
+       "sim::Task<void> c3(Comm& comm) { co_await c2(comm); }\n"
+       "sim::Task<void> c4(Comm& comm) { co_await c3(comm); }\n"
+       "sim::Task<void> c5(Comm& comm) { co_await c4(comm); }\n"
+       "sim::Task<void> c6(Comm& comm) { co_await c5(comm); }\n"
+       "sim::Task<void> drive(Comm& comm) {\n"
+       "  const int r = comm.rank();\n"
+       "  if (r == 1) co_await c1(comm);\n"
+       "  if (r == 2) co_await c2(comm);\n"
+       "  if (r == 3) co_await c3(comm);\n"
+       "  if (r == 4) co_await c4(comm);\n"
+       "  if (r == 5) co_await c5(comm);\n"
+       "  if (r == 6) co_await c6(comm);\n"
+       "}\n"},
   };
   AnalyzerOptions opts;
-  opts.enabled_rules = {"ip-wall-clock"};
+  opts.enabled_rules = {"ip-coll-rank-branch"};
   const std::vector<Finding> findings = analyze_sources(sources, opts).findings;
   ASSERT_EQ(findings.size(), 5u) << "the bound is 4 call edges of propagation";
   for (const Finding& f : findings) {
-    EXPECT_NE(f.line, 9) << "the c6 -> c5 edge lies beyond the bound: " << f.message;
+    EXPECT_NE(f.line, 14) << "the c6 -> c5 edge lies beyond the bound: " << f.message;
+  }
+}
+
+TEST(InterprocDepth, MaxCallDepthBoundsThePropagationInReverseOrder) {
+  // The chain of MaxCallDepthBoundsThePropagation declared callers first and
+  // split over two files: the same five findings, and none for c6.
+  const Sources sources = {
+      {"src/clocksync/y.cpp",
+       "sim::Task<void> c6(Comm& comm) { co_await c5(comm); }\n"
+       "sim::Task<void> c5(Comm& comm) { co_await c4(comm); }\n"
+       "sim::Task<void> c4(Comm& comm) { co_await c3(comm); }\n"
+       "sim::Task<void> drive(Comm& comm) {\n"
+       "  const int r = comm.rank();\n"
+       "  if (r == 1) co_await c1(comm);\n"
+       "  if (r == 2) co_await c2(comm);\n"
+       "  if (r == 3) co_await c3(comm);\n"
+       "  if (r == 4) co_await c4(comm);\n"
+       "  if (r == 5) co_await c5(comm);\n"
+       "  if (r == 6) co_await c6(comm);\n"
+       "}\n"},
+      {"src/clocksync/z.cpp",
+       "sim::Task<void> c3(Comm& comm) { co_await c2(comm); }\n"
+       "sim::Task<void> c2(Comm& comm) { co_await c1(comm); }\n"
+       "sim::Task<void> c1(Comm& comm) { co_await barrier(comm); }\n"},
+  };
+  AnalyzerOptions opts;
+  opts.enabled_rules = {"ip-coll-rank-branch"};
+  const std::vector<Finding> findings = analyze_sources(sources, opts).findings;
+  ASSERT_EQ(findings.size(), 5u) << "the bound is 4 call edges of propagation";
+  for (const Finding& f : findings) {
+    EXPECT_EQ(f.path, "src/clocksync/y.cpp");
+    EXPECT_NE(f.line, 11) << "the c6 -> c5 edge lies beyond the bound: " << f.message;
   }
 }
 
@@ -246,22 +286,25 @@ TEST(InterprocDepth, MaxCallDepthBoundsThePropagation) {
 // SARIF
 // ---------------------------------------------------------------------------
 
-// A suppressed raw-randomness source reached from another file: one
-// ip-raw-random finding.
-Sources laundered_entropy_project() {
+// A collective hidden in a helper of another file, reached from one arm of a
+// rank-dependent branch: one ip-coll-rank-branch finding.
+Sources hidden_collective_project() {
   return {
       {"src/clocksync/helper.cpp",
-       "int host_entropy() {\n"
-       "  return rand();  // hcs-lint: allow(raw-random) fixture\n"
+       "sim::Task<void> settle(Comm& comm) {\n"
+       "  co_await barrier(comm);\n"
        "}\n"},
-      {"src/clocksync/caller.cpp", "int sample() { return host_entropy(); }\n"},
+      {"src/clocksync/caller.cpp",
+       "sim::Task<void> sample(Comm& comm) {\n"
+       "  if (comm.rank() == 0) co_await settle(comm);\n"
+       "}\n"},
       {"src/clocksync/other.cpp", "int unrelated() { return 7; }\n"},
   };
 }
 
 TEST(Sarif, ExportIsValidAndCarriesRulesAndResults) {
   AnalyzerOptions opts;
-  const AnalysisResult res = analyze_sources(laundered_entropy_project(), opts);
+  const AnalysisResult res = analyze_sources(hidden_collective_project(), opts);
   ASSERT_FALSE(res.findings.empty());
 
   const testsupport::JsonValue doc = testsupport::JsonParser::parse(to_sarif(res.findings));

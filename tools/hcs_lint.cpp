@@ -13,7 +13,6 @@
 //     --list-rules           print the rule table and exit
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -25,6 +24,7 @@
 #include "lint/rules.hpp"
 #include "lint/sarif.hpp"
 #include "util/cli.hpp"
+#include "util/host_clock.hpp"
 
 namespace {
 
@@ -71,11 +71,7 @@ int main(int argc, char** argv) {
 
     lint::AnalyzerOptions options;
     options.root = cli.get("root", "");
-    options.now = [] {
-      // hcs-lint: allow-next-line(wall-clock) --stats timing shim, host-only by construction
-      const auto since_epoch = std::chrono::steady_clock::now().time_since_epoch();
-      return std::chrono::duration<double>(since_epoch).count();
-    };
+    options.now = util::host_seconds;
     for (const std::string& id : cli.get_all("rule")) {
       if (!lint::find_rule(id)) {
         std::cerr << "hcs-lint: unknown rule '" << id << "' (see --list-rules)\n";
