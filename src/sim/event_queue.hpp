@@ -14,6 +14,11 @@
 // (BM_EventQueuePushPop) measures push/pop throughput and
 // tests/sim/test_event_queue.cpp asserts the ordering contract.
 //
+// An event either resumes a coroutine or fires a Callback: a plain function
+// on an object the pusher owns, for work that needs no stack of its own (a
+// message delivery).  Both kinds share one sequence, so they interleave in
+// push order at equal times.
+//
 // Any event can be cancelled by its sequence number, which push() returns
 // (Simulation's timers are built on this).  A cancelled entry stays in the
 // heap until it surfaces at the top, where it is dropped unseen: the top is
@@ -23,6 +28,7 @@
 // cancelled.
 #pragma once
 
+#include <cassert>
 #include <coroutine>
 #include <cstdint>
 #include <unordered_set>
@@ -36,34 +42,46 @@ namespace hcs::sim {
 using TimerId = std::uint64_t;
 inline constexpr TimerId kNoTimer = UINT64_MAX;
 
+/// A non-coroutine event: `fire` runs with the callback itself when the
+/// event pops.  The pusher owns the object and keeps it alive until it fires
+/// or the queue is cleared; a cleared queue drops it unfired.
+struct Callback {
+  void (*fire)(Callback&) = nullptr;
+};
+
 class EventQueue {
  public:
+  /// The payload word is a coroutine frame address or, with this bit set, a
+  /// Callback's address.  Both are at least 2-byte aligned, so the bit is
+  /// free, and a handle is only ever rebuilt from an untagged word.
+  static constexpr std::uintptr_t kCallbackTag = 1;
+
   struct Event {
     Time time;
     std::uint64_t seq;
-    std::coroutine_handle<> handle;
+    std::uintptr_t payload;
+
+    bool is_callback() const noexcept { return (payload & kCallbackTag) != 0; }
+    std::coroutine_handle<> handle() const noexcept {
+      assert(!is_callback());
+      return std::coroutine_handle<>::from_address(reinterpret_cast<void*>(payload));
+    }
+    Callback& callback() const noexcept {
+      assert(is_callback());
+      return *reinterpret_cast<Callback*>(payload & ~kCallbackTag);
+    }
   };
 
   // push/pop are defined inline: they sit on the simulator's per-event hot
   // path and must inline into Simulation::run and the delay awaiter.
   // Returns the event's sequence number, the id cancel() takes.
   std::uint64_t push(Time time, std::coroutine_handle<> handle) {
-    const Event ev{time, next_seq_++, handle};
-    // Sift up with a moving hole: write the new event only once, into its
-    // final slot, instead of swapping down the path.  The no-move case (new
-    // event belongs at the end — always true for a near-empty queue) keeps
-    // the single store done by push_back.
-    std::size_t hole = heap_.size();
-    heap_.push_back(ev);
-    if (hole > 0 && before(ev, heap_[(hole - 1) / kArity])) {
-      do {
-        const std::size_t parent = (hole - 1) / kArity;
-        heap_[hole] = heap_[parent];
-        hole = parent;
-      } while (hole > 0 && before(ev, heap_[(hole - 1) / kArity]));
-      heap_[hole] = ev;
-    }
-    return ev.seq;
+    const auto word = reinterpret_cast<std::uintptr_t>(handle.address());
+    assert((word & kCallbackTag) == 0);
+    return push_word(time, word);
+  }
+  std::uint64_t push(Time time, Callback& callback) {
+    return push_word(time, reinterpret_cast<std::uintptr_t>(&callback) | kCallbackTag);
   }
 
   bool empty() const noexcept { return heap_.empty(); }
@@ -86,10 +104,11 @@ class EventQueue {
   /// The event must still be queued: neither popped nor cancelled before.
   void cancel(std::uint64_t seq);
 
-  /// Drops all pending events without resuming them.  Coroutine frames are
-  /// owned by their parents / root wrappers, so no frames are destroyed here.
-  /// Also resets the tie-break sequence and releases backing storage, so a
-  /// reused queue behaves exactly like a fresh one.
+  /// Drops all pending events without resuming or firing them.  Coroutine
+  /// frames are owned by their parents / root wrappers and callbacks by their
+  /// pushers, so nothing is destroyed here.  Also resets the tie-break
+  /// sequence and releases backing storage, so a reused queue behaves
+  /// exactly like a fresh one.
   void clear() noexcept {
     // Not `heap_ = {}`: that picks the initializer_list assignment, which
     // empties the vector but keeps its capacity.
@@ -107,6 +126,25 @@ class EventQueue {
  private:
   static constexpr std::size_t kArity = 4;
   static constexpr std::size_t kShrinkMinCapacity = 4096;
+
+  std::uint64_t push_word(Time time, std::uintptr_t payload) {
+    const Event ev{time, next_seq_++, payload};
+    // Sift up with a moving hole: write the new event only once, into its
+    // final slot, instead of swapping down the path.  The no-move case (new
+    // event belongs at the end — always true for a near-empty queue) keeps
+    // the single store done by push_back.
+    std::size_t hole = heap_.size();
+    heap_.push_back(ev);
+    if (hole > 0 && before(ev, heap_[(hole - 1) / kArity])) {
+      do {
+        const std::size_t parent = (hole - 1) / kArity;
+        heap_[hole] = heap_[parent];
+        hole = parent;
+      } while (hole > 0 && before(ev, heap_[(hole - 1) / kArity]));
+      heap_[hole] = ev;
+    }
+    return ev.seq;
+  }
 
   static bool before(const Event& a, const Event& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
@@ -143,7 +181,9 @@ class EventQueue {
   std::unordered_set<std::uint64_t> cancelled_;  // still in heap_
 };
 
-// Cancellation keys on the sequence number, so an event needs no flag.
+// Cancellation keys on the sequence number and the kind rides in the
+// payload's low bit, so an event needs no flag.
 static_assert(sizeof(EventQueue::Event) == 24, "an Event fills 24 bytes");
+static_assert(alignof(Callback) > EventQueue::kCallbackTag, "a Callback's low bit is free");
 
 }  // namespace hcs::sim

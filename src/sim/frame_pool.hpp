@@ -12,7 +12,13 @@
 //   thread.  A PDES shard's windows run on its worker or, when the shard is
 //   the window's only one with events, on the coordinating thread, so a
 //   shard's frames may be freed on another thread than the one that
-//   allocated them.
+//   allocated them.  That is cheap while blocks flow both ways.  A one-way
+//   flow is not: the allocating thread's cache never refills from the
+//   frees, so the arena carves a fresh slab for each of its misses.  Message
+//   deliveries would be such a flow (the coordinator schedules every
+//   inter-node one, the workers fire them), so they are callback events
+//   whose records recycle per destination shard, not coroutines
+//   (simmpi/world.hpp).
 // * **A global slab arena** (SlabArena): when a thread cache misses, it
 //   refills a whole batch of blocks carved from 64 KiB size-classed slabs
 //   under one mutex acquisition, instead of one ::operator new per frame.
@@ -28,7 +34,7 @@
 // unsized deallocation both work; frames larger than the largest bucket fall
 // through to ::operator new/delete untouched.  Blocks freed on a different
 // thread than the one that allocated them simply land in the freeing
-// thread's cache — correct, just not what the layout is optimized for.
+// thread's cache — correct, but see the one-way flow above.
 #pragma once
 
 #include <atomic>

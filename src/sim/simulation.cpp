@@ -104,9 +104,21 @@ bool Simulation::drain_through(Time last, std::uint64_t max_events) {
     assert(ev.time >= now_);
     now_ = ev.time;
     ++events_processed_;
-    ev.handle.resume();
+    if (ev.is_callback()) {
+      fire(ev.callback());
+    } else {
+      ev.handle().resume();
+    }
   }
   return true;
+}
+
+void Simulation::fire(Callback& callback) noexcept {
+  try {
+    callback.fire(callback);
+  } catch (...) {
+    if (!first_error_) first_error_ = std::current_exception();
+  }
 }
 
 void Simulation::run(std::uint64_t max_events) {

@@ -3,8 +3,10 @@
 // Processes are Task<void> coroutines spawned before (or during) run().  A
 // process advances virtual time only by awaiting `delay()` or operations
 // built on it; run() drains the event queue until no events remain or an
-// event budget is exceeded.  Everything is deterministic: the scheduler draws
-// no random numbers, and ties run in FIFO order.
+// event budget is exceeded.  Work that needs no coroutine of its own (a
+// message delivery) is a callback event instead: one queue entry, no frame.
+// Everything is deterministic: the scheduler draws no random numbers, and
+// ties run in FIFO order.
 #pragma once
 
 #include <coroutine>
@@ -44,6 +46,16 @@ class Simulation {
     return queue_.push(t < now_ ? now_ : t, handle);
   }
   void cancel_timer(TimerId id) { queue_.cancel(id); }
+
+  /// Fires `callback` at absolute time `t` (clamped to now() like
+  /// schedule_at): an event that calls a function instead of resuming a
+  /// coroutine, ordered, timed and counted in events_processed() like a
+  /// resume.  The caller owns `callback` and keeps it alive until it fires;
+  /// take_error() and the destructor drop it unfired.  An exception it
+  /// throws is reported like a process's.
+  void schedule_callback(Time t, Callback& callback) {
+    queue_.push(t < now_ ? now_ : t, callback);
+  }
 
   /// Live events queued: pending resumes and armed timers.
   std::size_t events_pending() const noexcept { return queue_.size(); }
@@ -113,6 +125,8 @@ class Simulation {
   // or `max_events` (lifetime events_processed()) is reached.  Returns false
   // only in the last case, before popping the over-budget event.
   bool drain_through(Time last, std::uint64_t max_events);
+  // Runs a popped callback, parking what it throws as a process error.
+  void fire(Callback& callback) noexcept;
 
   Time now_ = 0.0;
   EventQueue queue_;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
 
 #include "replay/feed.hpp"
@@ -413,17 +414,6 @@ void World::run_all(const RankFn& fn, std::uint64_t max_events) {
 
 // -------------------------------------------------------------------- p2p --
 
-namespace {
-// Waits on the absolute arrival time: the spawning shard's clock differs
-// between shard layouts, so a relative delay would round differently.
-sim::Task<void> deliver_later(World& world, sim::Simulation& s, sim::Time arrive, int dst,
-                              Message msg) {
-  ResumeAt resume{&s, arrive};
-  co_await resume;
-  world.deliver_now(dst, std::move(msg));
-}
-}  // namespace
-
 void World::schedule_delivery(int dst, sim::Time arrive, Message msg) {
   if (fault_) arrive = fault_->release_time(dst, arrive);
   msg.arrived_at = arrive;
@@ -434,8 +424,31 @@ void World::schedule_delivery(int dst, sim::Time arrive, Message msg) {
     fault_->count_crash_drop();
     return;
   }
-  sim::Simulation& s = sim_of(dst);
-  s.spawn(deliver_later(*this, s, arrive, dst, std::move(msg)));
+  ShardState& ss = shard_states_[static_cast<std::size_t>(shard_of_rank(dst))];
+  Delivery* d = nullptr;
+  if (ss.free_deliveries.empty()) {
+    d = &ss.deliveries.emplace_back();
+    d->fire = fire_delivery;
+    d->world = this;
+  } else {
+    d = ss.free_deliveries.back();
+    ss.free_deliveries.pop_back();
+  }
+  d->dst = dst;
+  d->msg = std::move(msg);
+  // The absolute arrival time: the scheduling shard's clock differs between
+  // shard layouts, so a relative delay would round differently.
+  sim_of(dst).schedule_callback(arrive, *d);
+}
+
+void World::fire_delivery(sim::Callback& callback) {
+  Delivery& d = static_cast<Delivery&>(callback);
+  World& world = *d.world;
+  const int dst = d.dst;
+  Message msg = std::move(d.msg);
+  world.shard_states_[static_cast<std::size_t>(world.shard_of_rank(dst))]
+      .free_deliveries.push_back(&d);
+  world.deliver_now(dst, std::move(msg));
 }
 
 void World::push_ingress(int src, int dst, sim::Time depart_ready, sim::Time port_time,
@@ -457,13 +470,13 @@ void World::push_ingress(int src, int dst, sim::Time depart_ready, sim::Time por
 // shard count — the crux of the determinism guarantee.  Each message is
 // admitted in its destination shard's ShardScope.
 void World::drain_outboxes() {
-  std::vector<IngressRecord> records;
+  std::vector<IngressRecord>& records = ingress_merge_;
+  records.clear();
   for (auto& ss : shard_states_) {
     if (records.empty()) {
-      records = std::move(ss.outbox);
-      ss.outbox.clear();
+      records.swap(ss.outbox);  // the outbox takes the merge buffer's capacity
     } else {
-      for (auto& r : ss.outbox) records.push_back(std::move(r));
+      std::move(ss.outbox.begin(), ss.outbox.end(), std::back_inserter(records));
       ss.outbox.clear();
     }
   }
@@ -979,7 +992,8 @@ sim::Task<BurstResult> World::pingpong_burst(int me, int partner, bool i_am_clie
 // context, and both callers resume no earlier than the end of the window
 // just finished.
 void World::drain_burst_halves() {
-  std::vector<int> halves;
+  std::vector<int>& halves = halves_merge_;
+  halves.clear();
   for (auto& ss : shard_states_) {
     halves.insert(halves.end(), ss.pending.begin(), ss.pending.end());
     ss.pending.clear();

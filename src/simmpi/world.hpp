@@ -228,10 +228,6 @@ class World {
                                         vclock::Clock& my_clock, int nexchanges,
                                         std::int64_t bytes);
 
-  /// Internal: delivery of an in-flight message (public for the messenger
-  /// coroutine).
-  void deliver_now(int dst, Message msg);
-
   // --- split tables (used by Comm::split; not intended for user code) ---
 
   /// One fault-free Comm::split in flight, keyed by the parent's context and
@@ -300,7 +296,10 @@ class World {
     BurstResult result;
   };
   struct Mailbox {
-    std::deque<Message> unexpected;
+    // Arrived, unmatched messages in arrival order.  A vector, not a deque:
+    // it allocates nothing until its first message, and most ranks' stay
+    // empty.
+    std::vector<Message> unexpected;
     std::vector<RecvRequest> posted;  // irecvs (and blocking recvs) in post order
     // Channel repair, used only while network faults are active: messages
     // held back for in-order (FIFO) release.
@@ -335,12 +334,28 @@ class World {
     Message msg;
   };
 
+  /// One scheduled message delivery: a callback event on the destination
+  /// shard that hands `msg` to `dst`'s mailbox when it fires.
+  struct Delivery final : sim::Callback {
+    World* world = nullptr;
+    int dst = -1;
+    Message msg;
+  };
+
   /// Shard-confined engine state (only the thread running the shard's window
   /// touches it; the coordinator drains it while workers are parked).
   struct ShardState {
     std::vector<IngressRecord> outbox;
     std::uint64_t outbox_seq = 0;
     std::vector<int> pending;  // ranks whose cross-node half awaits the drain
+    // Delivery records of the messages bound for this shard's ranks.  The
+    // deque owns every record the shard has used (stable addresses, freed
+    // with the World, so a delivery an error dropped unfired does not
+    // leak); the free list holds those not in flight.  A record is taken
+    // where the delivery is scheduled and returned where it fires, both on
+    // this shard's side of the window handoff.
+    std::deque<Delivery> deliveries;
+    std::vector<Delivery*> free_deliveries;
   };
 
   // Installs shard `s`'s tracer and metrics registry on the calling thread
@@ -366,6 +381,10 @@ class World {
                                                    BurstResult& result);
   /// The one burst pairing routine (world.cpp).
   std::pair<sim::Time, sim::Time> pair(int first, int second, sim::Time floor);
+  /// Hands an arrived message to `dst`'s mailbox: channel repair under
+  /// network faults, then match or enqueue.
+  void deliver_now(int dst, Message msg);
+  static void fire_delivery(sim::Callback& callback);  // a Delivery's event
   void match_or_enqueue(int dst, Message msg);
   void dispatch_message(int src, int dst, std::vector<double> data, std::int64_t bytes,
                         std::int64_t tag, sim::Time ready);
@@ -393,7 +412,7 @@ class World {
   sim::Task<void> replay_starve(int me);  // crash at recorded time, or diverge
 
   // --- windowed engine (world_engine section of world.cpp) ---
-  void drain_outboxes();          // ingress merge + delivery spawns
+  void drain_outboxes();          // ingress merge + delivery events
   void drain_burst_halves();      // cross-node rendezvous + synthesis
   bool serial_phase(std::uint64_t max_events);  // drains + next window; false = done
   void run_shard_window(int s);  // shard s's part of the window, in its ShardScope
@@ -456,6 +475,10 @@ class World {
   std::uint64_t bursts_clamped_ = 0;  // pairs the clamp delayed, this run
   std::vector<std::uint64_t> shard_caps_;  // per-shard lifetime event caps
   int lone_shard_ = -1;  // the window's only shard with events, or -1 if several
+  // The drains' merge buffers, cleared with their capacity kept so the
+  // windows of a run reuse them (and the shards' outboxes keep theirs).
+  std::vector<IngressRecord> ingress_merge_;
+  std::vector<int> halves_merge_;
   std::exception_ptr fatal_;
 };
 

@@ -289,6 +289,70 @@ TEST(ShardDeterminism, FullSyncBitIdenticalCleanAndFaulted) {
   }
 }
 
+// ------------------------------------------------------- message delivery --
+
+// A message delivery is one callback event on the destination shard, not a
+// process.  A fault-free hierarchical sync (H2HCA: HCA3 among the node
+// leaders, then ClockPropagation inside each node) sends messages within and
+// across nodes, yet spawns exactly one process per rank, summed over the
+// shards; its corrections and its event and message counts do not depend on
+// the layout.
+struct DeliveryRun {
+  std::vector<double> corrections;
+  std::size_t spawned = 0;
+  std::size_t finished = 0;
+  double spawned_gauge = 0.0;
+  std::uint64_t events = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t inter_node = 0;
+};
+
+DeliveryRun hierarchical_run(int shards) {
+  trace::MetricsRegistry registry;
+  DeliveryRun run;
+  {
+    const trace::ScopedMetrics install(&registry);
+    World w(topology::testbox(4, 4), 5, {}, shards);
+    EXPECT_EQ(w.shards(), shards);
+    run.corrections.assign(static_cast<std::size_t>(2 * w.size()), 0.0);
+    w.run_all([&](RankCtx& ctx) -> sim::Task<void> {
+      auto sync = clocksync::make_sync("top/hca3/20/skampi_offset/5/bottom/clockpropagation");
+      const auto clock = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+      const std::size_t me = static_cast<std::size_t>(ctx.rank());
+      run.corrections[2 * me] = clock->at_exact(0.5);
+      run.corrections[2 * me + 1] = ctx.sim().now();
+    });
+    std::set<const sim::Simulation*> sims;
+    for (int r = 0; r < w.size(); ++r) sims.insert(&w.sim_of(r));
+    EXPECT_EQ(sims.size(), static_cast<std::size_t>(shards));
+    for (const sim::Simulation* s : sims) {
+      run.spawned += s->processes_spawned();
+      run.finished += s->processes_finished();
+    }
+    run.events = w.events_processed();
+  }  // ~World folds the shard registries into `registry`
+  run.spawned_gauge = registry.gauge("sim.processes_spawned").value();
+  run.inter_node = registry.counter("net.messages.inter_node").value();
+  run.messages = run.inter_node + registry.counter("net.messages.intra_node").value() +
+                 registry.counter("net.messages.intra_socket").value();
+  return run;
+}
+
+TEST(MessageDelivery, HierarchicalSyncSpawnsOneProcessPerRankAtEveryShardCount) {
+  const DeliveryRun one = hierarchical_run(1);
+  const DeliveryRun four = hierarchical_run(4);
+  for (const DeliveryRun* run : {&one, &four}) {
+    EXPECT_EQ(run->spawned, 16u);
+    EXPECT_EQ(run->finished, 16u);
+    EXPECT_EQ(run->spawned_gauge, 16.0);
+  }
+  EXPECT_GT(one.inter_node, 0u);
+  EXPECT_GT(one.messages, one.inter_node);
+  EXPECT_EQ(one.corrections, four.corrections);
+  EXPECT_EQ(one.events, four.events);
+  EXPECT_EQ(one.messages, four.messages);
+}
+
 // ------------------------------------------------------ burst resume clamp --
 
 // A cross-node burst pairs at the window boundary, and both callers resume

@@ -198,5 +198,113 @@ TEST(Simulation, AbandonedBlockedProcessIsReclaimed) {
   SUCCEED();
 }
 
+// ------------------------------------------------------------- callbacks --
+
+// A callback event that logs its id and the time it fired.  It owns a heap
+// payload, like a message delivery, so a dropped one that leaked would show
+// under ASan.
+struct Mark final : Callback {
+  Mark(std::vector<int>* log, int id) : log(log), id(id), payload(16, 1.0) {
+    fire = [](Callback& self) {
+      Mark& m = static_cast<Mark&>(self);
+      m.log->push_back(m.id);
+      ++m.fired;
+    };
+  }
+  std::vector<int>* log;
+  int id;
+  int fired = 0;
+  std::vector<double> payload;
+};
+
+TEST(SimulationCallback, InterleavesWithResumesInPushOrderAtEqualTimes) {
+  Simulation sim;
+  std::vector<int> order;
+  Mark first(&order, 1), third(&order, 3);
+  sim.schedule_callback(1.0, first);
+  sim.spawn([](Simulation& s, std::vector<int>* log) -> Task<void> {
+    co_await s.delay(1.0);  // pushed second, at the same time
+    log->push_back(2);
+  }(sim, &order));
+  sim.schedule_callback(1.0, third);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.now(), 1.0);
+}
+
+TEST(SimulationCallback, FiresAtItsTimeAndClampsThePast) {
+  Simulation sim;
+  std::vector<int> order;
+  Mark late(&order, 2), past(&order, 1);
+  Time late_at = -1.0;
+  sim.spawn([](Simulation& s, Mark* past, Mark* late, Time* late_at) -> Task<void> {
+    co_await s.delay(2.0);
+    s.schedule_callback(0.5, *past);  // in the past: fires now, after this resume
+    s.schedule_callback(3.0, *late);
+    co_await s.delay(2.0);
+    *late_at = s.now();
+  }(sim, &past, &late, &late_at));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(late_at, 4.0);
+  EXPECT_EQ(sim.now(), 4.0);
+}
+
+TEST(SimulationCallback, EachCallbackCountsAsOneEventAndNoProcess) {
+  Simulation sim;
+  std::vector<int> order;
+  std::vector<Mark> marks;
+  marks.reserve(3);
+  for (int i = 0; i < 3; ++i) marks.emplace_back(&order, i);
+  for (Mark& m : marks) sim.schedule_callback(0.25 * m.id, m);
+  EXPECT_EQ(sim.events_pending(), 3u);
+  sim.run_window(0.5);  // fires the callbacks at 0 and 0.25
+  EXPECT_EQ(sim.events_processed(), 2u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sim.events_processed(), 3u);
+  EXPECT_EQ(sim.processes_spawned(), 0u);
+  EXPECT_EQ(sim.processes_finished(), 0u);
+}
+
+TEST(SimulationCallback, ExceptionSurfacesFromRun) {
+  Simulation sim;
+  Callback thrower;
+  thrower.fire = [](Callback&) { throw std::logic_error("callback failed"); };
+  sim.schedule_callback(1.0, thrower);
+  EXPECT_THROW(sim.run(), std::logic_error);
+}
+
+TEST(SimulationCallback, TakeErrorDropsPendingCallbacksUnfired) {
+  Simulation sim;
+  std::vector<int> order;
+  Mark before(&order, 1), after(&order, 2), tied(&order, 3);
+  sim.schedule_callback(0.5, before);
+  sim.spawn([](Simulation& s) -> Task<void> {
+    co_await s.delay(1.0);
+    throw std::runtime_error("boom");
+  }(sim));
+  sim.schedule_callback(1.0, tied);  // behind the failing resume
+  sim.schedule_callback(2.0, after);
+  sim.run_window(3.0);
+  EXPECT_NE(sim.take_error(), nullptr);
+  EXPECT_TRUE(sim.idle());
+  sim.run();  // nothing left to fire
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(tied.fired + after.fired, 0);
+}
+
+TEST(SimulationCallback, DestructorDropsPendingCallbacksUnfired) {
+  std::vector<int> order;
+  Mark pending(&order, 1);
+  {
+    Simulation sim;
+    sim.schedule_callback(1.0, pending);
+    sim.spawn([](Simulation& s) -> Task<void> { co_await s.delay(2.0); }(sim));
+  }
+  EXPECT_EQ(pending.fired, 0);
+  EXPECT_TRUE(order.empty());
+}
+
 }  // namespace
 }  // namespace hcs::sim

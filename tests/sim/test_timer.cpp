@@ -18,7 +18,7 @@ namespace hcs::sim {
 namespace {
 
 std::coroutine_handle<> tag(std::uintptr_t v) {
-  return std::coroutine_handle<>::from_address(reinterpret_cast<void*>(v));
+  return std::coroutine_handle<>::from_address(reinterpret_cast<void*>(v << 4));
 }
 
 // Parks the caller with a timer due at `wake`; the id lands in *timer.
