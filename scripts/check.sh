@@ -15,8 +15,7 @@ ctest --test-dir "$BUILD_DIR" -j "$(nproc)" --output-on-failure
 
 # Repo-wide static analysis gate (also runs as the `lint`-labelled ctest;
 # invoked directly here for a focused log line and exit status).
-"$BUILD_DIR/tools/hcs_lint" --root . --baseline .lint-baseline \
-  src bench examples tests tools
+"$BUILD_DIR/tools/hcs_lint" --root . src bench examples tests tools
 
 # End-to-end observability smoke: trace_app must produce a valid Chrome
 # trace and a metrics CSV.

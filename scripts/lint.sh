@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Run hcs-lint over the tree (src bench examples tests tools) against the
-# committed baseline.  Builds the tool if the build dir doesn't have it yet.
+# Run hcs-lint over the tree (src bench examples tests tools).  Builds the
+# tool if the build dir doesn't have it yet.
 #
 #   scripts/lint.sh [BUILD_DIR] [extra hcs_lint args...]   (default: build)
 #
@@ -19,5 +19,4 @@ if [[ ! -x "$BUILD_DIR/tools/hcs_lint" ]]; then
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target hcs_lint_tool >/dev/null
 fi
 
-exec "$BUILD_DIR/tools/hcs_lint" --root . --baseline .lint-baseline "$@" \
-  src bench examples tests tools
+exec "$BUILD_DIR/tools/hcs_lint" --root . "$@" src bench examples tests tools

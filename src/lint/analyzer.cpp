@@ -68,9 +68,7 @@ AnalysisResult analyze_contents(const std::vector<std::pair<std::string, std::st
   std::vector<FileSummary> summaries;
   summaries.reserve(sources.size());
   for (const auto& [rel, content] : sources) {
-    const LexedFile lexed = lex(rel, content);
-    summaries.push_back(build_summary(lexed, rel, now, &rule_seconds));
-    result.lines.emplace(rel, lexed.lines);
+    summaries.push_back(build_summary(lex(rel, content), rel, now, &rule_seconds));
   }
   result.stats.files = static_cast<int>(summaries.size());
   const double t_phase1 = now ? now() : 0.0;
@@ -164,18 +162,6 @@ AnalysisResult analyze_paths(const std::vector<std::string>& paths,
         "hcs-lint: no C++ sources found under the given paths — check the path arguments");
   }
   return analyze_contents(sources, options);
-}
-
-std::vector<Finding> apply_baseline(const AnalysisResult& result, Baseline baseline) {
-  static const std::vector<std::string> kNone;
-  std::vector<Finding> fresh;
-  for (const Finding& f : result.findings) {
-    const auto it = result.lines.find(f.path);
-    if (!baseline.consume(f, it == result.lines.end() ? kNone : it->second)) {
-      fresh.push_back(f);
-    }
-  }
-  return fresh;
 }
 
 }  // namespace hcs::lint

@@ -1,11 +1,12 @@
-// hcs-lint driver: file discovery, the two-phase whole-program pipeline,
-// suppression and baseline filtering.
+// hcs-lint driver: file discovery, the two-phase whole-program pipeline and
+// suppression filtering.
 //
 // Pipeline: every file is lexed and reduced to a FileSummary, and the
 // per-file rules run over it (phase 1, see summary.hpp).  The summaries are
 // then merged into a ProjectIndex and the interprocedural rules run over the
-// call graph (phase 2, see interproc_rules.hpp).  Rule selection, suppression
-// comments and baselines are applied at assembly time.
+// call graph (phase 2, see interproc_rules.hpp).  Rule selection and
+// suppression comments are applied at assembly time.  An inline suppression
+// is the only way to accept a finding.
 //
 // Suppression comment forms, each naming one or more rule ids (the examples
 // use real ids so this header lints clean against its own parser):
@@ -24,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "lint/baseline.hpp"
 #include "lint/finding.hpp"
 
 namespace hcs::lint {
@@ -53,8 +53,6 @@ struct AnalysisStats {
 
 struct AnalysisResult {
   std::vector<Finding> findings;  // sorted; suppressions already applied
-  // Raw source lines per relative path, for baseline keying/serialization.
-  std::map<std::string, std::vector<std::string>> lines;
   AnalysisStats stats;
 };
 
@@ -77,8 +75,5 @@ AnalysisResult analyze_sources(const std::vector<std::pair<std::string, std::str
 // directory tree).
 AnalysisResult analyze_paths(const std::vector<std::string>& paths,
                              const AnalyzerOptions& options);
-
-// Drops baselined findings (consuming credits) and returns the remainder.
-std::vector<Finding> apply_baseline(const AnalysisResult& result, Baseline baseline);
 
 }  // namespace hcs::lint

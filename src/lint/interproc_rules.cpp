@@ -19,12 +19,12 @@ std::string join_set(const std::set<std::string>& s) {
 }
 
 // ---------------------------------------------------------------------------
-// ip-coll-rank-branch
+// coll-rank-branch
 // ---------------------------------------------------------------------------
 
 void run_coll_rank_branch(const std::vector<FileSummary>& files, const ProjectIndex& index,
                           std::vector<Finding>& out) {
-  const RuleInfo* rule = find_rule("ip-coll-rank-branch");
+  const RuleInfo* rule = find_rule("coll-rank-branch");
   if (!rule) return;
 
   // Transitive collective bags: colls*(f) = direct(f) ∪ colls*(callees), to a
@@ -68,32 +68,29 @@ void run_coll_rank_branch(const std::vector<FileSummary>& files, const ProjectIn
   for (const FileSummary& file : files) {
     if (path_exempt(*rule, file.rel_path)) continue;
     for (const RankBranchSummary& rb : file.rank_branches) {
-      // The per-file rule owns direct divergence; this rule only fires when
-      // the arms look identical file-locally but helpers hide collectives.
-      if (rb.fn < 0 || rb.then_colls != rb.else_colls) continue;
       const std::set<std::string> then_bag = bag_through(rb.then_colls, rb.then_calls);
       const std::set<std::string> else_bag = bag_through(rb.else_colls, rb.else_calls);
       if (then_bag != else_bag) {
         out.push_back(Finding{
             rule->id, rule->severity, file.rel_path, rb.line, rb.col,
-            "collective calls diverge across a rank-dependent branch through helper calls: "
-            "then-branch transitively performs " +
+            "collective calls diverge across a rank-dependent branch: then-branch performs " +
                 join_set(then_bag) + ", else-branch " + join_set(else_bag) +
-                " — every rank must reach the same collective sequence"});
+                " (directly or through helper calls) — every rank must reach the same "
+                "collective sequence"});
         continue;
       }
-      if (rb.exit_then == rb.exit_else || !rb.after_colls.empty()) continue;
-      std::set<std::string> after_bag;
-      for (const std::string& name : rb.after_calls) {
-        const FuncRef* callee = index.resolve(name);
-        if (callee) after_bag.insert(bags[callee->fn].begin(), bags[callee->fn].end());
-      }
+      // Matched arms (usually both empty): an early exit on one side still
+      // desynchronizes every collective that follows in the function or
+      // lambda it leaves.
+      if (rb.exit_then == rb.exit_else) continue;
+      const std::set<std::string> after_bag =
+          bag_through(rb.scope_after_colls, rb.scope_after_calls);
       if (!after_bag.empty()) {
         out.push_back(Finding{
             rule->id, rule->severity, file.rel_path, rb.line, rb.col,
-            "rank-dependent early exit skips collective(s) " + join_set(after_bag) +
-                " reached through helper calls after the branch — hoist the exit below the "
-                "collective or make it uniform"});
+            "rank-dependent early exit skips later collective(s) " + join_set(after_bag) +
+                " (directly or through helper calls) for some ranks — hoist the exit below "
+                "the collective or make it uniform"});
       }
     }
   }
@@ -148,8 +145,8 @@ std::vector<Finding> run_interproc_rules(const std::vector<FileSummary>& files,
     if (now && rule_seconds) (*rule_seconds)[id] += now() - t0;
   };
   std::vector<Finding> out;
-  if (rule_enabled(enabled, "ip-coll-rank-branch")) {
-    timed("ip-coll-rank-branch", [&] { run_coll_rank_branch(files, index, out); });
+  if (rule_enabled(enabled, "coll-rank-branch")) {
+    timed("coll-rank-branch", [&] { run_coll_rank_branch(files, index, out); });
   }
   if (rule_enabled(enabled, "ip-unchecked-sync-result")) {
     timed("ip-unchecked-sync-result", [&] { run_unchecked_sync_result(files, index, out); });

@@ -1,16 +1,14 @@
 // Interprocedural hcs-lint rules (phase 2 of 2).
 //
 // These run over the merged per-file summaries and the ProjectIndex, not over
-// tokens: they see only what phase 1 recorded, and of the rank-branch records
-// only those inside a named function.  Each rule extends one per-file check
-// across call edges (up to kMaxCallDepth edges, the PARCOACH-style bound on
-// chain length):
+// tokens: they see only what phase 1 recorded.  Each follows call edges (up
+// to kMaxCallDepth edges, the PARCOACH-style bound on chain length):
 //
-//   ip-coll-rank-branch      rank-dependent branches whose *direct* collective
-//                            calls match but whose transitive collective bags
-//                            (through helper calls) diverge, and rank-dependent
-//                            early exits that skip collectives hidden in
-//                            helpers.
+//   coll-rank-branch         rank-dependent branches whose arms reach
+//                            different collectives, directly or through
+//                            helper calls, and rank-dependent early exits
+//                            that skip a collective (direct or in a helper)
+//                            later in the innermost function or lambda.
 //   ip-unchecked-sync-result call sites of SyncResult-returning functions that
 //                            drop the SyncReport health (discarded value,
 //                            implicit ClockPtr narrowing, or a binding whose

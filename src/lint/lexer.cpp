@@ -30,7 +30,6 @@ class Lexer {
  public:
   Lexer(std::string path, const std::string& src) : src_(src) {
     out_.path = std::move(path);
-    split_lines();
   }
 
   LexedFile run() {
@@ -87,19 +86,6 @@ class Lexer {
   }
 
  private:
-  void split_lines() {
-    std::string cur;
-    for (char c : src_) {
-      if (c == '\n') {
-        out_.lines.push_back(cur);
-        cur.clear();
-      } else {
-        cur.push_back(c);
-      }
-    }
-    if (!cur.empty()) out_.lines.push_back(cur);
-  }
-
   char peek(std::size_t ahead) const {
     return pos_ + ahead < src_.size() ? src_[pos_ + ahead] : '\0';
   }

@@ -36,11 +36,10 @@ struct Comment {
 };
 
 // A lexed translation unit.  `tokens` excludes comments and preprocessor
-// directives; both are kept separately (comments carry the suppression
-// annotations, raw `lines` feed the baseline fingerprint).
+// directives; comments are kept separately (they carry the suppression
+// annotations).
 struct LexedFile {
   std::string path;
-  std::vector<std::string> lines;
   std::vector<Token> tokens;
   std::vector<Comment> comments;
 };

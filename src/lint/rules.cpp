@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <map>
 
-#include "lint/summary.hpp"
 #include "lint/token_scan.hpp"
 
 namespace hcs::lint {
@@ -18,39 +17,13 @@ using namespace scan;  // NOLINT(google-build-using-namespace) — rule bodies r
 
 struct FileCtx {
   const Toks& t;
-  const FileSummary& summary;  // rank-branch records
+  const std::string& rel_path;
 
-  void add(std::vector<Finding>& out, const RuleInfo& rule, int line, int col,
-           std::string message) const {
-    out.push_back(Finding{rule.id, rule.severity, summary.rel_path, line, col, std::move(message)});
-  }
   void add(std::vector<Finding>& out, const RuleInfo& rule, const Token& at,
            std::string message) const {
-    add(out, rule, at.line, at.col, std::move(message));
+    out.push_back(Finding{rule.id, rule.severity, rel_path, at.line, at.col, std::move(message)});
   }
 };
-
-// ---------------------------------------------------------------------------
-// Rule: coll-rank-branch
-// ---------------------------------------------------------------------------
-
-void rule_coll_rank_branch(const FileCtx& ctx, const RuleInfo& rule, std::vector<Finding>& out) {
-  for (const RankBranchSummary& rb : ctx.summary.rank_branches) {
-    if (rb.then_colls != rb.else_colls) {
-      ctx.add(out, rule, rb.line, rb.col,
-              "collective calls diverge across a rank-dependent branch: then-branch calls " +
-                  join(rb.then_colls) + ", else-branch calls " + join(rb.else_colls) +
-                  " — every rank must reach the same collective sequence");
-      continue;
-    }
-    // Matched branches (usually both empty): an early exit on one side still
-    // desynchronizes every collective that follows in this function.
-    if (rb.exit_then == rb.exit_else || rb.scope_after_colls.empty()) continue;
-    ctx.add(out, rule, rb.line, rb.col,
-            "rank-dependent early exit skips later collective(s) " + join(rb.scope_after_colls) +
-                " for some ranks — hoist the exit below the collective or make it uniform");
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Rule: ft-plain-recv
@@ -260,8 +233,6 @@ void rule_coro_lambda_capture(const FileCtx& ctx, const RuleInfo& rule,
 
 const std::vector<RuleInfo>& rule_table() {
   static const std::vector<RuleInfo> kTable = {
-      {"coll-rank-branch", Severity::kError, "collective-matching",
-       "simmpi collective calls must match across rank-dependent branches", {}},
       {"ft-plain-recv", Severity::kError, "collective-matching",
        "plain recv() is forbidden in files using the failure-detector path", {}},
       {"unordered-iter", Severity::kError, "determinism",
@@ -275,8 +246,9 @@ const std::vector<RuleInfo>& rule_table() {
       // not here — run_interproc_rules in interproc_rules.cpp dispatches
       // them.  Listed in the shared table so ids, severities, exemptions,
       // suppressions and fixtures are handled uniformly.
-      {"ip-coll-rank-branch", Severity::kError, "collective-matching",
-       "collectives reached through helper calls must match across rank-dependent branches",
+      {"coll-rank-branch", Severity::kError, "collective-matching",
+       "collectives reached directly or through helper calls must match across "
+       "rank-dependent branches",
        {},
        /*interprocedural=*/true},
       {"ip-unchecked-sync-result", Severity::kError, "collective-matching",
@@ -299,16 +271,15 @@ bool path_exempt(const RuleInfo& rule, const std::string& rel_path) {
                      [&](const std::string& p) { return rel_path.rfind(p, 0) == 0; });
 }
 
-void run_rules(const LexedFile& file, const FileSummary& summary,
+void run_rules(const LexedFile& file, const std::string& rel_path,
                const std::set<std::string>& enabled, std::vector<Finding>& out,
                const std::function<double()>& now, std::map<std::string, double>* rule_seconds) {
-  const FileCtx ctx{file.tokens, summary};
+  const FileCtx ctx{file.tokens, rel_path};
   for (const auto& rule : rule_table()) {
     if (rule.interprocedural) continue;  // phase 2: run_interproc_rules
     if (!enabled.empty() && !enabled.count(rule.id)) continue;
-    if (path_exempt(rule, summary.rel_path)) continue;
+    if (path_exempt(rule, rel_path)) continue;
     const double t0 = now ? now() : 0.0;
-    if (rule.id == "coll-rank-branch") rule_coll_rank_branch(ctx, rule, out);
     if (rule.id == "ft-plain-recv") rule_ft_plain_recv(ctx, rule, out);
     if (rule.id == "unordered-iter") rule_unordered_iter(ctx, rule, out);
     if (rule.id == "co-await-subexpr") rule_co_await_subexpr(ctx, rule, out);

@@ -1,13 +1,12 @@
 // The hcs-lint rule catalogue and rule engine.
 //
 // Rules are table-driven: rule_table() is the single source of truth for rule
-// ids, default severities, categories and per-rule path exemptions.  Of the
-// five per-file rules, coll-rank-branch queries the rank-branch records of a
-// FileSummary; the others are token-stream checks over the LexedFile.  The
-// two interprocedural rules run in phase 2 (interproc_rules.hpp).  Host
-// clocks, raw randomness and discarded Tasks are not rules: the compiler
-// rejects them (docs/static-analysis.md has the catalogue with rationale and
-// examples, and "What the compiler enforces").
+// ids, default severities, categories and per-rule path exemptions.  The
+// four per-file rules are token-stream checks over the LexedFile; the two
+// interprocedural rules, coll-rank-branch among them, run in phase 2
+// (interproc_rules.hpp).  Host clocks, raw randomness and discarded Tasks are
+// not rules: the compiler rejects them (docs/static-analysis.md has the
+// catalogue with rationale and examples, and "What the compiler enforces").
 #pragma once
 
 #include <functional>
@@ -20,8 +19,6 @@
 #include "lint/lexer.hpp"
 
 namespace hcs::lint {
-
-struct FileSummary;
 
 struct RuleInfo {
   std::string id;
@@ -44,13 +41,12 @@ const RuleInfo* find_rule(const std::string& id);
 bool path_exempt(const RuleInfo& rule, const std::string& rel_path);
 
 // Runs every per-file rule whose id is in `enabled` (empty set = all rules)
-// over `file` and its summary's records, and appends raw findings.
-// `summary.rel_path` is the repo-relative path used for exemption matching
-// and reporting; suppression comments and baselines are applied by the
-// analyzer, not here.  Interprocedural rules are skipped (see
+// over `file` and appends raw findings.  `rel_path` is the repo-relative path
+// used for exemption matching and reporting; suppression comments are
+// applied by the analyzer, not here.  Interprocedural rules are skipped (see
 // interproc_rules.hpp).  `now`/`rule_seconds` (optional) accumulate per-rule
 // runtimes for --stats.
-void run_rules(const LexedFile& file, const FileSummary& summary,
+void run_rules(const LexedFile& file, const std::string& rel_path,
                const std::set<std::string>& enabled, std::vector<Finding>& out,
                const std::function<double()>& now = {},
                std::map<std::string, double>* rule_seconds = nullptr);

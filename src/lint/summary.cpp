@@ -240,16 +240,6 @@ ResultUse classify_use(const Toks& t, std::size_t i, const FuncExtent& fe) {
 // Rank branches
 // ---------------------------------------------------------------------------
 
-// Index of the innermost named function whose body holds token `i`, or -1.
-// `fns` is in token order, so a nested definition follows its encloser.
-int innermost_named(const std::vector<NamedFn>& fns, std::size_t i) {
-  int best = -1;
-  for (std::size_t k = 0; k < fns.size() && fns[k].fe.open < i; ++k) {
-    if (i < fns[k].fe.close) best = static_cast<int>(k);
-  }
-  return best;
-}
-
 std::vector<std::string> call_names_in(const Toks& t, std::size_t b, std::size_t e) {
   std::vector<std::string> names;
   for (std::size_t i = b; i < e && i < t.size(); ++i) {
@@ -263,7 +253,7 @@ std::vector<std::string> call_names_in(const Toks& t, std::size_t b, std::size_t
 }
 
 void scan_rank_branches(const Toks& t, const std::vector<FuncExtent>& extents,
-                        const std::vector<NamedFn>& fns, std::vector<RankBranchSummary>& out) {
+                        std::vector<RankBranchSummary>& out) {
   const std::set<std::string> rank_vars = rank_tainted_vars(t);
   for (std::size_t i = 0; i + 1 < t.size(); ++i) {
     if (!is_ident(t[i], "if") || !is(t[i + 1], "(")) continue;
@@ -281,7 +271,6 @@ void scan_rank_branches(const Toks& t, const std::vector<FuncExtent>& extents,
     RankBranchSummary rb;
     rb.line = t[i].line;
     rb.col = t[i].col;
-    rb.fn = innermost_named(fns, i);
     rb.exit_then = has_function_exit(t, then_b, then_e);
     rb.exit_else = else_b != else_e && has_function_exit(t, else_b, else_e);
     rb.then_colls = collectives_in(t, then_b, then_e);
@@ -289,12 +278,9 @@ void scan_rank_branches(const Toks& t, const std::vector<FuncExtent>& extents,
     rb.then_calls = call_names_in(t, then_b, then_e);
     rb.else_calls = call_names_in(t, else_b, else_e);
     const FuncExtent* scope = enclosing_function(extents, i);
-    rb.scope_after_colls = collectives_in(t, after, scope ? scope->close : t.size());
-    if (rb.fn >= 0) {
-      const std::size_t fn_close = fns[static_cast<std::size_t>(rb.fn)].fe.close;
-      rb.after_colls = collectives_in(t, after, fn_close);
-      rb.after_calls = call_names_in(t, after, fn_close);
-    }
+    const std::size_t scope_close = scope ? scope->close : t.size();
+    rb.scope_after_colls = collectives_in(t, after, scope_close);
+    rb.scope_after_calls = call_names_in(t, after, scope_close);
     out.push_back(std::move(rb));
   }
 }
@@ -394,12 +380,12 @@ FileSummary build_summary(const LexedFile& file, const std::string& rel_path,
     fs.direct_colls.assign(colls.begin(), colls.end());
     out.functions.push_back(std::move(fs));
   }
-  scan_rank_branches(t, extents, fns, out.rank_branches);
+  scan_rank_branches(t, extents, out.rank_branches);
 
   // Per-file findings for every rule: selection and suppression are config,
   // applied at assembly time.
   std::vector<Finding> findings;
-  run_rules(file, out, /*enabled=*/{}, findings, now, rule_seconds);
+  run_rules(file, rel_path, /*enabled=*/{}, findings, now, rule_seconds);
   out.suppressions = collect_suppressions(file, rel_path, &findings);
   std::sort(findings.begin(), findings.end());
   out.local_findings = std::move(findings);

@@ -4,10 +4,9 @@
 // unit: every function definition with its call sites and the collectives it
 // performs directly, the rank-dependent branches of the whole file, the
 // per-file findings (all rules, pre-filter) and the suppression tables.
-// build_summary is the one scanner for rank branches: the per-file rule
-// coll-rank-branch queries its records, and so do the interprocedural rules
-// of phase 2.  Summaries are config-independent — rule selection and
-// baselines are applied later.
+// build_summary is the one scanner for rank branches; the interprocedural
+// rule coll-rank-branch queries its records in phase 2.  Summaries are
+// config-independent: rule selection and suppressions are applied later.
 #pragma once
 
 #include <functional>
@@ -39,25 +38,20 @@ struct CallSite {
   ResultUse use = ResultUse::kConsumed;
 };
 
-// One rank-dependent `if`, file scope included: what each arm does directly.
-// `fn` tags it with its innermost enclosing named function (an index into
-// FileSummary::functions), or -1 outside any; the interprocedural rule uses
-// only tagged records.  The per-file coll-rank-branch rule fires when the
-// *direct* collectives diverge; the interprocedural rule fires when they
-// match but the transitive bags (through then_calls/else_calls) do not.
+// One rank-dependent `if`, file scope included: what each arm does directly
+// and which project functions it calls.  coll-rank-branch compares the arms'
+// transitive collective bags (direct collectives plus each called helper's
+// bag) and, for a one-sided early exit, the bag of what follows the branch.
 struct RankBranchSummary {
   int line = 0;
   int col = 0;
-  int fn = -1;
   bool exit_then = false;
   bool exit_else = false;
   std::vector<std::string> then_colls, else_colls;  // sorted
   std::vector<std::string> then_calls, else_calls;  // sorted, deduped
   // After the branch, up to the end of the innermost function or lambda (the
-  // file's end outside any): what a one-sided early exit skips file-locally.
-  std::vector<std::string> scope_after_colls;
-  // After the branch, up to the named function's "}" (empty when fn < 0).
-  std::vector<std::string> after_colls, after_calls;
+  // file's end outside any): what a one-sided early exit skips.
+  std::vector<std::string> scope_after_colls, scope_after_calls;
 };
 
 struct FunctionSummary {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <sstream>
 
 namespace hcs::lint::scan {
 
@@ -282,13 +281,6 @@ bool has_function_exit(const Toks& t, std::size_t b, std::size_t e) {
     if (is_ident(t[i], "return") || is_ident(t[i], "co_return")) return true;
   }
   return false;
-}
-
-std::string join(const std::vector<std::string>& v) {
-  if (v.empty()) return "nothing";
-  std::ostringstream os;
-  for (std::size_t i = 0; i < v.size(); ++i) os << (i ? ", " : "") << v[i];
-  return os.str();
 }
 
 std::string lower(std::string s) {

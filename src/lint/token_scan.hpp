@@ -86,7 +86,6 @@ std::vector<std::string> collectives_in(const Toks& t, std::size_t b, std::size_
 // Early exits that skip the rest of the *function* within [b, e).
 bool has_function_exit(const Toks& t, std::size_t b, std::size_t e);
 
-std::string join(const std::vector<std::string>& v);
 std::string lower(std::string s);
 
 }  // namespace hcs::lint::scan

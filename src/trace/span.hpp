@@ -9,8 +9,7 @@
 // string literal or otherwise outlive the tracer.
 //
 // Cost model: with no tracer installed each macro is one pointer load and a
-// branch (bench_micro_sim verifies the hot paths stay flat); compiling with
-// -DHCS_TRACE_DISABLE removes even that.
+// branch (bench_micro_sim verifies the hot paths stay flat).
 #pragma once
 
 #include "trace/tracer.hpp"
@@ -52,13 +51,6 @@ class Span {
 #define HCS_TRACE_CONCAT_IMPL(a, b) a##b
 #define HCS_TRACE_CONCAT(a, b) HCS_TRACE_CONCAT_IMPL(a, b)
 
-#ifdef HCS_TRACE_DISABLE
-
-#define HCS_TRACE_SCOPE(cat, rank, ...) ((void)0)
-#define HCS_TRACE_INSTANT(cat, rank, ...) ((void)0)
-
-#else
-
 #define HCS_TRACE_SCOPE(cat, rank, ...)                                              \
   const ::hcs::trace::Span HCS_TRACE_CONCAT(hcs_trace_span_, __LINE__)(              \
       ::hcs::trace::active_tracer(), ::hcs::trace::Category::HCS_TRACE_CONCAT(k, cat), \
@@ -71,5 +63,3 @@ class Span {
                                   __VA_ARGS__);                                       \
     }                                                                                 \
   } while (0)
-
-#endif  // HCS_TRACE_DISABLE

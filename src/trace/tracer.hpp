@@ -10,8 +10,7 @@
 // The tracer is installed per-thread (install_tracer / ScopedTracer write a
 // thread_local slot); the HCS_TRACE_SCOPE macro in span.hpp reads the active
 // tracer through a single pointer load, so instrumentation costs one branch
-// when tracing is off and can be compiled out entirely with
-// -DHCS_TRACE_DISABLE.  Thread scoping is what lets runner::TrialRunner give
+// when tracing is off.  Thread scoping is what lets runner::TrialRunner give
 // every concurrent trial a private tracer and merge them deterministically
 // afterwards (absorb) without any locking on the record path.
 //

@@ -1,15 +1,12 @@
 // Lint infrastructure tests: the lexer's literal/comment handling, the
-// suppression-comment mechanism, rule selection, fixture-path skipping and
-// the committed-baseline lifecycle.
+// suppression-comment mechanism, rule selection and fixture-path skipping.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "lint/analyzer.hpp"
-#include "lint/baseline.hpp"
 #include "lint/lexer.hpp"
 #include "lint/rules.hpp"
 
@@ -189,10 +186,11 @@ TEST(LintSuppression, UnknownRuleNameIsItselfAFinding) {
 
 TEST(LintSuppression, DeletedRuleNamesAreBadSuppressions) {
   // Host clocks, raw randomness and discarded Tasks are compile errors now,
-  // not rules: an allow() naming one of the retired rules suppresses nothing
-  // and is reported like any unknown name.
-  for (const char* retired :
-       {"wall-clock", "raw-random", "task-discard", "ip-wall-clock", "ip-raw-random"}) {
+  // not rules, and ip-coll-rank-branch was folded into coll-rank-branch: an
+  // allow() naming one of the retired rules suppresses nothing and is
+  // reported like any unknown name.
+  for (const char* retired : {"wall-clock", "raw-random", "task-discard", "ip-wall-clock",
+                              "ip-raw-random", "ip-coll-rank-branch"}) {
     SCOPED_TRACE(retired);
     EXPECT_EQ(find_rule(retired), nullptr);
     const std::vector<Finding> fs =
@@ -262,168 +260,7 @@ TEST(LintPaths, FixtureDirectoryIsSkipped) {
   AnalyzerOptions opts;
   const AnalysisResult res = analyze_paths({HCS_LINT_FIXTURE_DIR}, opts);
   EXPECT_TRUE(res.findings.empty()) << "bad fixtures must not fail the repo-wide run";
-  EXPECT_TRUE(res.lines.empty());
-}
-
-// ---------------------------------------------------------------------------
-// Baseline
-// ---------------------------------------------------------------------------
-
-Finding finding(const std::string& rule, const std::string& path, int line) {
-  return Finding{rule, Severity::kError, path, line, 1, "msg"};
-}
-
-TEST(LintBaseline, RoundTripAndConsume) {
-  const std::vector<std::string> lines = {"int a;", "for (int v : s) f(v);", "int b;"};
-  const Finding f = finding("unordered-iter", "src/a.cpp", 2);
-  const std::string text = Baseline::serialize({f}, {{"src/a.cpp", lines}});
-
-  Baseline b;
-  std::string err;
-  ASSERT_TRUE(b.parse(text, &err)) << err;
-  EXPECT_FALSE(b.empty());
-  EXPECT_TRUE(b.consume(f, lines));
-  EXPECT_FALSE(b.consume(f, lines)) << "one credit covers one finding";
-}
-
-TEST(LintBaseline, KeyIsLineNumberFree) {
-  const std::vector<std::string> before = {"for (int v : s) f(v);"};
-  // Shifted down two lines and respaced.
-  const std::vector<std::string> after = {"", "", "for  (int v :  s)  f(v);"};
-  const std::string text =
-      Baseline::serialize({finding("unordered-iter", "src/a.cpp", 1)}, {{"src/a.cpp", before}});
-  Baseline b;
-  std::string err;
-  ASSERT_TRUE(b.parse(text, &err)) << err;
-  EXPECT_TRUE(b.consume(finding("unordered-iter", "src/a.cpp", 3), after));
-}
-
-TEST(LintBaseline, DifferentRuleOrPathDoesNotMatch) {
-  const std::vector<std::string> lines = {"for (int v : s) f(v);"};
-  const std::string text =
-      Baseline::serialize({finding("unordered-iter", "src/a.cpp", 1)}, {{"src/a.cpp", lines}});
-  Baseline b;
-  std::string err;
-  ASSERT_TRUE(b.parse(text, &err)) << err;
-  EXPECT_FALSE(b.consume(finding("co-await-subexpr", "src/a.cpp", 1), lines));
-  EXPECT_FALSE(b.consume(finding("unordered-iter", "src/b.cpp", 1), lines));
-}
-
-TEST(LintBaseline, CountsAccumulatePerIdenticalLine) {
-  const std::vector<std::string> lines = {"for (int v : s) for (int w : s) use(v, w);"};
-  const Finding f1 = finding("unordered-iter", "src/a.cpp", 1);
-  const std::string text = Baseline::serialize({f1, f1}, {{"src/a.cpp", lines}});
-  Baseline b;
-  std::string err;
-  ASSERT_TRUE(b.parse(text, &err)) << err;
-  EXPECT_TRUE(b.consume(f1, lines));
-  EXPECT_TRUE(b.consume(f1, lines));
-  EXPECT_FALSE(b.consume(f1, lines));
-}
-
-TEST(LintBaseline, MalformedLineRejectedWithError) {
-  Baseline b;
-  std::string err;
-  EXPECT_FALSE(b.parse("not-tab-separated\n", &err));
-  EXPECT_FALSE(err.empty());
-}
-
-TEST(LintBaseline, CountIsDigitsOnly) {
-  for (const char* count : {" 3", "+3", "3x", "-3", "0", "", "2147483648"}) {
-    Baseline b;
-    std::string err;
-    EXPECT_FALSE(b.parse(std::string(count) + "\tunordered-iter\tsrc/a.cpp\tint x;\n", &err))
-        << "'" << count << "'";
-    EXPECT_NE(err.find("bad count"), std::string::npos) << err;
-  }
-  Baseline b;
-  std::string err;
-  EXPECT_TRUE(b.parse("2147483647\tunordered-iter\tsrc/a.cpp\tint x;\n", &err)) << err;
-}
-
-TEST(LintBaseline, CountTotalPastIntMaxRejected) {
-  const std::string text =
-      "2147483647\tunordered-iter\tsrc/a.cpp\tint x;\n"
-      "1\tunordered-iter\tsrc/a.cpp\tint x;\n";
-  Baseline b;
-  std::string err;
-  EXPECT_FALSE(b.parse(text, &err));
-  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
-  EXPECT_NE(err.find("INT_MAX"), std::string::npos) << err;
-}
-
-TEST(LintBaseline, CommentsAndBlankLinesIgnored) {
-  Baseline b;
-  std::string err;
-  EXPECT_TRUE(b.parse("# header\n\n# more\n", &err)) << err;
-  EXPECT_TRUE(b.empty());
-}
-
-TEST(LintBaseline, PathsWithSpacesRoundTrip) {
-  const std::vector<std::string> lines = {"for (int v : s) f(v);"};
-  const Finding f = finding("unordered-iter", "src/my dir/a file.cpp", 1);
-  const std::string text = Baseline::serialize({f}, {{"src/my dir/a file.cpp", lines}});
-  Baseline b;
-  std::string err;
-  ASSERT_TRUE(b.parse(text, &err)) << err;
-  EXPECT_TRUE(b.consume(f, lines));
-  EXPECT_TRUE(b.unknown_rule_warnings().empty());
-}
-
-TEST(LintBaseline, StaleRuleIdWarnsInsteadOfFailing) {
-  // A baseline written before a rule was renamed/retired must stay loadable;
-  // the entry is inert and surfaced as a warning.
-  const std::string text =
-      "# header\n"
-      "1\tretired-rule\tsrc/a.cpp\tfor (int v : s) f(v);\n"
-      "1\tunordered-iter\tsrc/a.cpp\tfor (int v : s) f(v);\n";
-  Baseline b;
-  std::string err;
-  ASSERT_TRUE(b.parse(text, &err)) << err;
-  ASSERT_EQ(b.unknown_rule_warnings().size(), 1u);
-  EXPECT_NE(b.unknown_rule_warnings()[0].find("retired-rule"), std::string::npos);
-  EXPECT_NE(b.unknown_rule_warnings()[0].find("line 2"), std::string::npos);
-  // The known entry still works; the stale one never matches anything.
-  EXPECT_TRUE(b.consume(finding("unordered-iter", "src/a.cpp", 1), {"for (int v : s) f(v);"}));
-  EXPECT_FALSE(b.consume(finding("retired-rule", "src/a.cpp", 1), {"for (int v : s) f(v);"}));
-}
-
-TEST(LintBaseline, EntriesOfRetiredRulesLoadAsStale) {
-  // A baseline committed while wall-clock and ip-raw-random were rules still
-  // loads: each of their entries is one warning and matches nothing.
-  const std::string text =
-      "1\twall-clock\tbench/a.cpp\tauto t = now();\n"
-      "1\tip-raw-random\tsrc/b.cpp\tjitter();\n";
-  Baseline b;
-  std::string err;
-  ASSERT_TRUE(b.parse(text, &err)) << err;
-  ASSERT_EQ(b.unknown_rule_warnings().size(), 2u);
-  EXPECT_NE(b.unknown_rule_warnings()[0].find("wall-clock"), std::string::npos);
-  EXPECT_NE(b.unknown_rule_warnings()[1].find("ip-raw-random"), std::string::npos);
-  EXPECT_FALSE(b.consume(finding("wall-clock", "bench/a.cpp", 1), {"auto t = now();"}));
-}
-
-TEST(LintBaseline, BadSuppressionEntriesAreNotStale) {
-  Baseline b;
-  std::string err;
-  ASSERT_TRUE(b.parse("1\tbad-suppression\tsrc/a.cpp\tint x;\n", &err)) << err;
-  EXPECT_TRUE(b.unknown_rule_warnings().empty());
-}
-
-TEST(LintBaseline, ApplyBaselineKeepsOnlyFreshFindings) {
-  AnalysisResult res;
-  res.lines["src/a.cpp"] = {"for (int v : s) f(v);", "auto t = co_await a() && b();"};
-  res.findings = {finding("unordered-iter", "src/a.cpp", 1),
-                  finding("co-await-subexpr", "src/a.cpp", 2)};
-
-  Baseline b;
-  std::string err;
-  ASSERT_TRUE(b.parse(Baseline::serialize({res.findings[0]}, {{"src/a.cpp", res.lines["src/a.cpp"]}}),
-                      &err))
-      << err;
-  const std::vector<Finding> fresh = apply_baseline(res, std::move(b));
-  ASSERT_EQ(fresh.size(), 1u);
-  EXPECT_EQ(fresh[0].rule, "co-await-subexpr");
+  EXPECT_EQ(res.stats.files, 0);
 }
 
 }  // namespace

@@ -161,9 +161,12 @@ std::vector<std::string> ip_rule_ids() {
   return ids;
 }
 
+// Instance names read ip_<rule>, the rule's multi-file set, whether or not
+// its id carries the ip- prefix: ip_coll_rank_branch, ip_unchecked_sync_result.
 INSTANTIATE_TEST_SUITE_P(AllIpRules, IpFixtureSet, ::testing::ValuesIn(ip_rule_ids()),
                          [](const ::testing::TestParamInfo<std::string>& info) {
-                           return underscored(info.param);
+                           const std::string& id = info.param;
+                           return "ip_" + underscored(id.rfind("ip-", 0) == 0 ? id.substr(3) : id);
                          });
 
 // ---------------------------------------------------------------------------
@@ -242,7 +245,7 @@ TEST(InterprocDepth, MaxCallDepthBoundsThePropagation) {
        "}\n"},
   };
   AnalyzerOptions opts;
-  opts.enabled_rules = {"ip-coll-rank-branch"};
+  opts.enabled_rules = {"coll-rank-branch"};
   const std::vector<Finding> findings = analyze_sources(sources, opts).findings;
   ASSERT_EQ(findings.size(), 5u) << "the bound is 4 call edges of propagation";
   for (const Finding& f : findings) {
@@ -273,7 +276,7 @@ TEST(InterprocDepth, MaxCallDepthBoundsThePropagationInReverseOrder) {
        "sim::Task<void> c1(Comm& comm) { co_await barrier(comm); }\n"},
   };
   AnalyzerOptions opts;
-  opts.enabled_rules = {"ip-coll-rank-branch"};
+  opts.enabled_rules = {"coll-rank-branch"};
   const std::vector<Finding> findings = analyze_sources(sources, opts).findings;
   ASSERT_EQ(findings.size(), 5u) << "the bound is 4 call edges of propagation";
   for (const Finding& f : findings) {
@@ -287,7 +290,7 @@ TEST(InterprocDepth, MaxCallDepthBoundsThePropagationInReverseOrder) {
 // ---------------------------------------------------------------------------
 
 // A collective hidden in a helper of another file, reached from one arm of a
-// rank-dependent branch: one ip-coll-rank-branch finding.
+// rank-dependent branch: one coll-rank-branch finding.
 Sources hidden_collective_project() {
   return {
       {"src/clocksync/helper.cpp",

@@ -1,7 +1,8 @@
-// Fixture-driven rule tests: every rule has a bad fixture whose
+// Fixture-driven rule tests: every per-file rule has a bad fixture whose
 // `// hcs-lint-expect: <rule-id>` annotations name the exact findings it must
-// produce (rule id + line), and a good fixture that must stay silent.  The
-// pairing itself is enforced: adding a rule without fixtures fails RuleTable.
+// produce (rule id + line), and a good fixture that must stay silent.  An
+// interprocedural rule that also fires within one file may have a pair too.
+// The pairing itself is enforced: adding a rule without fixtures fails RuleTable.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -81,6 +82,13 @@ std::string dump(const std::multiset<LineRule>& s) {
   return s.empty() ? "  (none)\n" : os.str();
 }
 
+// Runs the full two-phase analysis over the fixture as a one-file program, so
+// an interprocedural rule with a single-file pair is checked like the others.
+std::vector<Finding> run_fixture(const fs::path& path, const std::string& source) {
+  return analyze_sources({{"tests/lint/fixtures/" + path.filename().string(), source}}, {})
+      .findings;
+}
+
 class FixturePair : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(FixturePair, BadFixtureFiresExactlyTheAnnotatedFindings) {
@@ -90,8 +98,7 @@ TEST_P(FixturePair, BadFixtureFiresExactlyTheAnnotatedFindings) {
   const std::multiset<LineRule> expected = expectations(source);
   ASSERT_FALSE(expected.empty()) << path << " has no hcs-lint-expect annotations";
 
-  const std::vector<Finding> findings =
-      analyze_source("tests/lint/fixtures/" + path.filename().string(), source, {});
+  const std::vector<Finding> findings = run_fixture(path, source);
   const std::multiset<LineRule> actual = as_line_rules(findings);
   EXPECT_EQ(expected, actual) << "expected findings:\n"
                               << dump(expected) << "actual findings:\n"
@@ -109,8 +116,7 @@ TEST_P(FixturePair, GoodFixtureStaysSilent) {
   ASSERT_EQ(source.find("hcs-lint-expect"), std::string::npos)
       << path << ": good fixtures must not carry expect annotations";
 
-  const std::vector<Finding> findings =
-      analyze_source("tests/lint/fixtures/" + path.filename().string(), source, {});
+  const std::vector<Finding> findings = run_fixture(path, source);
   std::ostringstream os;
   for (const Finding& f : findings) {
     os << "  " << f.path << ":" << f.line << ": " << f.message << " [" << f.rule << "]\n";
@@ -118,15 +124,21 @@ TEST_P(FixturePair, GoodFixtureStaysSilent) {
   EXPECT_TRUE(findings.empty()) << "good fixture produced findings:\n" << os.str();
 }
 
-std::vector<std::string> per_file_rule_ids() {
+bool has_single_file_pair(const std::string& rule) {
+  return fs::exists(kFixtureDir / ("bad_" + underscored(rule) + ".cpp"));
+}
+
+// Every per-file rule, and each interprocedural rule that also fires within
+// one file (coll-rank-branch on direct collectives).
+std::vector<std::string> paired_rule_ids() {
   std::vector<std::string> ids;
   for (const RuleInfo& r : rule_table()) {
-    if (!r.interprocedural) ids.push_back(r.id);
+    if (!r.interprocedural || has_single_file_pair(r.id)) ids.push_back(r.id);
   }
   return ids;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllRules, FixturePair, ::testing::ValuesIn(per_file_rule_ids()),
+INSTANTIATE_TEST_SUITE_P(AllRules, FixturePair, ::testing::ValuesIn(paired_rule_ids()),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return underscored(info.param);
                          });
@@ -150,7 +162,12 @@ TEST(RuleTable, EveryRuleHasAFixturePairOnDisk) {
           << "rule " << r.id << " needs a multi-file bad set under " << (base / "bad");
       EXPECT_GE(cpp_files_in(base / "good"), 2u)
           << "rule " << r.id << " needs a multi-file good set under " << (base / "good");
-      continue;
+      // A single-file pair is optional here, but never half of one.
+      if (!has_single_file_pair(r.id)) {
+        EXPECT_FALSE(fs::exists(kFixtureDir / ("good_" + underscored(r.id) + ".cpp")))
+            << "rule " << r.id << " has a good fixture but no bad one";
+        continue;
+      }
     }
     EXPECT_TRUE(fs::exists(kFixtureDir / ("bad_" + underscored(r.id) + ".cpp")))
         << "rule " << r.id << " has no bad fixture";

@@ -3,12 +3,10 @@
 // (cross-TU) interprocedural rules.  See docs/static-analysis.md.
 //
 // Usage:
-//   hcs_lint [options] <paths...>         (paths default to src bench examples tests)
+//   hcs_lint [options] <paths...>  (paths default to src bench examples tests tools)
 //     --root DIR             repo root; relative paths resolve against it (default: cwd)
-//     --baseline FILE        suppress findings recorded in FILE
-//     --write-baseline FILE  record current findings as the new baseline and exit
 //     --rule ID              run only this rule (repeatable)
-//     --sarif FILE           also write non-baselined findings as SARIF 2.1.0
+//     --sarif FILE           also write the findings as SARIF 2.1.0
 //     --stats                print a per-rule findings/runtime table
 //     --list-rules           print the rule table and exit
 //
@@ -16,7 +14,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,14 +37,6 @@ int list_rules() {
   return 0;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("hcs-lint: cannot read " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 void print_stats(const hcs::lint::AnalysisStats& stats) {
   std::printf("\n%-28s %9s %9s\n", "rule", "findings", "ms");
   for (const auto& [id, rs] : stats.rules) {
@@ -65,8 +54,7 @@ int main(int argc, char** argv) {
   using namespace hcs;
   try {
     const util::Cli cli(argc, argv, {"list-rules", "stats"});
-    cli.reject_unknown(
-        {"root", "baseline", "write-baseline", "rule", "sarif", "stats", "list-rules"});
+    cli.reject_unknown({"root", "rule", "sarif", "stats", "list-rules"});
     if (cli.has("list-rules")) return list_rules();
 
     lint::AnalyzerOptions options;
@@ -81,56 +69,27 @@ int main(int argc, char** argv) {
     }
 
     std::vector<std::string> paths = cli.positional();
-    if (paths.empty()) paths = {"src", "bench", "examples", "tests"};
+    if (paths.empty()) paths = {"src", "bench", "examples", "tests", "tools"};
     const lint::AnalysisResult result = lint::analyze_paths(paths, options);
-
-    const std::string write_to = cli.get("write-baseline", "");
-    if (!write_to.empty()) {
-      std::ofstream out(write_to, std::ios::binary);
-      if (!out) throw std::runtime_error("hcs-lint: cannot write " + write_to);
-      out << lint::Baseline::serialize(result.findings, result.lines);
-      std::cout << "hcs-lint: wrote baseline with " << result.findings.size()
-                << " finding(s) to " << write_to << "\n";
-      return 0;
-    }
-
-    lint::Baseline baseline;
-    const std::string baseline_path = cli.get("baseline", "");
-    if (!baseline_path.empty()) {
-      std::string error;
-      if (!baseline.parse(slurp(baseline_path), &error)) {
-        std::cerr << "hcs-lint: " << error << "\n";
-        return 2;
-      }
-      for (const std::string& w : baseline.unknown_rule_warnings()) {
-        std::cerr << "hcs-lint: warning: " << baseline_path << ": " << w << "\n";
-      }
-    }
-    const std::vector<lint::Finding> fresh = lint::apply_baseline(result, baseline);
 
     const std::string sarif_path = cli.get("sarif", "");
     if (!sarif_path.empty()) {
       std::ofstream out(sarif_path, std::ios::binary);
       if (!out) throw std::runtime_error("hcs-lint: cannot write " + sarif_path);
-      out << lint::to_sarif(fresh);
+      out << lint::to_sarif(result.findings);
     }
 
-    for (const auto& f : fresh) {
+    for (const auto& f : result.findings) {
       std::cout << f.path << ":" << f.line << ":" << f.col << ": " << to_string(f.severity)
                 << ": " << f.message << " [" << f.rule << "]\n";
     }
     if (cli.has("stats")) print_stats(result.stats);
-    const std::size_t baselined = result.findings.size() - fresh.size();
-    if (fresh.empty()) {
-      std::cout << "hcs-lint: clean (" << result.lines.size() << " files";
-      if (baselined != 0) std::cout << ", " << baselined << " baselined finding(s)";
-      std::cout << ")\n";
+    if (result.findings.empty()) {
+      std::cout << "hcs-lint: clean (" << result.stats.files << " files)\n";
       return 0;
     }
-    std::cout << "hcs-lint: " << fresh.size() << " finding(s) in " << result.lines.size()
-              << " files";
-    if (baselined != 0) std::cout << " (" << baselined << " more baselined)";
-    std::cout << "\n";
+    std::cout << "hcs-lint: " << result.findings.size() << " finding(s) in "
+              << result.stats.files << " files\n";
     return 1;
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
