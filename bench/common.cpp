@@ -35,7 +35,7 @@ const BenchFlag kBenchFlags[] = {
      "(docs/record-replay.md)"},
     {"replay", "FILE",
      "verify this run against a recording: exits 1 and prints the first "
-     "diverging event on mismatch; requires --jobs 1"},
+     "diverging event on mismatch"},
     {"fault", "SPEC",
      "inject a fault, repeatable; SPEC = kind:key=value,... e.g. drop:p=0.01,level=network "
      "(see docs/fault-injection.md)"},
@@ -97,11 +97,6 @@ ParsedBench parse_common_extra(int argc, const char* const* argv, double default
     opt.metrics_out = cli.metrics_out();
     opt.record_out = cli.record_out();
     opt.replay = cli.replay_file();
-    if (!opt.replay.empty() && opt.jobs != 1) {
-      throw std::invalid_argument(
-          "--replay requires --jobs 1 (got --jobs " + std::to_string(opt.jobs) +
-          "): verification re-runs the recorded schedule on one thread");
-    }
     for (const std::string& spec : cli.get_all("fault")) opt.fault_plan.add(spec);
     for (const std::string& path : cli.get_all("fault-file")) {
       std::ifstream in(path);

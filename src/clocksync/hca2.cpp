@@ -3,12 +3,14 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "clocksync/healing.hpp"
 #include "clocksync/model_learning.hpp"
 #include "simmpi/collectives.hpp"
+#include "util/vec.hpp"
 #include "vclock/global_clock.hpp"
 
 namespace hcs::clocksync {
@@ -19,29 +21,13 @@ namespace {
 constexpr int kTableTagBase = 7100;
 constexpr int kRemainderTableTag = 7099;
 
-std::vector<double> serialize_table(const std::map<int, vclock::LinearModel>& models) {
-  std::vector<double> out;
-  out.reserve(1 + 3 * models.size());
-  out.push_back(static_cast<double>(models.size()));
-  for (const auto& [rank, lm] : models) {
-    out.push_back(static_cast<double>(rank));
-    out.push_back(lm.slope);
-    out.push_back(lm.intercept);
-  }
-  return out;
-}
-
-// Merges a child's serialized table into `into`, composing every entry with
-// `to_child`, the model mapping the child's clock to ours.
+// Merges a child's (rank, slope, intercept) triples into `into`, composing
+// every entry with `to_child`, the model mapping the child's clock to ours.
 void merge_table(std::map<int, vclock::LinearModel>& into, const vclock::LinearModel& to_child,
-                 const std::vector<double>& buffer) {
-  if (buffer.empty()) throw std::invalid_argument("HCA2: empty model table");
-  const auto count = static_cast<std::size_t>(buffer[0]);
-  if (buffer.size() != 1 + 3 * count) throw std::invalid_argument("HCA2: malformed model table");
-  for (std::size_t i = 0; i < count; ++i) {
-    const int rank = static_cast<int>(buffer[1 + 3 * i]);
-    const vclock::LinearModel lm{buffer[2 + 3 * i], buffer[3 + 3 * i]};
-    into[rank] = merge(to_child, lm);
+                 std::span<const double> triples) {
+  if (triples.size() % 3 != 0) throw std::invalid_argument("HCA2: malformed model table");
+  for (std::size_t i = 0; i < triples.size(); i += 3) {
+    into[static_cast<int>(triples[i])] = merge(to_child, {triples[i + 1], triples[i + 2]});
   }
 }
 }  // namespace
@@ -72,16 +58,20 @@ sim::Task<LearnResult> HCA2Sync::run_tree_and_scatter(simmpi::Comm& comm, vclock
     const int partner = r - max_power;
     const LearnResult learned = co_await learn_clock_model(comm, partner, r, *clk, *oalg_, cfg_);
     report.merge(learned.report);
-    std::map<int, vclock::LinearModel> mine;
-    mine[r] = learned.model;
-    co_await comm.send(partner, kRemainderTableTag, serialize_table(mine));
+    // A one-entry table: its count, then my (rank, slope, intercept) triple.
+    co_await comm.send(partner, kRemainderTableTag,
+                       util::vec(1.0, static_cast<double>(r), learned.model.slope,
+                                 learned.model.intercept));
   } else if (r + max_power < nprocs) {
     const int partner = r + max_power;
     (void)co_await learn_clock_model(comm, r, partner, *clk, *oalg_, cfg_);
     std::optional<simmpi::Message> msg = co_await comm.recv_ft(partner, kRemainderTableTag);
     // The child's table is already expressed relative to my clock.  A dead
     // remainder rank never joins the table; the root NaN-fills its slot.
-    if (msg) merge_table(models, vclock::LinearModel{}, msg->data);
+    if (msg) {
+      if (msg->data.size() != 4) throw std::invalid_argument("HCA2: malformed model table");
+      merge_table(models, vclock::LinearModel{}, std::span<const double>(msg->data).subspan(1));
+    }
   }
 
   // Inverted binomial tree: leaves first (paper Fig. 1a).
@@ -101,16 +91,8 @@ sim::Task<LearnResult> HCA2Sync::run_tree_and_scatter(simmpi::Comm& comm, vclock
           // First triple is the child's own model cm(r, child); the rest of
           // the table is relative to the child and composes through it.
           const vclock::LinearModel to_child{msg->data[1], msg->data[2]};
-          (void)msg->data[0];
-          std::vector<double> rest(msg->data.begin() + 3, msg->data.end());
           models[child] = to_child;
-          if (!rest.empty()) {
-            const auto count = static_cast<std::size_t>(rest.size() / 3);
-            std::vector<double> table;
-            table.push_back(static_cast<double>(count));
-            table.insert(table.end(), rest.begin(), rest.end());
-            merge_table(models, to_child, table);
-          }
+          merge_table(models, to_child, std::span<const double>(msg->data).subspan(3));
         }
       } else if (r % step == half) {
         const int parent = r - half;

@@ -14,20 +14,6 @@ std::string hex64(std::uint64_t v) {
   return s;
 }
 
-// The first field in which two non-equal events differ, in diagnostic
-// priority order (operation identity before timing before payload).
-std::string differing_field(const Event& a, const Event& b) {
-  if (a.kind != b.kind) return "kind";
-  if (a.peer != b.peer) return "peer";
-  if (a.tag != b.tag) return "tag";
-  if (a.flags != b.flags) return "flags";
-  if (a.bytes != b.bytes) return "bytes";
-  if (a.time != b.time) return "time";
-  if (a.aux0 != b.aux0 || a.aux1 != b.aux1) return "message-times";
-  if (a.digest != b.digest || a.values != b.values) return "payload";
-  return "unknown";
-}
-
 struct RankDivergence {
   int rank = -1;
   std::size_t index = 0;
@@ -65,6 +51,22 @@ std::optional<RankDivergence> diff_rank(int rank, const std::vector<Event>& a,
 
 }  // namespace
 
+const char* differing_field(const Event& a, const Event& b, unsigned fields) {
+  const auto differs = [fields](EventField f, bool unequal) {
+    return (fields & f) != 0 && unequal;
+  };
+  if (differs(kFieldKind, a.kind != b.kind)) return "kind";
+  if (differs(kFieldPeer, a.peer != b.peer)) return "peer";
+  if (differs(kFieldTag, a.tag != b.tag)) return "tag";
+  if (differs(kFieldFlags, a.flags != b.flags)) return "flags";
+  if (differs(kFieldBytes, a.bytes != b.bytes)) return "bytes";
+  if (differs(kFieldTime, a.time != b.time)) return "time";
+  if (differs(kFieldMessageTimes, a.aux0 != b.aux0 || a.aux1 != b.aux1)) return "message-times";
+  if (differs(kFieldDigest, a.digest != b.digest)) return "payload";
+  if (differs(kFieldValues, a.values != b.values)) return "payload";
+  return nullptr;
+}
+
 std::string describe_event(const Event& ev) {
   std::ostringstream os;
   os.precision(17);
@@ -73,6 +75,7 @@ std::string describe_event(const Event& ev) {
   if (ev.kind == EventKind::kBurst) {
     os << " role=" << ((ev.flags & 1U) != 0 ? "client" : "reference");
   }
+  if (ev.kind == EventKind::kMembership) os << " flags=" << static_cast<int>(ev.flags);
   os << " time=" << ev.time << " values=" << ev.values.size()
      << " digest=" << hex64(ev.digest);
   return os.str();

@@ -28,6 +28,26 @@ struct Divergence {
 /// events (one stream shorter than the other) render as "<absent>".
 std::string describe_event(const Event& ev);
 
+/// Event fields in diagnostic priority order (operation identity before
+/// timing before payload), as bits of a mask of the fields to compare.
+enum EventField : unsigned {
+  kFieldKind = 1U << 0,
+  kFieldPeer = 1U << 1,
+  kFieldTag = 1U << 2,
+  kFieldFlags = 1U << 3,
+  kFieldBytes = 1U << 4,
+  kFieldTime = 1U << 5,
+  kFieldMessageTimes = 1U << 6,  // aux0 and aux1
+  kFieldDigest = 1U << 7,
+  kFieldValues = 1U << 8,
+  kAllFields = (1U << 9) - 1,
+};
+
+/// Name of the first of `fields` in which `a` and `b` differ ("kind",
+/// "peer", ..., "payload" for the digest or the values), or nullptr when
+/// they agree on all of them.
+const char* differing_field(const Event& a, const Event& b, unsigned fields = kAllFields);
+
 /// The first point at which the two recordings disagree, or nullopt when
 /// they are equivalent.  World count, per-world header info and per-rank
 /// event streams are all compared; header-only differences (e.g. two

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "replay/bisect.hpp"
+
 namespace hcs::replay {
 
 ReplayFeed::ReplayFeed(const RecordedWorld& world, int rank)
@@ -14,30 +16,41 @@ ReplayFeed::ReplayFeed(const RecordedWorld& world, int rank)
   events_ = &world.ranks[static_cast<std::size_t>(rank)];
 }
 
-const Event& ReplayFeed::take() {
-  if (cursor_ >= events_->size()) {
-    diverge("recorded event log exhausted (the replayed program performed more transport "
-            "operations than the recording)");
+namespace {
+
+// The fields a replay step compares besides the kind: those the replayed
+// program determines itself.  A send is wholly its own; a receive's, a
+// receive timeout's or a burst's result and resume time come from the log,
+// as do a clock read's value and a restart's incarnation.
+unsigned checked_fields(EventKind kind) {
+  switch (kind) {
+    case EventKind::kSend:
+      return kFieldPeer | kFieldTag | kFieldBytes | kFieldTime | kFieldDigest;
+    case EventKind::kRecv:
+    case EventKind::kRecvTimeout:
+      return kFieldPeer | kFieldTag;
+    case EventKind::kBurst:
+      return kFieldPeer | kFieldFlags;
+    case EventKind::kClockRead:
+      return kFieldTime;
+    case EventKind::kMembership:
+      return kFieldFlags;
   }
-  return (*events_)[cursor_++];
+  return kAllFields;
 }
 
-const Event& ReplayFeed::expect(EventKind kind, int peer) {
-  const Event* ev = peek();
-  if (ev == nullptr) {
-    diverge(std::string("recorded event log exhausted while expecting ") + to_string(kind));
-  }
-  if (ev->kind != kind) {
-    diverge(std::string("expected ") + to_string(kind) + " but the recording has " +
-            to_string(ev->kind) + " (peer " + std::to_string(ev->peer) + ", sim-time " +
-            std::to_string(ev->time) + ")");
-  }
-  if (peer >= 0 && ev->peer != peer) {
-    diverge(std::string(to_string(kind)) + " peer mismatch: replay targets rank " +
-            std::to_string(peer) + ", recording has rank " + std::to_string(ev->peer));
+}  // namespace
+
+const Event& ReplayFeed::expect(const Event& want, std::string_view op) {
+  const Event* got = peek();
+  const char* field =
+      got == nullptr ? "count" : differing_field(want, *got, kFieldKind | checked_fields(want.kind));
+  if (field != nullptr) {
+    diverge(std::string(op) + ": " + field + " differs\n  replay:    " + describe_event(want) +
+            "\n  recording: " + (got == nullptr ? "<absent>" : describe_event(*got)));
   }
   ++cursor_;
-  return *ev;
+  return *got;
 }
 
 }  // namespace hcs::replay

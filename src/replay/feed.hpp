@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "replay/record.hpp"
 
@@ -50,13 +51,15 @@ class ReplayFeed {
     return cursor_ < events_->size() ? &(*events_)[cursor_] : nullptr;
   }
 
-  /// Consumes and returns the next event; throws ReplayDivergence when the
-  /// log is exhausted.
-  const Event& take();
-
-  /// Consumes the next event after checking it has `kind` (and `peer`, when
-  /// `peer` >= 0); throws ReplayDivergence naming both sides on mismatch.
-  const Event& expect(EventKind kind, int peer);
+  /// The one checked replay step: consumes and returns the next event after
+  /// checking it against `want`, the event the replayed operation `op`
+  /// would record.  Compared are the kind and the fields the replayed
+  /// program itself determines: a send's peer, tag, bytes, time and digest;
+  /// a clock read's time; a receive's or a receive timeout's peer and tag; a
+  /// burst's peer and role flag; a membership marker's flag.  A mismatch or
+  /// an exhausted log throws ReplayDivergence naming `op` and the first
+  /// differing field, with both events rendered by describe_event.
+  const Event& expect(const Event& want, std::string_view op);
 
   std::size_t consumed() const noexcept { return cursor_; }
   std::size_t remaining() const noexcept { return events_->size() - cursor_; }

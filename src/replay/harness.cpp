@@ -200,7 +200,7 @@ RankOutcome replay_scenario_rank(const Scenario& scenario, const RecordedWorld& 
   }
   simmpi::World world(scenario.machine, recorded.info.seed, scenario.faults, /*shards=*/1);
   ReplayFeed feed(recorded, rank);
-  world.attach_replay(&feed, rank);
+  world.attach_replay(&feed);
   std::vector<RankOutcome> outcomes(static_cast<std::size_t>(world.size()));
   world.run_all([&scenario, &recorded, &outcomes](simmpi::RankCtx& ctx) {
     return scenario_rank(&scenario, recorded.info.seed, outcomes.data(), ctx);

@@ -239,8 +239,8 @@ sim::Task<void> run_rank_guarded(World::RankFn fn, RankCtx& ctx) {
 void World::launch(const RankFn& fn) {
   // Single-rank replay runs only the target rank; every peer interaction is
   // answered from the recorded log instead of a simulated partner.
-  const int first = replay_feed_ ? replay_rank_ : 0;
-  const int last = replay_feed_ ? replay_rank_ + 1 : size();
+  const int first = replay_feed_ ? replay_feed_->rank() : 0;
+  const int last = replay_feed_ ? first + 1 : size();
   const bool guard = detector_ != nullptr;
   for (int r = first; r < last; ++r) {
     // A rank runs until its first suspension right here: what it opens or
@@ -332,7 +332,6 @@ bool World::serial_phase(std::uint64_t max_events) {
     // Degenerate lookahead (zero inter-node latency): single-event windows.
     window_end_ = std::nextafter(first, sim::kTimeInfinity);
   }
-  last_window_end_ = window_end_;
   // A shard with no event before the end does nothing in this window, and
   // nothing reaches it before the next boundary: cross-shard traffic waits
   // in the outboxes.  When only one shard has events, run() runs it alone.
@@ -505,21 +504,16 @@ void World::drain_outboxes() {
 void World::dispatch_message(int src, int dst, std::vector<double> data, std::int64_t bytes,
                              std::int64_t tag, sim::Time ready) {
   if (fault_) ready = fault_->release_time(src, ready);
-  if (replay_feed_) {
-    // Replay: the message has no receiver to reach; verify the send against
-    // the log (same spot record mode logs it, after pause translation) and
-    // drop it.
-    replay_verify_send(dst, tag, bytes, data, ready);
-    return;
-  }
-  if (record_section_ != nullptr) {
-    replay::Event ev;
-    ev.kind = replay::EventKind::kSend;
-    ev.peer = dst;
-    ev.tag = tag;
-    ev.bytes = bytes;
-    ev.time = ready;
-    ev.digest = replay::payload_digest(data);
+  if (record_section_ != nullptr || replay_feed_ != nullptr) {
+    replay::Event ev{.kind = replay::EventKind::kSend, .peer = dst, .tag = tag, .bytes = bytes,
+                     .time = ready, .digest = replay::payload_digest(data), .values = {}};
+    if (replay_feed_ != nullptr) {
+      // Replay: the message has no receiver to reach; verify the send
+      // against the log (same spot record mode logs it, after pause
+      // translation) and drop it.
+      replay_feed_->expect(ev, "send");
+      return;
+    }
     record_section_->append(src, std::move(ev));
   }
   Message msg;
@@ -710,12 +704,9 @@ sim::Task<std::optional<Message>> World::await_recv_until(RecvRequest request,
   if (request->owner_crashed) throw RankCrashed{request->owner, s.now()};
   if (request->timed_out) {
     if (record_section_ != nullptr) {
-      replay::Event ev;
-      ev.kind = replay::EventKind::kRecvTimeout;
-      ev.peer = request->src;
-      ev.tag = request->tag;
-      ev.time = s.now();
-      record_section_->append(request->owner, std::move(ev));
+      record_section_->append(request->owner,
+                              {.kind = replay::EventKind::kRecvTimeout, .peer = request->src,
+                               .tag = request->tag, .time = s.now(), .values = {}});
     }
     co_return std::nullopt;
   }
@@ -970,14 +961,12 @@ sim::Task<BurstResult> World::pingpong_burst(int me, int partner, bool i_am_clie
     // Recorded at the caller's resume point (its own shard thread, at the
     // clamped done time — both shard-count-invariant), never from the
     // coordinator's rendezvous drain.
-    replay::Event ev;
-    ev.kind = replay::EventKind::kBurst;
-    ev.flags = i_am_client ? 1 : 0;
-    ev.peer = partner;
-    ev.time = s.now();
-    ev.values = replay::encode_burst(result);
-    ev.digest = replay::payload_digest(ev.values);
-    record_section_->append(me, std::move(ev));
+    std::vector<double> values = replay::encode_burst(result);
+    record_section_->append(me, {.kind = replay::EventKind::kBurst,
+                                 .flags = static_cast<std::uint8_t>(i_am_client),
+                                 .peer = partner, .time = s.now(),
+                                 .digest = replay::payload_digest(values),
+                                 .values = std::move(values)});
   }
   co_return result;
 }
@@ -1020,8 +1009,8 @@ void World::drain_burst_halves() {
     // whose service finished early may not re-enter its shard mid-window.
     // The clamp time is itself shard-count-invariant, so so are the resumes,
     // and so is simmpi.burst_clamped, which counts the pairs it delayed.
-    const auto [first_done, second_done] = pair(partner, rank, last_window_end_);
-    if (std::min(first_done, second_done) < last_window_end_) ++bursts_clamped_;
+    const auto [first_done, second_done] = pair(partner, rank, window_end_);
+    if (std::min(first_done, second_done) < window_end_) ++bursts_clamped_;
   }
 }
 
@@ -1177,120 +1166,63 @@ World::SplitPlacement World::take_split(SplitTable& table, const std::vector<int
 // absolute sim-times and verifying everything it emits against the recorded
 // stream (docs/record-replay.md).
 
-namespace {
-
-std::string fmt_time(sim::Time t) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", t);
-  return buf;
-}
-
-}  // namespace
-
-void World::attach_replay(replay::ReplayFeed* feed, int rank) {
+void World::attach_replay(replay::ReplayFeed* feed) {
   if (nshards_ != 1) {
     throw std::invalid_argument(
         "attach_replay: single-rank replay requires an unsharded World (--shards 1)");
   }
   if (feed == nullptr) throw std::invalid_argument("attach_replay: null feed");
-  if (rank < 0 || rank >= size()) {
-    throw std::out_of_range("attach_replay: rank " + std::to_string(rank) +
+  if (feed->rank() >= size()) {
+    throw std::out_of_range("attach_replay: rank " + std::to_string(feed->rank()) +
                             " not in a World of " + std::to_string(size()) + " ranks");
   }
   replay_feed_ = feed;
-  replay_rank_ = rank;
   record_section_ = nullptr;  // a replay run is never itself recorded
 }
 
 void World::record_recv_completion(const RecvRequest& request) {
   if (record_section_ == nullptr) return;
-  replay::Event ev;
-  ev.kind = replay::EventKind::kRecv;
-  ev.peer = request->msg.src;
-  ev.tag = request->msg.tag;
-  ev.bytes = request->msg.bytes;
-  ev.time = sim_of(request->owner).now();
-  ev.aux0 = request->msg.sent_at;
-  ev.aux1 = request->msg.arrived_at;
-  ev.values = request->msg.data;
-  ev.digest = replay::payload_digest(ev.values);
-  record_section_->append(request->owner, std::move(ev));
+  const Message& msg = request->msg;
+  record_section_->append(
+      request->owner,
+      {.kind = replay::EventKind::kRecv, .peer = msg.src, .tag = msg.tag, .bytes = msg.bytes,
+       .time = sim_of(request->owner).now(), .aux0 = msg.sent_at, .aux1 = msg.arrived_at,
+       .digest = replay::payload_digest(msg.data), .values = msg.data});
 }
 
 double World::clock_read_hook(int rank, vclock::Clock& clock) {
   if (replay_feed_) {
-    const replay::Event* ev = replay_feed_->peek();
-    if (ev == nullptr) {
-      replay_feed_->diverge("recorded event log exhausted at a direct clock read");
-    }
-    if (ev->kind != replay::EventKind::kClockRead) {
-      replay_feed_->diverge(std::string("clock read does not match recorded ") +
-                            replay::to_string(ev->kind) + " (peer " + std::to_string(ev->peer) +
-                            ", sim-time " + fmt_time(ev->time) + ")");
-    }
-    const sim::Time now = sim_of(rank).now();
-    if (ev->time != now) {
-      replay_feed_->diverge("clock read at sim-time " + fmt_time(now) + ", recorded at " +
-                            fmt_time(ev->time));
-    }
-    const double value = ev->values.empty() ? 0.0 : ev->values[0];
-    replay_feed_->take();
-    return value;
+    const replay::Event& ev = replay_feed_->expect(
+        {.kind = replay::EventKind::kClockRead, .time = sim_of(rank).now(), .values = {}},
+        "clock read");
+    return ev.values.empty() ? 0.0 : ev.values[0];
   }
   const double value = clock.now();
   if (record_section_ != nullptr) {
-    replay::Event ev;
-    ev.kind = replay::EventKind::kClockRead;
-    ev.time = sim_of(rank).now();
-    ev.values.push_back(value);
-    ev.digest = replay::payload_digest(ev.values);
-    record_section_->append(rank, std::move(ev));
+    record_section_->append(rank, {.kind = replay::EventKind::kClockRead,
+                                   .time = sim_of(rank).now(),
+                                   .digest = replay::payload_digest({value}), .values = {value}});
   }
   return value;
 }
 
-void World::replay_verify_send(int dst, std::int64_t tag, std::int64_t bytes,
-                               const std::vector<double>& data, sim::Time ready) {
-  const replay::Event* ev = replay_feed_->peek();
-  if (ev == nullptr) {
-    replay_feed_->diverge("recorded event log exhausted at a send to rank " +
-                          std::to_string(dst));
-  }
-  if (ev->kind != replay::EventKind::kSend || ev->peer != dst || ev->tag != tag ||
-      ev->bytes != bytes) {
-    replay_feed_->diverge("send to rank " + std::to_string(dst) + " (tag " +
-                          std::to_string(tag) + ", " + std::to_string(bytes) +
-                          " bytes) does not match recorded " +
-                          replay::to_string(ev->kind) + " (peer " + std::to_string(ev->peer) +
-                          ", tag " + std::to_string(ev->tag) + ", " +
-                          std::to_string(ev->bytes) + " bytes)");
-  }
-  if (ev->time != ready) {
-    replay_feed_->diverge("send to rank " + std::to_string(dst) + " dispatched at sim-time " +
-                          fmt_time(ready) + ", recorded at " + fmt_time(ev->time));
-  }
-  if (ev->digest != replay::payload_digest(data)) {
-    replay_feed_->diverge("send to rank " + std::to_string(dst) +
-                          " payload digest differs from the recording");
-  }
-  replay_feed_->take();
-}
-
-// The next recorded event of `me`, which must be an operation: an exhausted
-// feed crashes at the recorded time or diverges (replay_starve), and a
-// recorded departure dies exactly as record mode did (the churn supervisor
-// resumes the next incarnation).  Both throw.
-sim::Task<const replay::Event*> World::replay_next(int me) {
+// The checked step of a replayed operation that resumes from the log: an
+// exhausted feed crashes at the recorded time or diverges (replay_starve),
+// and a recorded departure dies exactly as record mode did (the churn
+// supervisor resumes the next incarnation).  Both throw.
+sim::Task<const replay::Event*> World::replay_next(int me, replay::Event want,
+                                                   std::string_view op) {
   const replay::Event* ev = replay_feed_->peek();
   if (ev == nullptr) co_await replay_starve(me);  // always throws
   if (ev->kind == replay::EventKind::kMembership && ev->flags == 0) {
     sim::Simulation& s = sim_of(me);
     ResumeAt resume{&s, ev->time};
-    replay_feed_->take();
+    replay_feed_->expect({.kind = replay::EventKind::kMembership, .flags = 0, .values = {}},
+                         "departure");
     co_await resume;
     throw RankCrashed{me, s.now()};
   }
-  co_return ev;
+  co_return &replay_feed_->expect(want, op);
 }
 
 sim::Task<Message> World::replay_recv(RecvRequest request) {
@@ -1298,14 +1230,10 @@ sim::Task<Message> World::replay_recv(RecvRequest request) {
   cancel_recv(request);  // no peer will ever complete it
   sim::Simulation& s = sim_of(me);
   check_crash(me);
-  const replay::Event* ev = co_await replay_next(me);
-  if (ev->kind != replay::EventKind::kRecv || ev->peer != request->src ||
-      ev->tag != request->tag) {
-    replay_feed_->diverge("recv from rank " + std::to_string(request->src) + " (tag " +
-                          std::to_string(request->tag) + ") does not match recorded " +
-                          replay::to_string(ev->kind) + " (peer " + std::to_string(ev->peer) +
-                          ", tag " + std::to_string(ev->tag) + ")");
-  }
+  const replay::Event* ev = co_await replay_next(
+      me, {.kind = replay::EventKind::kRecv, .peer = request->src, .tag = request->tag,
+           .values = {}},
+      "recv");
   Message msg;
   msg.src = ev->peer;
   msg.tag = ev->tag;
@@ -1314,7 +1242,6 @@ sim::Task<Message> World::replay_recv(RecvRequest request) {
   msg.arrived_at = ev->aux1;
   msg.data = ev->values;
   ResumeAt resume{&s, ev->time};
-  replay_feed_->take();
   co_await resume;
   check_crash(me);
   co_return msg;
@@ -1327,14 +1254,10 @@ sim::Task<std::optional<Message>> World::replay_recv_until(RecvRequest request) 
     cancel_recv(request);
     sim::Simulation& s = sim_of(me);
     check_crash(me);
-    if (ev->peer != request->src || ev->tag != request->tag) {
-      replay_feed_->diverge("bounded recv from rank " + std::to_string(request->src) + " (tag " +
-                            std::to_string(request->tag) + ") does not match recorded timeout " +
-                            "(peer " + std::to_string(ev->peer) + ", tag " +
-                            std::to_string(ev->tag) + ")");
-    }
+    replay_feed_->expect({.kind = replay::EventKind::kRecvTimeout, .peer = request->src,
+                          .tag = request->tag, .values = {}},
+                         "bounded recv");
     ResumeAt resume{&s, ev->time};
-    replay_feed_->take();
     co_await resume;
     check_crash(me);
     co_return std::nullopt;
@@ -1344,17 +1267,12 @@ sim::Task<std::optional<Message>> World::replay_recv_until(RecvRequest request) 
 
 sim::Task<BurstResult> World::replay_burst(int me, int partner, bool i_am_client) {
   sim::Simulation& s = sim_of(me);
-  const replay::Event* ev = co_await replay_next(me);
-  const std::uint8_t role = i_am_client ? 1 : 0;
-  if (ev->kind != replay::EventKind::kBurst || ev->peer != partner || ev->flags != role) {
-    replay_feed_->diverge("pingpong_burst with rank " + std::to_string(partner) + " as " +
-                          (i_am_client ? "client" : "reference") + " does not match recorded " +
-                          replay::to_string(ev->kind) + " (peer " + std::to_string(ev->peer) +
-                          ", flags " + std::to_string(ev->flags) + ")");
-  }
+  const replay::Event* ev = co_await replay_next(
+      me, {.kind = replay::EventKind::kBurst, .flags = static_cast<std::uint8_t>(i_am_client),
+           .peer = partner, .values = {}},
+      "pingpong_burst");
   BurstResult result = replay::decode_burst(ev->values);
   ResumeAt resume{&s, ev->time};
-  replay_feed_->take();
   co_await resume;
   check_crash(me);
   co_return result;
@@ -1400,14 +1318,11 @@ sim::Task<void> World::churn_supervisor(RankFn fn, RankCtx& ctx) {
     if (replay_feed_ && k > 0) {
       // The restart instant was recorded as a membership "up" marker; resume
       // exactly there (and verify the plan still schedules this restart).
-      const replay::Event* ev = replay_feed_->peek();
-      if (ev == nullptr) co_return;  // recording ended while down
-      if (ev->kind != replay::EventKind::kMembership || ev->flags != 1) {
-        replay_feed_->diverge(std::string("restart of rank ") + std::to_string(rank) +
-                              " does not match recorded " + replay::to_string(ev->kind));
-      }
-      start = ev->time;
-      replay_feed_->take();
+      if (replay_feed_->peek() == nullptr) co_return;  // recording ended while down
+      start = replay_feed_
+                  ->expect({.kind = replay::EventKind::kMembership, .flags = 1, .values = {}},
+                           "restart")
+                  .time;
     }
     if (start > s.now()) {
       if (replay_feed_) {
@@ -1421,12 +1336,9 @@ sim::Task<void> World::churn_supervisor(RankFn fn, RankCtx& ctx) {
       purge_mailbox(rank);
       ctx.reset_comm();
       if (record_section_ != nullptr) {
-        replay::Event ev;
-        ev.kind = replay::EventKind::kMembership;
-        ev.flags = 1;  // up
-        ev.time = s.now();
-        ev.aux0 = static_cast<double>(k);
-        record_section_->append(rank, std::move(ev));
+        record_section_->append(rank, {.kind = replay::EventKind::kMembership, .flags = 1,  // up
+                                       .time = s.now(), .aux0 = static_cast<double>(k),
+                                       .values = {}});
       }
     }
     try {
@@ -1439,16 +1351,14 @@ sim::Task<void> World::churn_supervisor(RankFn fn, RankCtx& ctx) {
         // restart peek below sees the matching up marker.
         const replay::Event* ev = replay_feed_->peek();
         if (ev != nullptr && ev->kind == replay::EventKind::kMembership && ev->flags == 0) {
-          replay_feed_->take();
+          replay_feed_->expect({.kind = replay::EventKind::kMembership, .flags = 0, .values = {}},
+                               "departure");
         }
       }
       if (record_section_ != nullptr) {
-        replay::Event ev;
-        ev.kind = replay::EventKind::kMembership;
-        ev.flags = 0;  // down
-        ev.time = s.now();
-        ev.aux0 = static_cast<double>(k);
-        record_section_->append(rank, std::move(ev));
+        record_section_->append(rank, {.kind = replay::EventKind::kMembership, .flags = 0,  // down
+                                       .time = s.now(), .aux0 = static_cast<double>(k),
+                                       .values = {}});
       }
     }
   }

@@ -33,6 +33,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -256,16 +257,13 @@ class World {
   // --- record / replay (docs/record-replay.md) ---
 
   /// Switches this World into single-rank replay mode: launch() spawns only
-  /// `rank`, and every transport operation is answered from (or verified
-  /// against) `feed` instead of the simulated peers.  The World must be
-  /// constructed with the same (machine, seed, fault plan) as the recorded
-  /// one so its deterministic models (clock parameters, failure detector)
-  /// match; it must be unsharded.  The caller owns the feed and the
-  /// RecordedWorld behind it; both must outlive the World.
-  void attach_replay(replay::ReplayFeed* feed, int rank);
-
-  /// True once attach_replay() was called.
-  bool replaying() const noexcept { return replay_feed_ != nullptr; }
+  /// the feed's rank, and every transport operation is answered from (or
+  /// verified against) `feed` instead of the simulated peers.  The World
+  /// must be constructed with the same (machine, seed, fault plan) as the
+  /// recorded one so its deterministic models (clock parameters, failure
+  /// detector) match; it must be unsharded.  The caller owns the feed and
+  /// the RecordedWorld behind it; both must outlive the World.
+  void attach_replay(replay::ReplayFeed* feed);
 
   /// Noisy clock read for rank code, record/replay aware — use via
   /// replay::observed_now().  Plain clock.now() normally; additionally logged
@@ -403,12 +401,11 @@ class World {
 
   // --- record / replay internals (world.cpp, docs/record-replay.md) ---
   void record_recv_completion(const RecvRequest& request);
-  void replay_verify_send(int dst, std::int64_t tag, std::int64_t bytes,
-                          const std::vector<double>& data, sim::Time ready);
   sim::Task<Message> replay_recv(RecvRequest request);
   sim::Task<std::optional<Message>> replay_recv_until(RecvRequest request);
   sim::Task<BurstResult> replay_burst(int me, int partner, bool i_am_client);
-  sim::Task<const replay::Event*> replay_next(int me);  // shared prologue of the two above
+  // The checked step shared by replay_recv and replay_burst.
+  sim::Task<const replay::Event*> replay_next(int me, replay::Event want, std::string_view op);
   sim::Task<void> replay_starve(int me);  // crash at recorded time, or diverge
 
   // --- windowed engine (world_engine section of world.cpp) ---
@@ -467,11 +464,11 @@ class World {
   // replay_feed_ serves the single surviving rank's recorded events.
   replay::RecordedWorld* record_section_ = nullptr;
   replay::ReplayFeed* replay_feed_ = nullptr;
-  int replay_rank_ = -1;
 
   // Window-loop state shared between serial_phase and the worker loop.
+  // window_end_ is the current window's end; in the serial phase, the end of
+  // the window that just ran, which clamps drain_burst_halves' resumes.
   sim::Time window_end_ = 0.0;
-  sim::Time last_window_end_ = 0.0;  // shard-count-invariant resume clamp
   std::uint64_t bursts_clamped_ = 0;  // pairs the clamp delayed, this run
   std::vector<std::uint64_t> shard_caps_;  // per-shard lifetime event caps
   int lone_shard_ = -1;  // the window's only shard with events, or -1 if several

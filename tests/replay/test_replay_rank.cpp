@@ -111,6 +111,67 @@ TEST(ReplayRank, TamperedRecordingRaisesDivergence) {
   }
 }
 
+// One tampered field of one event, per event kind: replay must stop at that
+// event and name that field.
+struct Tamper {
+  const char* scenario;
+  const char* name;
+  bool (*pick)(const Event&);  // the event to tamper: the first one it selects
+  void (*tamper)(Event&);
+  const char* field;
+};
+
+bool is_send(const Event& ev) { return ev.kind == EventKind::kSend; }
+bool is_recv(const Event& ev) { return ev.kind == EventKind::kRecv; }
+bool is_burst(const Event& ev) { return ev.kind == EventKind::kBurst; }
+bool is_timeout(const Event& ev) { return ev.kind == EventKind::kRecvTimeout; }
+bool is_clock_read(const Event& ev) { return ev.kind == EventKind::kClockRead; }
+bool is_restart(const Event& ev) { return ev.kind == EventKind::kMembership && ev.flags == 1; }
+
+const Tamper kTampers[] = {
+    {"micro4", "send peer", is_send, [](Event& ev) { ev.peer += 1; }, "peer"},
+    {"micro4", "send tag", is_send, [](Event& ev) { ev.tag += 1; }, "tag"},
+    {"micro4", "send bytes", is_send, [](Event& ev) { ev.bytes += 1; }, "bytes"},
+    {"micro4", "send time", is_send, [](Event& ev) { ev.time += 1e-9; }, "time"},
+    {"micro4", "send digest", is_send, [](Event& ev) { ev.digest ^= 1; }, "payload"},
+    {"micro4", "recv tag", is_recv, [](Event& ev) { ev.tag += 1; }, "tag"},
+    {"micro4", "burst role", is_burst, [](Event& ev) { ev.flags ^= 1; }, "flags"},
+    {"micro4-crash", "recv timeout peer", is_timeout, [](Event& ev) { ev.peer += 1; }, "peer"},
+    {"micro4", "clock read time", is_clock_read, [](Event& ev) { ev.time += 1e-9; }, "time"},
+    {"micro4-churn", "restart flag", is_restart, [](Event& ev) { ev.flags = 3; }, "flags"},
+};
+
+TEST(ReplayRank, TamperedFieldIsNamedAtItsEvent) {
+  for (const Tamper& t : kTampers) {
+    SCOPED_TRACE(t.name);
+    const Captured c = capture(t.scenario, 17);
+    RecordedWorld world = c.recorder.world(0);
+    int rank = -1;
+    std::size_t index = 0;
+    for (int r = 0; r < world.info.nranks && rank < 0; ++r) {
+      const std::vector<Event>& events = world.ranks[static_cast<std::size_t>(r)];
+      for (std::size_t i = 0; i < events.size() && rank < 0; ++i) {
+        if (t.pick(events[i])) {
+          rank = r;
+          index = i;
+        }
+      }
+    }
+    ASSERT_GE(rank, 0) << "no such event in the recording";
+    t.tamper(world.ranks[static_cast<std::size_t>(rank)][index]);
+    try {
+      replay_scenario_rank(find_scenario(t.scenario), world, rank);
+      ADD_FAILURE() << "expected ReplayDivergence";
+    } catch (const ReplayDivergence& d) {
+      EXPECT_EQ(d.rank(), rank);
+      EXPECT_EQ(d.event_index(), index);
+      EXPECT_NE(std::string(d.what()).find(std::string(": ") + t.field + " differs\n"),
+                std::string::npos)
+          << d.what();
+    }
+  }
+}
+
 TEST(ReplayRank, WrongScenarioIsRejected) {
   const Captured c = capture("micro4", 17);
   EXPECT_THROW(replay_scenario_rank(find_scenario("ring8"), c.recorder.world(0), 0),
@@ -126,12 +187,17 @@ TEST(ReplayRank, AttachReplayGuards) {
   const Scenario& scenario = find_scenario("micro4");
   {
     simmpi::World sharded(scenario.machine, 17, scenario.faults, /*shards=*/2);
-    EXPECT_THROW(sharded.attach_replay(&feed, 0), std::invalid_argument)
+    EXPECT_THROW(sharded.attach_replay(&feed), std::invalid_argument)
         << "replay requires an unsharded World";
   }
   simmpi::World world1(scenario.machine, 17, scenario.faults, /*shards=*/1);
-  EXPECT_THROW(world1.attach_replay(nullptr, 0), std::invalid_argument);
-  EXPECT_THROW(world1.attach_replay(&feed, 99), std::out_of_range);
+  EXPECT_THROW(world1.attach_replay(nullptr), std::invalid_argument);
+  // A feed of a wider recording may serve a rank the World does not have.
+  WorldInfo wider = world.info;
+  wider.nranks = world1.size() + 1;
+  const RecordedWorld wider_world(std::move(wider));
+  ReplayFeed outside(wider_world, world1.size());
+  EXPECT_THROW(world1.attach_replay(&outside), std::out_of_range);
 }
 
 TEST(ReplayFeedUnit, StrictFifoAndExhaustion) {
@@ -147,10 +213,19 @@ TEST(ReplayFeedUnit, StrictFifoAndExhaustion) {
   ASSERT_NE(feed.peek(), nullptr);
   EXPECT_EQ(feed.peek()->kind, EventKind::kClockRead);
   EXPECT_EQ(feed.remaining(), 1u);
-  feed.take();
+  const Event& read =
+      feed.expect({.kind = EventKind::kClockRead, .time = 1.5, .values = {}}, "clock read");
+  EXPECT_EQ(read.values, ev.values);
   EXPECT_EQ(feed.peek(), nullptr);
   EXPECT_EQ(feed.consumed(), 1u);
-  EXPECT_THROW(feed.expect(EventKind::kRecv, 0), ReplayDivergence);
+  try {
+    feed.expect({.kind = EventKind::kRecv, .peer = 0, .values = {}}, "recv");
+    ADD_FAILURE() << "expected ReplayDivergence";
+  } catch (const ReplayDivergence& d) {
+    EXPECT_EQ(d.event_index(), 1u);
+    EXPECT_NE(std::string(d.what()).find("recv: count differs"), std::string::npos) << d.what();
+    EXPECT_NE(std::string(d.what()).find("recording: <absent>"), std::string::npos) << d.what();
+  }
   EXPECT_THROW(ReplayFeed(world, 5), std::out_of_range);
 }
 
