@@ -182,7 +182,7 @@ Observability::~Observability() {
     }
     if (!replay_path_.empty()) {
       const replay::Recording reference = replay::load(replay_path_);
-      const replay::Recording current = replay::parse(replay::serialize(*recorder_));
+      const replay::Recording current = std::move(*recorder_).take();
       if (const auto d = replay::first_divergence(reference, current)) {
         std::cerr << "replay verification FAILED vs " << replay_path_ << ": world " << d->world
                   << " rank " << d->rank << " event " << d->index << " at t=" << d->time

@@ -40,7 +40,7 @@ sim::Task<bool> agree_any(simmpi::Comm& comm, bool my_vote) {
 sim::Task<simmpi::Comm> surviving_quorum(simmpi::Comm& comm) {
   // The crash-era split excludes ranks whose (color, key) never arrived;
   // members stay sorted, so the lowest live rank is elected rank 0.
-  co_return co_await comm.split(0, comm.rank());
+  return comm.split(0, comm.rank());
 }
 
 }  // namespace hcs::clocksync

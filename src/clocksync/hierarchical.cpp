@@ -23,8 +23,8 @@ std::string HierarchicalSync::name() const {
 }
 
 sim::Task<SyncResult> HierarchicalSync::sync_clocks(simmpi::Comm& comm, vclock::ClockPtr clk) {
-  if (mid_) co_return co_await sync_h3(comm, std::move(clk));
-  co_return co_await sync_h2(comm, std::move(clk));
+  if (mid_) return sync_h3(comm, std::move(clk));
+  return sync_h2(comm, std::move(clk));
 }
 
 // One hierarchy level, self-healing under the crash model: if any live

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "replay/format.hpp"
+
 namespace hcs::replay {
 
 const char* to_string(EventKind kind) {
@@ -72,6 +74,14 @@ RecordedWorld& Recorder::begin_world(WorldInfo info) {
 void Recorder::absorb(Recorder& other) {
   for (auto& world : other.worlds_) worlds_.push_back(std::move(world));
   other.worlds_.clear();
+}
+
+Recording Recorder::take() && {
+  Recording out;
+  out.worlds.reserve(worlds_.size());
+  for (auto& world : worlds_) out.worlds.push_back(std::move(*world));
+  worlds_.clear();
+  return out;
 }
 
 namespace {

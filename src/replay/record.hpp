@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simmpi/message.hpp"
@@ -107,6 +108,8 @@ struct RecordedWorld {
   }
 };
 
+struct Recording;  // replay/format.hpp
+
 class Recorder {
  public:
   /// Starts a new World section; the returned reference stays valid for the
@@ -125,6 +128,11 @@ class Recorder {
   /// recorder — the trial-index-order merge step of runner::TrialRunner,
   /// mirroring trace::Tracer::absorb.
   void absorb(Recorder& other);
+
+  /// Moves every World section out, in order, as the Recording that
+  /// parse(serialize(*this)) would build, without the bytes or a second
+  /// copy of the events; the recorder is left empty.
+  Recording take() &&;
 
  private:
   std::vector<std::unique_ptr<RecordedWorld>> worlds_;

@@ -39,6 +39,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <new>
 #include <vector>
@@ -127,8 +128,9 @@ class FramePool {
   static void* allocate(std::size_t bytes) {
     const std::size_t total = bytes + kHeader;
     const std::size_t bucket = (total + kGranularity - 1) / kGranularity;
-    if (bucket >= kBuckets) return finish(::operator new(total), 0);  // 0 = unpooled
     Cache& c = cache();
+    ++c.frames;
+    if (bucket >= kBuckets) return finish(::operator new(total), 0);  // 0 = unpooled
     if (void* p = c.free[bucket]) {
       c.free[bucket] = *static_cast<void**>(p);
       return finish(p, bucket);
@@ -160,6 +162,10 @@ class FramePool {
     return SlabArena::instance().bytes_reserved();
   }
 
+  /// Frames this thread has allocated so far, pooled or not.  Tests pin the
+  /// frames each blocking operation costs with it.
+  static std::uint64_t frames_allocated() noexcept { return cache().frames; }
+
  private:
   // The header must preserve the alignment ::operator new guarantees, since
   // coroutine frames assume at most that from their promise's operator new.
@@ -172,6 +178,7 @@ class FramePool {
 
   struct Cache {
     void* free[kBuckets] = {};
+    std::uint64_t frames = 0;
     // Thread exit: hand every chain back to the arena so the next worker
     // generation reuses these frames.  Thread-storage objects are destroyed
     // before static-storage ones, so the arena is still alive here.

@@ -8,6 +8,15 @@
 //
 // A Task must either be co_awaited or handed to Simulation::spawn; destroying
 // a started-but-unfinished Task destroys the whole child chain.
+//
+// Every frame lives as long as the operation it serves, and at scale every
+// rank holds its chain of them at once.  So a function that only forwards to
+// another Task returns that Task instead of awaiting it: it is a plain
+// function and allocates no frame (Comm::send, the collective dispatchers).
+// Its work before the call (argument checks, a collective's sequence number)
+// then runs at the call, not at the first resume.  The callee takes every
+// parameter by value or by a reference its caller already owns, never one to
+// the forwarding function's own by-value parameters, which die at its return.
 #pragma once
 
 #include <coroutine>

@@ -77,14 +77,12 @@ sim::Task<std::vector<double>> allgather_ring(Comm& comm, std::vector<double> mi
 sim::Task<std::vector<double>> allgather(Comm& comm, std::vector<double> mine,
                                          AllgatherAlgo algo, std::int64_t wire_bytes) {
   comm.advance_collective();
-  if (comm.size() == 1) co_return mine;
+  if (comm.size() == 1) return detail::own_result(std::move(mine));
   switch (algo) {
-    case AllgatherAlgo::kBruck:
-      co_return co_await allgather_bruck(comm, std::move(mine), wire_bytes);
-    case AllgatherAlgo::kRing:
-      co_return co_await allgather_ring(comm, std::move(mine), wire_bytes);
+    case AllgatherAlgo::kBruck: return allgather_bruck(comm, std::move(mine), wire_bytes);
+    case AllgatherAlgo::kRing: return allgather_ring(comm, std::move(mine), wire_bytes);
   }
-  co_return mine;
+  return detail::own_result(std::move(mine));
 }
 
 }  // namespace hcs::simmpi

@@ -223,27 +223,35 @@ sim::Task<std::vector<double>> allreduce_rabenseifner(Comm& comm, std::vector<do
   co_return data;
 }
 
+sim::Task<std::vector<double>> allreduce_reduce_bcast(Comm& comm, std::vector<double> data,
+                                                      ReduceOp op, std::int64_t wire_bytes) {
+  std::vector<double> reduced =
+      co_await reduce(comm, std::move(data), op, 0, ReduceAlgo::kBinomial, wire_bytes);
+  co_return co_await bcast(comm, std::move(reduced), 0, BcastAlgo::kBinomial, wire_bytes);
+}
+
+sim::Task<std::vector<double>> allreduce_by(Comm& comm, std::vector<double> data, ReduceOp op,
+                                            AllreduceAlgo algo, std::int64_t wire_bytes) {
+  if (comm.size() == 1) return detail::own_result(std::move(data));
+  switch (algo) {
+    case AllreduceAlgo::kRecursiveDoubling:
+      return allreduce_recursive_doubling(comm, std::move(data), op, wire_bytes);
+    case AllreduceAlgo::kRing: return allreduce_ring(comm, std::move(data), op, wire_bytes);
+    case AllreduceAlgo::kReduceBcast:
+      return allreduce_reduce_bcast(comm, std::move(data), op, wire_bytes);
+    case AllreduceAlgo::kRabenseifner:
+      return allreduce_rabenseifner(comm, std::move(data), op, wire_bytes);
+  }
+  return detail::own_result(std::move(data));
+}
+
 }  // namespace
 
 sim::Task<std::vector<double>> allreduce(Comm& comm, std::vector<double> data, ReduceOp op,
                                          AllreduceAlgo algo, std::int64_t wire_bytes) {
-  HCS_TRACE_SCOPE(Coll, comm.my_world_rank(), "allreduce", wire_bytes);
   comm.advance_collective();
-  if (comm.size() == 1) co_return data;
-  switch (algo) {
-    case AllreduceAlgo::kRecursiveDoubling:
-      co_return co_await allreduce_recursive_doubling(comm, std::move(data), op, wire_bytes);
-    case AllreduceAlgo::kRing:
-      co_return co_await allreduce_ring(comm, std::move(data), op, wire_bytes);
-    case AllreduceAlgo::kReduceBcast: {
-      std::vector<double> reduced = co_await reduce(comm, std::move(data), op, 0,
-                                                    ReduceAlgo::kBinomial, wire_bytes);
-      co_return co_await bcast(comm, std::move(reduced), 0, BcastAlgo::kBinomial, wire_bytes);
-    }
-    case AllreduceAlgo::kRabenseifner:
-      co_return co_await allreduce_rabenseifner(comm, std::move(data), op, wire_bytes);
-  }
-  co_return data;
+  return detail::in_span(allreduce_by(comm, std::move(data), op, algo, wire_bytes),
+                         comm.my_world_rank(), "allreduce", wire_bytes);
 }
 
 }  // namespace hcs::simmpi

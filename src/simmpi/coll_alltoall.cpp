@@ -36,12 +36,12 @@ sim::Task<std::vector<double>> alltoall(Comm& comm, std::vector<double> sendbuf,
     throw std::invalid_argument("alltoall: buffer must hold size() * chunk values");
   }
   comm.advance_collective();
-  if (comm.size() == 1) co_return sendbuf;
+  if (comm.size() == 1) return detail::own_result(std::move(sendbuf));
   switch (algo) {
     case AlltoallAlgo::kPairwise:
-      co_return co_await alltoall_pairwise(comm, std::move(sendbuf), chunk, wire_bytes);
+      return alltoall_pairwise(comm, std::move(sendbuf), chunk, wire_bytes);
   }
-  co_return sendbuf;
+  return detail::own_result(std::move(sendbuf));
 }
 
 }  // namespace hcs::simmpi

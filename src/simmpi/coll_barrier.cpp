@@ -125,19 +125,24 @@ sim::Task<void> barrier_recursive_doubling(Comm& comm) {
   }
 }
 
+sim::Task<void> barrier_by(Comm& comm, BarrierAlgo algo) {
+  if (comm.size() == 1) return detail::no_op();
+  switch (algo) {
+    case BarrierAlgo::kLinear: return barrier_linear(comm);
+    case BarrierAlgo::kTree: return barrier_tree(comm);
+    case BarrierAlgo::kDoubleRing: return barrier_double_ring(comm);
+    case BarrierAlgo::kBruck: return barrier_bruck(comm);
+    case BarrierAlgo::kRecursiveDoubling: return barrier_recursive_doubling(comm);
+  }
+  return detail::no_op();
+}
+
 }  // namespace
 
 sim::Task<void> barrier(Comm& comm, BarrierAlgo algo) {
-  HCS_TRACE_SCOPE(Coll, comm.my_world_rank(), "barrier", static_cast<std::int64_t>(algo));
   comm.advance_collective();
-  if (comm.size() == 1) co_return;
-  switch (algo) {
-    case BarrierAlgo::kLinear: co_await barrier_linear(comm); break;
-    case BarrierAlgo::kTree: co_await barrier_tree(comm); break;
-    case BarrierAlgo::kDoubleRing: co_await barrier_double_ring(comm); break;
-    case BarrierAlgo::kBruck: co_await barrier_bruck(comm); break;
-    case BarrierAlgo::kRecursiveDoubling: co_await barrier_recursive_doubling(comm); break;
-  }
+  return detail::in_span(barrier_by(comm, algo), comm.my_world_rank(), "barrier",
+                         static_cast<std::int64_t>(algo));
 }
 
 }  // namespace hcs::simmpi

@@ -98,25 +98,27 @@ sim::Task<std::vector<double>> bcast_scatter_allgather(Comm& comm, std::vector<d
   co_return full;
 }
 
+sim::Task<std::vector<double>> bcast_by(Comm& comm, std::vector<double> data, int root,
+                                        BcastAlgo algo, std::int64_t wire_bytes) {
+  if (comm.size() == 1) return detail::own_result(std::move(data));
+  switch (algo) {
+    case BcastAlgo::kBinomial: return bcast_binomial(comm, std::move(data), root, wire_bytes);
+    case BcastAlgo::kLinear: return bcast_linear(comm, std::move(data), root, wire_bytes);
+    case BcastAlgo::kChain: return bcast_chain(comm, std::move(data), root, wire_bytes);
+    case BcastAlgo::kScatterAllgather:
+      return bcast_scatter_allgather(comm, std::move(data), root, wire_bytes);
+  }
+  return detail::own_result(std::move(data));
+}
+
 }  // namespace
 
 sim::Task<std::vector<double>> bcast(Comm& comm, std::vector<double> data, int root,
                                      BcastAlgo algo, std::int64_t wire_bytes) {
-  HCS_TRACE_SCOPE(Coll, comm.my_world_rank(), "bcast", wire_bytes);
   detail::check_root(comm, root);
   comm.advance_collective();
-  if (comm.size() == 1) co_return data;
-  switch (algo) {
-    case BcastAlgo::kBinomial:
-      co_return co_await bcast_binomial(comm, std::move(data), root, wire_bytes);
-    case BcastAlgo::kLinear:
-      co_return co_await bcast_linear(comm, std::move(data), root, wire_bytes);
-    case BcastAlgo::kChain:
-      co_return co_await bcast_chain(comm, std::move(data), root, wire_bytes);
-    case BcastAlgo::kScatterAllgather:
-      co_return co_await bcast_scatter_allgather(comm, std::move(data), root, wire_bytes);
-  }
-  co_return data;
+  return detail::in_span(bcast_by(comm, std::move(data), root, algo, wire_bytes),
+                         comm.my_world_rank(), "bcast", wire_bytes);
 }
 
 }  // namespace hcs::simmpi

@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "simmpi/collectives.hpp"
@@ -47,6 +48,25 @@ inline int abs_rank(int relative, int root, int p) { return (relative + root) % 
 inline std::vector<double> data_or_nan(std::optional<Message>&& msg, std::size_t expect) {
   if (msg && msg->data.size() == expect) return std::move(msg->data);
   return std::vector<double>(expect, std::numeric_limits<double>::quiet_NaN());
+}
+
+/// A collective's result on a one-rank communicator: its own input.
+inline sim::Task<std::vector<double>> own_result(std::vector<double> data) { co_return data; }
+inline sim::Task<void> no_op() { co_return; }
+
+template <typename T>
+sim::Task<T> spanned(sim::Task<T> op, int rank, const char* name, std::int64_t arg) {
+  HCS_TRACE_SCOPE(Coll, rank, name, arg);
+  co_return co_await op;
+}
+
+/// `op` inside a Coll span over the whole operation when a tracer is
+/// installed.  Untraced, `op` itself: a dispatcher returns its algorithm's
+/// Task instead of awaiting it, so the collective costs no frame of its own.
+template <typename T>
+sim::Task<T> in_span(sim::Task<T> op, int rank, const char* name, std::int64_t arg) {
+  if (trace::active_tracer() == nullptr) return op;
+  return spanned(std::move(op), rank, name, arg);
 }
 
 }  // namespace hcs::simmpi::detail

@@ -83,14 +83,12 @@ sim::Task<std::vector<double>> gather(Comm& comm, std::vector<double> mine, int 
                                       GatherAlgo algo, std::int64_t wire_bytes) {
   detail::check_root(comm, root);
   comm.advance_collective();
-  if (comm.size() == 1) co_return mine;
+  if (comm.size() == 1) return detail::own_result(std::move(mine));
   switch (algo) {
-    case GatherAlgo::kLinear:
-      co_return co_await gather_linear(comm, std::move(mine), root, wire_bytes);
-    case GatherAlgo::kBinomial:
-      co_return co_await gather_binomial(comm, std::move(mine), root, wire_bytes);
+    case GatherAlgo::kLinear: return gather_linear(comm, std::move(mine), root, wire_bytes);
+    case GatherAlgo::kBinomial: return gather_binomial(comm, std::move(mine), root, wire_bytes);
   }
-  co_return mine;
+  return detail::own_result(std::move(mine));
 }
 
 }  // namespace hcs::simmpi

@@ -53,14 +53,12 @@ sim::Task<std::vector<double>> reduce(Comm& comm, std::vector<double> data, Redu
                                       ReduceAlgo algo, std::int64_t wire_bytes) {
   detail::check_root(comm, root);
   comm.advance_collective();
-  if (comm.size() == 1) co_return data;
+  if (comm.size() == 1) return detail::own_result(std::move(data));
   switch (algo) {
-    case ReduceAlgo::kBinomial:
-      co_return co_await reduce_binomial(comm, std::move(data), op, root, wire_bytes);
-    case ReduceAlgo::kLinear:
-      co_return co_await reduce_linear(comm, std::move(data), op, root, wire_bytes);
+    case ReduceAlgo::kBinomial: return reduce_binomial(comm, std::move(data), op, root, wire_bytes);
+    case ReduceAlgo::kLinear: return reduce_linear(comm, std::move(data), op, root, wire_bytes);
   }
-  co_return data;
+  return detail::own_result(std::move(data));
 }
 
 }  // namespace hcs::simmpi

@@ -68,15 +68,14 @@ sim::Task<std::vector<double>> reduce_scatter(Comm& comm, std::vector<double> da
     throw std::invalid_argument("reduce_scatter: buffer must hold size() * chunk values");
   }
   comm.advance_collective();
-  if (comm.size() == 1) co_return data;
+  if (comm.size() == 1) return detail::own_result(std::move(data));
   switch (algo) {
     case ReduceScatterAlgo::kRing:
-      co_return co_await reduce_scatter_ring(comm, std::move(data), chunk, op, wire_bytes);
+      return reduce_scatter_ring(comm, std::move(data), chunk, op, wire_bytes);
     case ReduceScatterAlgo::kReduceThenScatter:
-      co_return co_await reduce_scatter_reduce_then_scatter(comm, std::move(data), chunk, op,
-                                                            wire_bytes);
+      return reduce_scatter_reduce_then_scatter(comm, std::move(data), chunk, op, wire_bytes);
   }
-  co_return data;
+  return detail::own_result(std::move(data));
 }
 
 }  // namespace hcs::simmpi

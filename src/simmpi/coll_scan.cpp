@@ -51,14 +51,13 @@ sim::Task<std::vector<double>> scan_recursive_doubling(Comm& comm, std::vector<d
 sim::Task<std::vector<double>> scan(Comm& comm, std::vector<double> data, ReduceOp op,
                                     ScanAlgo algo, std::int64_t wire_bytes) {
   comm.advance_collective();
-  if (comm.size() == 1) co_return data;
+  if (comm.size() == 1) return detail::own_result(std::move(data));
   switch (algo) {
-    case ScanAlgo::kLinear:
-      co_return co_await scan_linear(comm, std::move(data), op, wire_bytes);
+    case ScanAlgo::kLinear: return scan_linear(comm, std::move(data), op, wire_bytes);
     case ScanAlgo::kRecursiveDoubling:
-      co_return co_await scan_recursive_doubling(comm, std::move(data), op, wire_bytes);
+      return scan_recursive_doubling(comm, std::move(data), op, wire_bytes);
   }
-  co_return data;
+  return detail::own_result(std::move(data));
 }
 
 }  // namespace hcs::simmpi

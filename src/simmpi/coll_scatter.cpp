@@ -99,14 +99,13 @@ sim::Task<std::vector<double>> scatter(Comm& comm, std::vector<double> all, std:
     throw std::invalid_argument("scatter: root buffer must hold size() * chunk values");
   }
   comm.advance_collective();
-  if (comm.size() == 1) co_return all;
+  if (comm.size() == 1) return detail::own_result(std::move(all));
   switch (algo) {
-    case ScatterAlgo::kLinear:
-      co_return co_await scatter_linear(comm, std::move(all), chunk, root, wire_bytes);
+    case ScatterAlgo::kLinear: return scatter_linear(comm, std::move(all), chunk, root, wire_bytes);
     case ScatterAlgo::kBinomial:
-      co_return co_await scatter_binomial(comm, std::move(all), chunk, root, wire_bytes);
+      return scatter_binomial(comm, std::move(all), chunk, root, wire_bytes);
   }
-  co_return all;
+  return detail::own_result(std::move(all));
 }
 
 }  // namespace hcs::simmpi

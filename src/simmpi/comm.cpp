@@ -78,28 +78,28 @@ std::int64_t Comm::collective_tag(int phase) const {
 }
 
 sim::Task<void> Comm::send(int dst, int tag, std::vector<double> data, std::int64_t bytes) {
-  co_await world_->p2p_send(my_world_rank(), world_rank(dst), user_tag(tag), std::move(data),
-                            bytes);
+  return world_->p2p_send(my_world_rank(), world_rank(dst), user_tag(tag), std::move(data),
+                          bytes);
 }
 
 sim::Task<Message> Comm::recv(int src, int tag) {
-  co_return co_await world_->p2p_recv(my_world_rank(), world_rank(src), user_tag(tag));
+  return world_->await_recv(world_->p2p_irecv(my_world_rank(), world_rank(src), user_tag(tag)));
 }
 
 sim::Task<std::optional<Message>> Comm::recv_ft(int src, int tag) {
   const int me = my_world_rank();
   const int wsrc = world_rank(src);
-  const FailureDetector* fd = world_->failure_detector();
-  if (!fd) co_return co_await world_->p2p_recv(me, wsrc, user_tag(tag));
   // Bounded by the modelled detection time for a peer that actually dies,
   // plus the liveness net so even a pathological live-live cross-wait
   // terminates (degraded) instead of deadlocking the world.  The deadline is
   // the *next* dead declaration relative to now, so a peer that departed and
   // rejoined earlier does not poison later receives with a stale deadline.
+  // Without a detector the message always comes.
+  const FailureDetector* fd = world_->failure_detector();
   const sim::Time deadline =
-      std::min(fd->detect_time_after(me, wsrc, sim().now()), sim().now() + kLivenessTimeout);
-  co_return co_await world_->await_recv_until(world_->p2p_irecv(me, wsrc, user_tag(tag)),
-                                              deadline);
+      fd ? std::min(fd->detect_time_after(me, wsrc, sim().now()), sim().now() + kLivenessTimeout)
+         : sim::kTimeInfinity;
+  return world_->await_recv_until(world_->p2p_irecv(me, wsrc, user_tag(tag)), deadline);
 }
 
 PeerStatus Comm::peer_status(int comm_rank) const {
@@ -113,7 +113,7 @@ RecvRequest Comm::irecv(int src, int tag) {
 }
 
 sim::Task<Message> Comm::wait(RecvRequest request) {
-  co_return co_await world_->await_recv(std::move(request));
+  return world_->await_recv(std::move(request));
 }
 
 SendRequest Comm::isend(int dst, int tag, std::vector<double> data, std::int64_t bytes) {
@@ -122,13 +122,13 @@ SendRequest Comm::isend(int dst, int tag, std::vector<double> data, std::int64_t
 }
 
 sim::Task<void> Comm::wait(SendRequest request) {
-  co_await world_->await_send(std::move(request));
+  return world_->await_send(std::move(request));
 }
 
 sim::Task<BurstResult> Comm::pingpong_burst(int partner, bool i_am_client, vclock::Clock& clock,
                                             int nexchanges, std::int64_t bytes) {
-  co_return co_await world_->pingpong_burst(my_world_rank(), world_rank(partner), i_am_client,
-                                            clock, nexchanges, bytes);
+  return world_->pingpong_burst(my_world_rank(), world_rank(partner), i_am_client, clock,
+                                nexchanges, bytes);
 }
 
 // Direct (no-relay) member exchange used by split under the crash model:
@@ -215,12 +215,12 @@ sim::Task<Comm> Comm::split(int color, int key) {
 
 sim::Task<Comm> Comm::split_shared_node() {
   const int node = world_->topo().locate(my_world_rank()).node;
-  co_return co_await split(node, my_world_rank());
+  return split(node, my_world_rank());
 }
 
 sim::Task<Comm> Comm::split_shared_socket() {
   const int socket = world_->topo().locate(my_world_rank()).socket;
-  co_return co_await split(socket, my_world_rank());
+  return split(socket, my_world_rank());
 }
 
 }  // namespace hcs::simmpi

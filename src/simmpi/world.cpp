@@ -638,38 +638,43 @@ void World::cancel_recv(const RecvRequest& request) {
   if (it != mb.posted.end()) mb.posted.erase(it);
 }
 
-// Suspends until the request completes or, under the crash model, its timer
-// fires: at the owner's own crash or at `deadline` (absolute; kTimeInfinity
-// means "wait for the message"), whichever comes first.  A match cancels the
-// timer; a timer that fires resumes the waiter, which resolves the request
-// here.
-sim::Task<void> World::block_on_recv(RecvRequest request, sim::Time deadline) {
-  if (request->complete) co_return;
-  sim::Simulation& s = sim_of(request->owner);
+// Suspends await_recv(_until)'s own frame until the request completes or,
+// under the crash model, its timer fires: at the owner's own crash or at
+// `deadline` (absolute; kTimeInfinity means "wait for the message"),
+// whichever comes first.  A match cancels the timer; a timer that fires
+// resumes the waiter, which resolves the request here.  NOTE: named awaiter
+// on purpose (GCC 12 temporary-awaiter bug).
+struct World::RecvPark {
+  World* world;
+  const RecvRequest& request;
+  sim::Time deadline;
   sim::Time own_crash = sim::kTimeInfinity;
-  sim::Time wake = sim::kTimeInfinity;  // no crash model: the message always comes
-  if (detector_) {
-    own_crash = fault_->next_down(request->owner, s.now());
-    if (s.now() >= own_crash) {
-      request->owner_crashed = true;
-      cancel_recv(request);
-      co_return;
-    }
-    if (s.now() >= deadline) {
-      request->timed_out = true;
-      cancel_recv(request);
-      co_return;
-    }
-    wake = std::min(own_crash, deadline);
+
+  bool await_ready() {
+    if (request->complete) return true;
+    if (!world->detector_) return false;
+    const sim::Time now = world->sim_of(request->owner).now();
+    own_crash = world->fault_->next_down(request->owner, now);
+    if (now < own_crash && now < deadline) return false;
+    (now >= own_crash ? request->owner_crashed : request->timed_out) = true;
+    world->cancel_recv(request);
+    return true;
   }
-  ParkUntil park{&s, &request->waiter, &request->timer, wake};
-  co_await park;
-  if (request->complete) co_return;
-  request->waiter = nullptr;
-  request->timer = sim::kNoTimer;
-  (s.now() >= own_crash ? request->owner_crashed : request->timed_out) = true;
-  cancel_recv(request);
-}
+  void await_suspend(std::coroutine_handle<> h) {
+    // No crash model: the message always comes, so no timer.
+    const sim::Time wake = world->detector_ ? std::min(own_crash, deadline) : sim::kTimeInfinity;
+    ParkUntil{&world->sim_of(request->owner), &request->waiter, &request->timer, wake}
+        .await_suspend(h);
+  }
+  void await_resume() {
+    if (!request->waiter) return;  // completed, resolved at once, or matched
+    request->waiter = nullptr;
+    request->timer = sim::kNoTimer;
+    const sim::Time now = world->sim_of(request->owner).now();
+    (now >= own_crash ? request->owner_crashed : request->timed_out) = true;
+    world->cancel_recv(request);
+  }
+};
 
 sim::Task<Message> World::await_recv(RecvRequest request) {
   if (replay_feed_) co_return co_await replay_recv(std::move(request));
@@ -683,7 +688,8 @@ sim::Task<Message> World::await_recv(RecvRequest request) {
     deadline = std::min(detector_->detect_time_after(request->owner, request->src, s.now()),
                         s.now() + kLivenessTimeout);
   }
-  co_await block_on_recv(request, deadline);
+  RecvPark park{this, request, deadline};
+  co_await park;
   if (request->owner_crashed) throw RankCrashed{request->owner, s.now()};
   if (request->timed_out) {
     throw std::runtime_error("recv on rank " + std::to_string(request->owner) + " from rank " +
@@ -700,7 +706,8 @@ sim::Task<std::optional<Message>> World::await_recv_until(RecvRequest request,
                                                           sim::Time deadline) {
   if (replay_feed_) co_return co_await replay_recv_until(std::move(request));
   sim::Simulation& s = sim_of(request->owner);
-  co_await block_on_recv(request, deadline);
+  RecvPark park{this, request, deadline};
+  co_await park;
   if (request->owner_crashed) throw RankCrashed{request->owner, s.now()};
   if (request->timed_out) {
     if (record_section_ != nullptr) {
@@ -713,10 +720,6 @@ sim::Task<std::optional<Message>> World::await_recv_until(RecvRequest request,
   co_await s.delay(network_.recv_overhead());
   record_recv_completion(request);
   co_return std::move(request->msg);
-}
-
-sim::Task<Message> World::p2p_recv(int me, int src, std::int64_t tag) {
-  co_return co_await await_recv(p2p_irecv(me, src, tag));
 }
 
 SendRequest World::p2p_isend(int src, int dst, std::int64_t tag, std::vector<double> data,

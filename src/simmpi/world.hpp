@@ -199,7 +199,6 @@ class World {
 
   sim::Task<void> p2p_send(int src, int dst, std::int64_t tag, std::vector<double> data,
                            std::int64_t bytes);
-  sim::Task<Message> p2p_recv(int me, int src, std::int64_t tag);
 
   /// Nonblocking receive: posts the request (matching any already-arrived
   /// message) and returns immediately; complete with await_recv.
@@ -397,7 +396,7 @@ class World {
   sim::Task<void> churn_supervisor(RankFn fn, RankCtx& ctx);
   void purge_mailbox(int rank);
   void cancel_recv(const RecvRequest& request);
-  sim::Task<void> block_on_recv(RecvRequest request, sim::Time deadline);
+  struct RecvPark;  // await_recv's park/resolve step (world.cpp)
 
   // --- record / replay internals (world.cpp, docs/record-replay.md) ---
   void record_recv_completion(const RecvRequest& request);

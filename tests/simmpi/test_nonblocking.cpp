@@ -149,7 +149,7 @@ TEST(Nonblocking, ManyOutstandingRequests) {
 }
 
 TEST(Nonblocking, BlockingRecvStillMatchesAfterRefactor) {
-  // p2p_recv is now irecv + wait; spot-check the blocking path end to end.
+  // Comm::recv is irecv + wait; spot-check the blocking path end to end.
   World w = make_world(2, 2);
   double got = 0;
   w.run_all([&](RankCtx& ctx) -> sim::Task<void> {
