@@ -99,7 +99,7 @@ CrashPoint run_crash(const topology::MachineConfig& machine, const std::string& 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchOptions opt = parse_common(argc, argv, 1.0);
+  const BenchOptions opt = parse_common_extra(argc, argv, 1.0, kFaultFlags).opt;
   const Observability obs(opt);
   auto machine = topology::testbox(4, 2);  // 8 ranks, 2 per node
   machine.clocks.initial_offset_abs = 5e-3;

@@ -15,7 +15,7 @@
 int main(int argc, char** argv) {
   using namespace hcs;
   using namespace hcs::bench;
-  const BenchOptions opt = parse_common(argc, argv, 1.0);
+  const BenchOptions opt = parse_common_extra(argc, argv, 1.0, kFaultFlags).opt;
   const Observability obs(opt);
   const auto machine = topology::testbox(4, 2);  // 8 ranks, 2 per node
 

@@ -52,7 +52,7 @@ Outcome run(const topology::MachineConfig& machine, int levels, int nfit, int np
     }
     const sim::Time begin = ctx.sim().now();
     clocks[static_cast<std::size_t>(ctx.rank())] =
-        co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+        clean_clock(co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock()), sync->name());
     durations[static_cast<std::size_t>(ctx.rank())] = ctx.sim().now() - begin;
     ends[static_cast<std::size_t>(ctx.rank())] = ctx.sim().now();
   });

@@ -11,7 +11,7 @@
 int main(int argc, char** argv) {
   using namespace hcs;
   using namespace hcs::bench;
-  const BenchOptions opt = parse_common(argc, argv, 0.1);
+  const BenchOptions opt = parse_common_extra(argc, argv, 0.1, kFaultFlags).opt;
   const Observability obs(opt);
   const auto machine = topology::jupiter().with_nodes(8);  // 128 ranks: JK-friendly size
 

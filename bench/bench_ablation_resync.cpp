@@ -39,7 +39,7 @@ Outcome run_session(const topology::MachineConfig& machine, double interval,
     for (int i = 0; i < steps; ++i) {
       const sim::Time t0 = ctx.sim().now();
       clocks[static_cast<std::size_t>(ctx.rank())] =
-          co_await mgr.tick(ctx.comm_world(), ctx.base_clock());
+          clean_clock(co_await mgr.tick(ctx.comm_world(), ctx.base_clock()), label);
       if (ctx.rank() == 0) outcome.sync_cost_s += ctx.sim().now() - t0;
       co_await ctx.sim().delay(1.0);
     }

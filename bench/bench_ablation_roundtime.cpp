@@ -27,7 +27,8 @@ SchemeOutcome run_scheme(const topology::MachineConfig& machine, const std::stri
   SchemeOutcome outcome;
   world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto sync = hcs::clocksync::make_sync(sync_label);
-    auto g = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+    const auto g =
+        clean_clock(co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock()), sync_label);
     const mpibench::MeasurementResult m = co_await scheme_fn(ctx, *g);
     if (ctx.rank() == 0) {
       outcome.valid = m.valid_reps();

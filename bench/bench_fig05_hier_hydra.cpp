@@ -10,7 +10,7 @@
 int main(int argc, char** argv) {
   using namespace hcs;
   using namespace hcs::bench;
-  const BenchOptions opt = parse_common(argc, argv, 0.1);
+  const BenchOptions opt = parse_common_extra(argc, argv, 0.1, kFaultFlags).opt;
   const Observability obs(opt);
   const auto machine = topology::hydra();  // all 36 nodes x 32 ranks
 

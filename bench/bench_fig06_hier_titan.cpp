@@ -18,7 +18,7 @@
 int main(int argc, char** argv) {
   using namespace hcs;
   using namespace hcs::bench;
-  const BenchOptions opt = parse_common(argc, argv, 0.05);
+  const BenchOptions opt = parse_common_extra(argc, argv, 0.05, kFaultFlags).opt;
   const Observability obs(opt);
   const auto machine = topology::titan();  // 1024 x 16
 

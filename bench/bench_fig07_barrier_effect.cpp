@@ -28,7 +28,7 @@ Cell run_cell(const topology::MachineConfig& machine, std::int64_t msize,
   world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto clk = ctx.base_clock();
     auto sync = hcs::clocksync::make_sync(sync_label);
-    auto g = co_await sync->sync_clocks(ctx.comm_world(), clk);
+    const auto g = clean_clock(co_await sync->sync_clocks(ctx.comm_world(), clk), sync_label);
     const mpibench::CollectiveOp op = mpibench::make_allreduce_op(msize);
     const mpibench::BarrierSchemeParams bp{nrep, barrier};
     const auto imb = co_await mpibench::run_imb_like(ctx.comm_world(), *clk, op, bp);

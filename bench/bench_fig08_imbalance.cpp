@@ -24,7 +24,8 @@ std::vector<double> one_mpirun(const topology::MachineConfig& machine, simmpi::B
   std::vector<double> imbalances;
   world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto sync = hcs::clocksync::make_sync(sync_label);
-    auto g = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+    const auto g =
+        clean_clock(co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock()), sync_label);
     mpibench::ImbalanceParams params;
     params.ncalls = ncalls;
     const auto result =

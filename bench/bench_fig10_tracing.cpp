@@ -40,7 +40,8 @@ TraceOutcome run_traced_app(const topology::MachineConfig& machine, bool use_glo
     vclock::ClockPtr trace_clock = ctx.base_clock();
     if (use_global_clock) {
       auto sync = hcs::clocksync::make_sync(sync_label);
-      trace_clock = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+      trace_clock =
+          clean_clock(co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock()), sync_label);
     }
     trace::IntervalTracer& tracer =
         slots[static_cast<std::size_t>(ctx.rank())].emplace(ctx.rank(), trace_clock);

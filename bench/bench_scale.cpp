@@ -56,15 +56,12 @@ ScalePoint run_scale_point(const topology::MachineConfig& machine, const std::st
   world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto sync = clocksync::make_sync(label);
     const sim::Time begin = ctx.sim().now();
-    const clocksync::SyncResult res =
-        co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
-    if (!res.report.clean()) {
-      throw std::runtime_error("bench_scale: sync reported degraded health for " + label);
-    }
+    const vclock::ClockPtr clock =
+        clean_clock(co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock()), label);
     durations[static_cast<std::size_t>(ctx.rank())] = ctx.sim().now() - begin;
     clocksync::SKaMPIOffset oalg(10);
     const clocksync::AccuracyResult acc = co_await clocksync::check_clock_accuracy(
-        ctx.comm_world(), *res.clock, oalg, 1.0, clients);
+        ctx.comm_world(), *clock, oalg, 1.0, clients);
     if (ctx.rank() == 0) {
       point.max_offset_t0 = acc.max_abs_t0;
       point.max_offset_t1 = acc.max_abs_t1;

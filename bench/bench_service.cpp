@@ -58,12 +58,13 @@ const ClockEpoch* epoch_at(const std::vector<ClockEpoch>& history, double t) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const ParsedBench parsed = parse_common_extra(
-      argc, argv, 0.01,
-      {{"duration", "SECONDS", "simulated service length (default 86400 * scale, min 120)"},
-       {"qps", "N", "client time queries per simulated second, round-robin over ranks "
-                    "(default 2)"},
-       {"interval", "SECONDS", "re-synchronization cadence (default 20)"}});
+  std::vector<BenchFlag> flags = kFaultFlags;
+  flags.push_back(
+      {"duration", "SECONDS", "simulated service length (default 86400 * scale, min 120)"});
+  flags.push_back({"qps", "N",
+                   "client time queries per simulated second, round-robin over ranks (default 2)"});
+  flags.push_back({"interval", "SECONDS", "re-synchronization cadence (default 20)"});
+  const ParsedBench parsed = parse_common_extra(argc, argv, 0.01, flags);
   BenchOptions opt = parsed.opt;
 
   clocksync::ServiceParams params;
@@ -133,9 +134,10 @@ int main(int argc, char** argv) {
   std::sort(offsets.begin(), offsets.end());
   std::sort(staleness.begin(), staleness.end());
 
-  std::uint64_t rejoins = 0;
+  std::uint64_t rejoins = 0, unclean_syncs = 0;
   double reconv_sum = 0.0, reconv_max = 0.0;
   for (const clocksync::ServiceLog& log : logs) {
+    unclean_syncs += static_cast<std::uint64_t>(log.unclean_syncs);
     for (const double v : log.reconverge) {
       ++rejoins;
       reconv_sum += v;
@@ -174,6 +176,7 @@ int main(int argc, char** argv) {
   // --metrics-out); done host-side so shard threads never touch it.
   HCS_METRIC_ADD("service.query.total", total);
   HCS_METRIC_ADD("service.query.failed", failed);
+  HCS_METRIC_ADD("service.sync.unclean", unclean_syncs);
   for (const double v : offsets) HCS_METRIC_OBSERVE("service.query.offset_error", v);
   for (const double v : staleness) HCS_METRIC_OBSERVE("service.query.staleness", v);
   for (const clocksync::ServiceLog& log : logs) {

@@ -36,6 +36,11 @@ const BenchFlag kBenchFlags[] = {
     {"replay", "FILE",
      "verify this run against a recording: exits 1 and prints the first "
      "diverging event on mismatch"},
+    {"help", nullptr, "print this help and exit"},
+};
+const std::size_t kBenchFlagCount = sizeof(kBenchFlags) / sizeof(kBenchFlags[0]);
+
+const std::vector<BenchFlag> kFaultFlags = {
     {"fault", "SPEC",
      "inject a fault, repeatable; SPEC = kind:key=value,... e.g. drop:p=0.01,level=network "
      "(see docs/fault-injection.md)"},
@@ -43,9 +48,7 @@ const BenchFlag kBenchFlags[] = {
      "read fault SPECs from FILE, one per line ('#' starts a comment); repeatable, composes "
      "with --fault"},
     {"fault-seed", "N", "seed of the fault-injection RNG stream (default 0)"},
-    {"help", nullptr, "print this help and exit"},
 };
-const std::size_t kBenchFlagCount = sizeof(kBenchFlags) / sizeof(kBenchFlags[0]);
 
 namespace {
 
@@ -232,6 +235,14 @@ void record_memory_metrics() {
   HCS_METRIC_SET("hcs.mem.peak_rss_bytes", static_cast<double>(peak_rss_bytes()));
   HCS_METRIC_SET("hcs.mem.frame_pool_bytes",
                  static_cast<double>(sim::detail::FramePool::reserved_bytes()));
+}
+
+vclock::ClockPtr clean_clock(const clocksync::SyncResult& result, const std::string& label) {
+  if (!result.report.clean()) {
+    throw std::runtime_error("sync " + label + " reported " +
+                             clocksync::to_string(result.report.health) + " health");
+  }
+  return result.clock;
 }
 
 SyncAccuracyPoint run_sync_accuracy(const topology::MachineConfig& machine,

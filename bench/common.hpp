@@ -1,12 +1,13 @@
 // Shared helpers for the figure-reproduction bench binaries.
 //
 // Every bench binary accepts the flags documented in kBenchFlags below
-// (--help prints the same table): --scale/--seed/--jobs/--csv, the
-// observability outputs --trace-out/--metrics-out, and the fault-injection
-// options --fault (repeatable) and --fault-seed.  Unknown options are an
-// error (exit code 2), so "--job 4" can't silently run the default
-// configuration.  Headers always state machine, scale and the paper figure
-// being reproduced.
+// (--help prints the same table): --scale/--seed/--jobs/--csv and the
+// observability outputs --trace-out/--metrics-out.  Only the binaries whose
+// Worlds take BenchOptions::fault_plan also accept kFaultFlags (--fault,
+// --fault-file, --fault-seed).  Unknown options are an error (exit code 2),
+// so "--job 4" or a fault a binary would ignore can't silently run the
+// default configuration.  Headers always state machine, scale and the paper
+// figure being reproduced.
 #pragma once
 
 #include <cstddef>
@@ -56,6 +57,11 @@ struct BenchFlag {
 extern const BenchFlag kBenchFlags[];
 extern const std::size_t kBenchFlagCount;
 
+/// The fault-injection flags, filling BenchOptions::fault_plan: an extra for
+/// parse_common_extra in exactly the binaries that hand that plan to their
+/// Worlds.  Every other binary rejects them.
+extern const std::vector<BenchFlag> kFaultFlags;
+
 /// Writes the usage line plus one line per kBenchFlags entry.
 void print_usage(std::ostream& os, const std::string& program);
 
@@ -67,7 +73,8 @@ BenchOptions parse_common(int argc, const char* const* argv, double default_scal
 
 /// parse_common plus binary-specific flags: each `extra` entry is accepted,
 /// documented by --help/usage alongside the shared table, and readable
-/// through the returned Cli view (e.g. bench_scale's --ranks).
+/// through the returned Cli view (e.g. bench_scale's --ranks).  Passing
+/// kFaultFlags fills BenchOptions::fault_plan.
 struct ParsedBench {
   BenchOptions opt;
   util::Cli cli;
@@ -119,6 +126,12 @@ std::size_t peak_rss_bytes();
 /// No-op
 /// without an installed registry.
 void record_memory_metrics();
+
+/// The clock of a synchronization the bench requires to be clean: its World
+/// injects no fault, so any report but kOk means the run is not the
+/// experiment it prints.  Throws std::runtime_error naming `label` and the
+/// health instead of returning such a clock.
+vclock::ClockPtr clean_clock(const clocksync::SyncResult& result, const std::string& label);
 
 /// Result of one mpirun of the paper's core experiment (sync + Alg. 6).
 struct SyncAccuracyPoint {

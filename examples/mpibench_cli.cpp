@@ -21,6 +21,7 @@
 //   --nrep N --seed S --summary mean|median --csv
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "clocksync/factory.hpp"
 #include "mpibench/suites.hpp"
@@ -147,17 +148,20 @@ Row run_one(const topology::MachineConfig& machine, const util::Cli& cli, std::i
       }
     } else {
       auto sync = clocksync::make_sync(sync_label);
-      auto g = co_await sync->sync_clocks(ctx.comm_world(), clk);
+      const clocksync::SyncResult g = co_await sync->sync_clocks(ctx.comm_world(), clk);
+      if (!g.report.clean()) {
+        throw std::runtime_error("mpibench_cli: sync reported degraded health");
+      }
       if (scheme == "window") {
         mpibench::WindowSchemeParams params;
         params.nrep = nrep;
         params.window = cli.get_double("window-us", 200.0) * 1e-6;
-        m = co_await mpibench::run_window_scheme(ctx.comm_world(), *g, op, params);
+        m = co_await mpibench::run_window_scheme(ctx.comm_world(), *g.clock, op, params);
       } else if (scheme == "roundtime") {
         mpibench::RoundTimeParams params;
         params.max_nrep = nrep;
         params.max_time_slice = cli.get_double("time-slice", 5.0);
-        m = co_await mpibench::run_roundtime_scheme(ctx.comm_world(), *g, op, params);
+        m = co_await mpibench::run_roundtime_scheme(ctx.comm_world(), *g.clock, op, params);
       } else {
         throw std::invalid_argument("unknown --scheme '" + scheme + "'");
       }

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 
 #include "clocksync/factory.hpp"
 #include "simmpi/collectives.hpp"
@@ -45,7 +46,12 @@ std::vector<trace::GanttRow> run_app(const topology::MachineConfig& machine, boo
       // be invalid here (paper §IV-C applicability condition) — use flat
       // HCA3, which only assumes message passing.
       auto sync = clocksync::make_sync("hca3/recompute_intercept/200/skampi_offset/20");
-      clk = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+      const clocksync::SyncResult synced =
+          co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+      if (!synced.report.clean()) {
+        throw std::runtime_error("trace_app: sync reported degraded health");
+      }
+      clk = synced.clock;
     }
     trace::IntervalTracer& tracer =
         slots[static_cast<std::size_t>(ctx.rank())].emplace(ctx.rank(), clk);

@@ -8,6 +8,7 @@
 // algorithm*, whereas Round-Time measurements with a global clock give a
 // stable ranking.
 #include <iostream>
+#include <stdexcept>
 
 #include "clocksync/factory.hpp"
 #include "mpibench/suites.hpp"
@@ -26,11 +27,15 @@ double measure_roundtime(const topology::MachineConfig& machine, std::int64_t ms
   double latency = 0;
   world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto sync = clocksync::make_sync("hca3/recompute_intercept/200/skampi_offset/20");
-    auto g = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+    const clocksync::SyncResult g =
+        co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+    if (!g.report.clean()) {
+      throw std::runtime_error("tune_collective: sync reported degraded health");
+    }
     mpibench::RoundTimeParams params;
     params.max_nrep = 100;
     const auto report = co_await mpibench::run_repro_like(
-        ctx.comm_world(), *g, mpibench::make_allreduce_op(msize, algo), params);
+        ctx.comm_world(), *g.clock, mpibench::make_allreduce_op(msize, algo), params);
     if (ctx.rank() == 0) latency = report.reported_latency;
   });
   return latency;

@@ -86,15 +86,15 @@ int readmit_reference(simmpi::World& world, const ReadmitEvent& event) {
   return -1;  // every other member is also restarting right now
 }
 
-sim::Task<ReadmitResult> readmit(simmpi::Comm& view, ReadmitEvent event, vclock::ClockPtr clk,
-                                 OffsetAlgorithm& oalg, ReadmitPolicy policy) {
+sim::Task<SyncResult> readmit(simmpi::Comm& view, ReadmitEvent event, vclock::ClockPtr clk,
+                              OffsetAlgorithm& oalg, ReadmitPolicy policy) {
   simmpi::World& world = view.world();
   const int me = view.my_world_rank();
   const int client_pos = view_position(world, event.rank, event.at);
   const int ref_world = readmit_reference(world, event);
   const int ref_pos = view_position(world, ref_world, event.at);
   HCS_TRACE_SCOPE(Sync, me, "membership.readmit", event.incarnation);
-  if (client_pos < 0 || ref_pos < 0) co_return ReadmitResult{std::move(clk), SyncReport{}};
+  if (client_pos < 0 || ref_pos < 0) co_return SyncResult{std::move(clk), SyncReport{}};
   if (view.rank() != client_pos) {
     // The failure detector clears the returning rank one probe period after
     // its restart; a burst posted before that would abandon against a
@@ -112,14 +112,12 @@ sim::Task<ReadmitResult> readmit(simmpi::Comm& view, ReadmitEvent event, vclock:
     vclock::ClockPtr dummy = vclock::GlobalClockLM::identity(clk);
     const LearnResult learned =
         co_await learn_clock_model(view, ref_pos, client_pos, *dummy, oalg, policy.sync);
-    ReadmitResult out;
-    out.report = learned.report;
-    out.clock = std::make_shared<vclock::GlobalClockLM>(clk, learned.model);
-    co_return out;
+    co_return SyncResult{std::make_shared<vclock::GlobalClockLM>(clk, learned.model),
+                         learned.report};
   }
   // Serving side: answer the ping-pongs with the synchronized clock, keep it.
   (void)co_await learn_clock_model(view, ref_pos, client_pos, *clk, oalg, policy.sync);
-  co_return ReadmitResult{std::move(clk), SyncReport{}};
+  co_return SyncResult{std::move(clk), SyncReport{}};
 }
 
 }  // namespace hcs::clocksync

@@ -58,21 +58,15 @@ struct ReadmitPolicy {
   SyncConfig sync{/*nfitpoints=*/32, /*recompute_intercept=*/true};
 };
 
-/// Clock produced by one re-admission plus the client-side quality report
-/// (clean on the serving side).
-struct ReadmitResult {
-  vclock::ClockPtr clock;
-  SyncReport report;
-};
-
 /// The re-admission sub-phase itself.  Pairwise collective: called by the
 /// returning rank (with its fresh base clock) and by
 /// readmit_reference(event) (with its current global clock); no other rank
 /// participates.  `view` must be the membership view communicator at
 /// event.at on both sides (simmpi::Comm::view_comm).  Returns the newly
-/// synchronized clock on the returning rank and `clk` unchanged on the
-/// reference.  Emits a "membership.readmit" trace span on both sides.
-sim::Task<ReadmitResult> readmit(simmpi::Comm& view, ReadmitEvent event, vclock::ClockPtr clk,
-                                 OffsetAlgorithm& oalg, ReadmitPolicy policy);
+/// synchronized clock with the client-side quality report on the returning
+/// rank, and `clk` unchanged with a clean report on the reference.  Emits a
+/// "membership.readmit" trace span on both sides.
+sim::Task<SyncResult> readmit(simmpi::Comm& view, ReadmitEvent event, vclock::ClockPtr clk,
+                              OffsetAlgorithm& oalg, ReadmitPolicy policy);
 
 }  // namespace hcs::clocksync

@@ -16,16 +16,16 @@ ResyncManager::ResyncManager(std::unique_ptr<ClockSync> inner, double interval)
   if (interval <= 0) throw std::invalid_argument("ResyncManager: interval must be > 0");
 }
 
-sim::Task<vclock::ClockPtr> ResyncManager::tick(simmpi::Comm& comm, vclock::ClockPtr base) {
+sim::Task<SyncResult> ResyncManager::tick(simmpi::Comm& comm, vclock::ClockPtr base) {
   bool resync_now = false;
-  if (!current_) {
+  if (!current_.clock) {
     resync_now = true;  // first tick: everyone agrees unconditionally
   } else {
     // Rank 0 decides on its global clock; a broadcast makes the decision
     // unanimous even if other ranks' clocks disagree around the deadline.
     std::vector<double> decision;
     if (comm.rank() == 0) {
-      decision = util::vec(replay::observed_now(comm, *current_) >= deadline_ ? 1.0 : 0.0);
+      decision = util::vec(replay::observed_now(comm, *current_.clock) >= deadline_ ? 1.0 : 0.0);
     }
     decision = co_await simmpi::bcast(comm, std::move(decision), 0);
     resync_now = decision.at(0) != 0.0;
@@ -33,10 +33,8 @@ sim::Task<vclock::ClockPtr> ResyncManager::tick(simmpi::Comm& comm, vclock::Cloc
   if (resync_now) {
     HCS_TRACE_INSTANT(Sync, comm.my_world_rank(), "resync", resyncs_);
     if (comm.rank() == 0) HCS_METRIC_INC("sync.resyncs");  // once per round, not per rank
-    SyncResult res = co_await inner_->sync_clocks(comm, std::move(base));
-    current_ = std::move(res.clock);
-    last_report_ = res.report;
-    deadline_ = replay::observed_now(comm, *current_) + interval_;
+    current_ = co_await inner_->sync_clocks(comm, std::move(base));
+    deadline_ = replay::observed_now(comm, *current_.clock) + interval_;
     ++resyncs_;
   }
   co_return current_;

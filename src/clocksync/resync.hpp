@@ -26,31 +26,28 @@ class ResyncManager {
   /// Collective: all ranks must call tick() at matching points.  Performs
   /// the initial synchronization on first call and a re-synchronization
   /// whenever rank 0's global clock passed the deadline.  Returns the
-  /// current global clock (possibly unchanged).
-  sim::Task<vclock::ClockPtr> tick(simmpi::Comm& comm, vclock::ClockPtr base);
+  /// SyncResult that produced the current global clock: this tick's when it
+  /// re-synchronized (resyncs() went up), otherwise the earlier one again.
+  sim::Task<SyncResult> tick(simmpi::Comm& comm, vclock::ClockPtr base);
 
-  /// Adopts an externally produced clock — e.g. a churn re-admission's
+  /// Adopts an externally produced result — e.g. a churn re-admission's
   /// pairwise sub-phase (clocksync/membership) — as the current global
   /// clock, with `deadline` the next re-sync due time on that clock.  A
   /// returning rank that adopted its re-admitted clock participates in the
   /// next tick()'s collective decision like everyone else, instead of
   /// forcing an initial synchronization the rest of the view would not
   /// expect.  Does not count as a resync.
-  void adopt(vclock::ClockPtr clock, double deadline) {
-    current_ = std::move(clock);
+  void adopt(SyncResult result, double deadline) {
+    current_ = std::move(result);
     deadline_ = deadline;
   }
 
   /// Clock from the most recent (re-)synchronization; null before the
   /// first tick.
-  const vclock::ClockPtr& clock() const { return current_; }
+  const vclock::ClockPtr& clock() const { return current_.clock; }
 
   /// Number of synchronizations performed (including the initial one).
   int resyncs() const { return resyncs_; }
-
-  /// This rank's health report from the most recent (re-)synchronization;
-  /// default (clean) before the first tick.
-  const SyncReport& last_report() const { return last_report_; }
 
   double interval() const { return interval_; }
 
@@ -58,8 +55,7 @@ class ResyncManager {
   std::unique_ptr<ClockSync> inner_;
   double interval_;
   double deadline_ = 0.0;  // on the current global clock
-  vclock::ClockPtr current_;
-  SyncReport last_report_;
+  SyncResult current_;
   int resyncs_ = 0;
 };
 

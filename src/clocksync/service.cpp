@@ -40,20 +40,21 @@ sim::Task<void> service_rank(const ServiceParams& params, ServiceLog& log, simmp
   ResyncManager mgr(make_sync(params.label), params.interval);
   SKaMPIOffset oalg(params.accuracy_exchanges);
   ReadmitPolicy policy;
-  vclock::ClockPtr clock;
+  SyncResult first;
   if (inc == 0) {
     simmpi::Comm view = simmpi::Comm::view_comm(world, me, entry);
-    clock = co_await mgr.tick(view, ctx.base_clock());
+    first = co_await mgr.tick(view, ctx.base_clock());
   } else {
     // Returning incarnation: exactly the rank's own sub-phase of the tree,
     // then adopt the re-admitted clock into the periodic cadence.
     const ReadmitEvent event{entry, me, inc};
     simmpi::Comm view = simmpi::Comm::view_comm(world, me, entry);
-    ReadmitResult res = co_await readmit(view, event, ctx.base_clock(), oalg, policy);
-    clock = res.clock;
+    first = co_await readmit(view, event, ctx.base_clock(), oalg, policy);
     log.reconverge.push_back(s.now() - entry);
-    mgr.adopt(clock, clock->at_exact(s.now()) + params.interval);
+    mgr.adopt(first, first.clock->at_exact(s.now()) + params.interval);
   }
+  if (!first.report.clean()) ++log.unclean_syncs;
+  vclock::ClockPtr clock = first.clock;
   log.history.push_back({s.now(), clock});
 
   std::vector<AgendaItem> agenda;
@@ -76,13 +77,18 @@ sim::Task<void> service_rank(const ServiceParams& params, ServiceLog& log, simmp
     if (s.now() < item.at) co_await s.delay(item.at - s.now());
     world.check_crash(me);
     if (item.serve) {
+      // The serving side keeps its clock, and its report is always clean.
       simmpi::Comm view = simmpi::Comm::view_comm(world, me, item.event.at);
       (void)co_await readmit(view, item.event, clock, oalg, policy);
     } else {
       const int before = mgr.resyncs();
       simmpi::Comm view = simmpi::Comm::view_comm(world, me, item.at);
-      clock = co_await mgr.tick(view, ctx.base_clock());
-      if (mgr.resyncs() != before) log.history.push_back({s.now(), clock});
+      const SyncResult res = co_await mgr.tick(view, ctx.base_clock());
+      if (mgr.resyncs() != before) {
+        clock = res.clock;
+        if (!res.report.clean()) ++log.unclean_syncs;
+        log.history.push_back({s.now(), clock});
+      }
     }
   }
   log.resyncs = mgr.resyncs();

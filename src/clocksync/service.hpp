@@ -38,6 +38,7 @@ struct ServiceLog {
   std::vector<ClockEpoch> history;  // in install order
   std::vector<double> reconverge;   // per rejoin: restart instant -> re-admitted clock
   int resyncs = 0;                  // of the last incarnation
+  int unclean_syncs = 0;            // installed clocks whose SyncReport was not kOk
 };
 
 /// One incarnation of one rank's service.  The rank's agenda (resync rounds

@@ -61,16 +61,12 @@ struct SyncReport {
   }
 };
 
-/// A synchronized clock plus this rank's measurement-quality report.  The
-/// implicit conversions keep pre-existing call sites — which only want the
-/// clock — compiling unchanged.
+/// A synchronized clock plus this rank's measurement-quality report.  There
+/// is no conversion to the clock: a caller names .clock, and hcs-lint's
+/// ip-unchecked-sync-result flags a caller that never consults .report.
 struct SyncResult {
   vclock::ClockPtr clock;
   SyncReport report;
-
-  operator vclock::ClockPtr() const { return clock; }  // NOLINT(google-explicit-constructor)
-  vclock::Clock& operator*() const { return *clock; }
-  vclock::Clock* operator->() const { return clock.get(); }
 };
 
 class ClockSync {
@@ -78,8 +74,7 @@ class ClockSync {
   virtual ~ClockSync() = default;
 
   /// Collective: returns this rank's synchronized logical clock plus its
-  /// health report (SyncResult converts implicitly to vclock::ClockPtr for
-  /// callers that ignore the report).
+  /// health report.
   virtual sim::Task<SyncResult> sync_clocks(simmpi::Comm& comm, vclock::ClockPtr clk) = 0;
 
   /// Human-readable label, e.g. "hca3/recompute_intercept/1000/skampi_offset/100".

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -59,20 +60,15 @@ bool keep_rule(const std::set<std::string>& enabled, const std::string& rule) {
 // The full two-phase pipeline over already-read (rel_path, content) pairs.
 AnalysisResult analyze_contents(const std::vector<std::pair<std::string, std::string>>& sources,
                                 const AnalyzerOptions& options) {
-  const auto& now = options.now;
-  const double t_start = now ? now() : 0.0;
   AnalysisResult result;
-  std::map<std::string, double> rule_seconds;
 
   // Phase 1: per-file summaries (and the per-file rules over them).
   std::vector<FileSummary> summaries;
   summaries.reserve(sources.size());
   for (const auto& [rel, content] : sources) {
-    summaries.push_back(build_summary(lex(rel, content), rel, now, &rule_seconds));
+    summaries.push_back(build_summary(lex(rel, content), rel));
   }
   result.stats.files = static_cast<int>(summaries.size());
-  const double t_phase1 = now ? now() : 0.0;
-  result.stats.summary_seconds = t_phase1 - t_start;
 
   // Assembly of per-file findings: rule selection + suppression comments.
   for (const FileSummary& s : summaries) {
@@ -85,8 +81,7 @@ AnalysisResult analyze_contents(const std::vector<std::pair<std::string, std::st
 
   // Phase 2: project index + interprocedural rules.
   const ProjectIndex index = ProjectIndex::build(summaries);
-  std::vector<Finding> ip =
-      run_interproc_rules(summaries, index, options.enabled_rules, now, &rule_seconds);
+  std::vector<Finding> ip = run_interproc_rules(summaries, index, options.enabled_rules);
   std::map<std::string, const SuppressionSummary*> sup_by_path;
   for (const FileSummary& s : summaries) sup_by_path.emplace(s.rel_path, &s.suppressions);
   for (Finding& f : ip) {
@@ -94,12 +89,8 @@ AnalysisResult analyze_contents(const std::vector<std::pair<std::string, std::st
     if (it != sup_by_path.end() && is_suppressed(*it->second, f)) continue;
     result.findings.push_back(std::move(f));
   }
-  result.stats.interproc_seconds = (now ? now() : 0.0) - t_phase1;
 
   std::sort(result.findings.begin(), result.findings.end());
-  for (const Finding& f : result.findings) result.stats.rules[f.rule].findings += 1;
-  for (const auto& [id, secs] : rule_seconds) result.stats.rules[id].seconds += secs;
-  result.stats.total_seconds = (now ? now() : 0.0) - t_start;
   return result;
 }
 

@@ -18,8 +18,6 @@
 // would otherwise silently disable nothing).
 #pragma once
 
-#include <functional>
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -32,23 +30,10 @@ namespace hcs::lint {
 struct AnalyzerOptions {
   std::set<std::string> enabled_rules;  // empty = all
   std::string root;                     // paths are reported relative to this
-  // Host-time source (seconds) for stats.  Left empty, no timings are taken —
-  // the library itself cannot read a host clock (util/poison.hpp);
-  // tools/hcs_lint injects util::host_seconds.
-  std::function<double()> now;
-};
-
-struct RuleStats {
-  int findings = 0;
-  double seconds = 0.0;
 };
 
 struct AnalysisStats {
   int files = 0;
-  double summary_seconds = 0.0;    // lex + summarize + per-file rules
-  double interproc_seconds = 0.0;  // index build + interprocedural rules
-  double total_seconds = 0.0;
-  std::map<std::string, RuleStats> rules;  // per rule id, post-suppression
 };
 
 struct AnalysisResult {

@@ -110,18 +110,9 @@ void run_unchecked_sync_result(const std::vector<FileSummary>& files, const Proj
       for (const CallSite& c : fn.calls) {
         if (c.use == ResultUse::kConsumed) continue;
         if (!index.all_return_sync_result(c.name)) continue;
-        std::string how;
-        switch (c.use) {
-          case ResultUse::kDiscarded:
-            how = "the returned value is discarded";
-            break;
-          case ResultUse::kConverted:
-            how = "the result is narrowed to the clock (implicit ClockPtr conversion / .clock)";
-            break;
-          default:
-            how = "the result is bound but its .report is never consulted";
-            break;
-        }
+        const std::string how = c.use == ResultUse::kDiscarded
+                                    ? "the returned value is discarded"
+                                    : "its .report is never read";
         out.push_back(Finding{
             rule->id, rule->severity, file.rel_path, c.line, c.col,
             "'" + c.name + "' returns SyncResult but " + how +
@@ -136,20 +127,11 @@ void run_unchecked_sync_result(const std::vector<FileSummary>& files, const Proj
 
 std::vector<Finding> run_interproc_rules(const std::vector<FileSummary>& files,
                                          const ProjectIndex& index,
-                                         const std::set<std::string>& enabled,
-                                         const std::function<double()>& now,
-                                         std::map<std::string, double>* rule_seconds) {
-  const auto timed = [&](const char* id, const std::function<void()>& body) {
-    const double t0 = now ? now() : 0.0;
-    body();
-    if (now && rule_seconds) (*rule_seconds)[id] += now() - t0;
-  };
+                                         const std::set<std::string>& enabled) {
   std::vector<Finding> out;
-  if (rule_enabled(enabled, "coll-rank-branch")) {
-    timed("coll-rank-branch", [&] { run_coll_rank_branch(files, index, out); });
-  }
+  if (rule_enabled(enabled, "coll-rank-branch")) run_coll_rank_branch(files, index, out);
   if (rule_enabled(enabled, "ip-unchecked-sync-result")) {
-    timed("ip-unchecked-sync-result", [&] { run_unchecked_sync_result(files, index, out); });
+    run_unchecked_sync_result(files, index, out);
   }
   std::sort(out.begin(), out.end());
   return out;

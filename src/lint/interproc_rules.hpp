@@ -11,15 +11,13 @@
 //                            later in the innermost function or lambda.
 //   ip-unchecked-sync-result call sites of SyncResult-returning functions that
 //                            drop the SyncReport health (discarded value,
-//                            implicit ClockPtr narrowing, or a binding whose
-//                            .report is never consulted).
+//                            an immediate .clock, or a binding whose .report
+//                            is never consulted).
 //
 // Path exemptions from rule_table() are applied here; suppression comments
 // are applied by the analyzer (it owns the per-file suppression tables).
 #pragma once
 
-#include <functional>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -35,8 +33,6 @@ inline constexpr std::size_t kMaxCallDepth = 4;
 
 std::vector<Finding> run_interproc_rules(const std::vector<FileSummary>& files,
                                          const ProjectIndex& index,
-                                         const std::set<std::string>& enabled,
-                                         const std::function<double()>& now = {},
-                                         std::map<std::string, double>* rule_seconds = nullptr);
+                                         const std::set<std::string>& enabled);
 
 }  // namespace hcs::lint

@@ -272,19 +272,16 @@ bool path_exempt(const RuleInfo& rule, const std::string& rel_path) {
 }
 
 void run_rules(const LexedFile& file, const std::string& rel_path,
-               const std::set<std::string>& enabled, std::vector<Finding>& out,
-               const std::function<double()>& now, std::map<std::string, double>* rule_seconds) {
+               const std::set<std::string>& enabled, std::vector<Finding>& out) {
   const FileCtx ctx{file.tokens, rel_path};
   for (const auto& rule : rule_table()) {
     if (rule.interprocedural) continue;  // phase 2: run_interproc_rules
     if (!enabled.empty() && !enabled.count(rule.id)) continue;
     if (path_exempt(rule, rel_path)) continue;
-    const double t0 = now ? now() : 0.0;
     if (rule.id == "ft-plain-recv") rule_ft_plain_recv(ctx, rule, out);
     if (rule.id == "unordered-iter") rule_unordered_iter(ctx, rule, out);
     if (rule.id == "co-await-subexpr") rule_co_await_subexpr(ctx, rule, out);
     if (rule.id == "coro-lambda-capture") rule_coro_lambda_capture(ctx, rule, out);
-    if (now && rule_seconds) (*rule_seconds)[rule.id] += now() - t0;
   }
 }
 

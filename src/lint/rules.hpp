@@ -9,8 +9,6 @@
 // catalogue with rationale and examples, and "What the compiler enforces").
 #pragma once
 
-#include <functional>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -44,11 +42,8 @@ bool path_exempt(const RuleInfo& rule, const std::string& rel_path);
 // over `file` and appends raw findings.  `rel_path` is the repo-relative path
 // used for exemption matching and reporting; suppression comments are
 // applied by the analyzer, not here.  Interprocedural rules are skipped (see
-// interproc_rules.hpp).  `now`/`rule_seconds` (optional) accumulate per-rule
-// runtimes for --stats.
+// interproc_rules.hpp).
 void run_rules(const LexedFile& file, const std::string& rel_path,
-               const std::set<std::string>& enabled, std::vector<Finding>& out,
-               const std::function<double()>& now = {},
-               std::map<std::string, double>* rule_seconds = nullptr);
+               const std::set<std::string>& enabled, std::vector<Finding>& out);
 
 }  // namespace hcs::lint

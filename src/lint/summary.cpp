@@ -178,7 +178,7 @@ ResultUse classify_use(const Toks& t, std::size_t i, const FuncExtent& fe) {
   while (after < t.size() && is(t[after], ")")) ++after;  // (co_await f(...)).x
   if (after + 1 < t.size() && (is(t[after], ".") || is(t[after], "->"))) {
     // Immediate member access: picking .clock alone still drops the report.
-    return is_ident(t[after + 1], "clock") ? ResultUse::kConverted : ResultUse::kConsumed;
+    return is_ident(t[after + 1], "clock") ? ResultUse::kReportUnread : ResultUse::kConsumed;
   }
   const std::size_t head = expr_head(t, i);
   int depth = 0;
@@ -208,14 +208,12 @@ ResultUse classify_use(const Toks& t, std::size_t i, const FuncExtent& fe) {
     if (is_assign_op(tok)) {
       if (k == 0 || !is_ident(t[k - 1])) return ResultUse::kConsumed;
       const std::string var = t[k - 1].text;
-      bool clockptr = false, tracked = false;
+      bool tracked = false;
       for (std::size_t p = k - 1; p-- > fe.open;) {
         const Token& tt = t[p];
         if (!benign_decl_token(tt)) break;
-        if (is_ident(tt, "ClockPtr")) clockptr = true;
         if (is_ident(tt, "auto") || is_ident(tt, "SyncResult")) tracked = true;
       }
-      if (clockptr) return ResultUse::kConverted;
       if (!tracked) return ResultUse::kConsumed;  // assignment to an existing object
       // auto/SyncResult binding: does anything ever look past .clock?
       for (std::size_t p = close + 1; p < fe.close; ++p) {
@@ -226,7 +224,7 @@ ResultUse classify_use(const Toks& t, std::size_t i, const FuncExtent& fe) {
         }
         return ResultUse::kConsumed;  // the whole value escapes (argument, return, copy)
       }
-      return ResultUse::kBoundUnchecked;
+      return ResultUse::kReportUnread;
     }
     // Any other operator, keyword or identifier means the value feeds a
     // larger expression (return f(), !f(), cond ? f() : g(), ...).
@@ -344,9 +342,7 @@ bool is_suppressed(const SuppressionSummary& sup, const Finding& f) {
   return it != sup.by_line.end() && it->second.count(f.rule);
 }
 
-FileSummary build_summary(const LexedFile& file, const std::string& rel_path,
-                          const std::function<double()>& now,
-                          std::map<std::string, double>* rule_seconds) {
+FileSummary build_summary(const LexedFile& file, const std::string& rel_path) {
   FileSummary out;
   out.rel_path = rel_path;
 
@@ -385,7 +381,7 @@ FileSummary build_summary(const LexedFile& file, const std::string& rel_path,
   // Per-file findings for every rule: selection and suppression are config,
   // applied at assembly time.
   std::vector<Finding> findings;
-  run_rules(file, rel_path, /*enabled=*/{}, findings, now, rule_seconds);
+  run_rules(file, rel_path, /*enabled=*/{}, findings);
   out.suppressions = collect_suppressions(file, rel_path, &findings);
   std::sort(findings.begin(), findings.end());
   out.local_findings = std::move(findings);

@@ -9,7 +9,6 @@
 // config-independent: rule selection and suppressions are applied later.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -24,10 +23,9 @@ namespace hcs::lint {
 // the project phase knows the callee returns SyncResult; classified for every
 // call at extraction time because the summary cannot see other files.
 enum class ResultUse {
-  kDiscarded,       // bare `co_await f(...);` — value dropped entirely
-  kConverted,       // bound via the implicit ClockPtr conversion (or .clock)
-  kBoundUnchecked,  // bound to auto/SyncResult but .report never consulted
-  kConsumed,        // returned, escaped, or .report read — caller's business
+  kDiscarded,     // bare `co_await f(...);` — value dropped entirely
+  kReportUnread,  // only .clock read: `f(...).clock`, or an auto/SyncResult binding
+  kConsumed,      // returned, escaped, or .report read — caller's business
 };
 
 struct CallSite {
@@ -88,10 +86,6 @@ bool is_suppressed(const SuppressionSummary& sup, const Finding& f);
 
 // Phase 1: extracts the full summary (functions, branches, suppressions)
 // from one lexed file and runs the per-file rules over it.
-// `now`/`rule_seconds` (both optional) accumulate per-rule runtimes for
-// --stats; the library takes no timings of its own.
-FileSummary build_summary(const LexedFile& file, const std::string& rel_path,
-                          const std::function<double()>& now = {},
-                          std::map<std::string, double>* rule_seconds = nullptr);
+FileSummary build_summary(const LexedFile& file, const std::string& rel_path);
 
 }  // namespace hcs::lint

@@ -58,32 +58,28 @@ sim::Task<void> churn_scenario_rank(const Scenario* scenario, RankOutcome* outco
   clocksync::SKaMPIOffset oalg(scenario->accuracy_exchanges);
   clocksync::ReadmitPolicy policy;
 
-  vclock::ClockPtr clock;
+  clocksync::SyncResult res;
   if (inc == 0) {
     simmpi::Comm view = simmpi::Comm::view_comm(world, me, 0.0);
     auto sync = clocksync::make_sync(scenario->sync_label);
-    clocksync::SyncResult res = co_await sync->sync_clocks(view, ctx.base_clock());
-    clock = res.clock;
-    mine.health = static_cast<int>(res.report.health);
-    mine.points_used = res.report.points_used;
+    res = co_await sync->sync_clocks(view, ctx.base_clock());
   } else {
     const clocksync::ReadmitEvent event{entry, me, inc};
     simmpi::Comm view = simmpi::Comm::view_comm(world, me, entry);
-    clocksync::ReadmitResult res =
-        co_await clocksync::readmit(view, event, ctx.base_clock(), oalg, policy);
-    clock = res.clock;
-    mine.health = static_cast<int>(res.report.health);
-    mine.points_used = res.report.points_used;
+    res = co_await clocksync::readmit(view, event, ctx.base_clock(), oalg, policy);
   }
+  const vclock::ClockPtr clock = res.clock;
+  mine.health = static_cast<int>(res.report.health);
+  mine.points_used = res.report.points_used;
   mine.sync_end = s.now();
 
   for (const clocksync::ReadmitEvent& ev : schedule) {
     if (ev.at < entry || ev.rank == me) continue;
     if (fault->next_down(me, entry) <= ev.at) break;  // departed before then
     if (clocksync::readmit_reference(world, ev) != me) continue;
+    // The serving side keeps its clock, and its report is always clean.
     simmpi::Comm view = simmpi::Comm::view_comm(world, me, ev.at);
-    clocksync::ReadmitResult served = co_await clocksync::readmit(view, ev, clock, oalg, policy);
-    clock = served.clock;
+    (void)co_await clocksync::readmit(view, ev, clock, oalg, policy);
   }
 
   mine.probes.reserve(kProbeTimes.size());

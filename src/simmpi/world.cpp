@@ -131,7 +131,7 @@ World::World(topology::MachineConfig machine, std::uint64_t seed, fault::FaultPl
   }
 
   // Observability: the parent tracer/registry stay bound to the constructing
-  // thread; sharded runs record into per-shard buffers that ~World absorbs
+  // thread; every shard records into its own buffers, which ~World absorbs
   // in shard-index order (the record paths are not thread-safe).
   parent_tracer_ = trace::active_tracer();
   parent_metrics_ = trace::active_metrics();
@@ -150,28 +150,22 @@ World::World(topology::MachineConfig machine, std::uint64_t seed, fault::FaultPl
     if (!fault_plan.empty()) info.fault_plan = fault_plan.describe();
     record_section_ = &recorder->begin_world(std::move(info));
   }
-  time_source_.sim = sims_[0].get();
-  if (parent_tracer_) {
-    parent_tracer_->set_time_source(&time_source_, trace::TimeSourceKind::kSimTime);
-  }
   // Every World metric exists in the parent registry, fired or not.
   g_rtt.get();
   g_pingpongs.get();
   g_burst_retries.get();
   g_exchanges_lost.get();
   g_dup_absorbed.get();
-  if (nshards_ > 1) {
-    for (int s = 0; s < nshards_; ++s) {
-      if (parent_tracer_) {
-        auto ts = std::make_unique<SimTimeSource>();
-        ts->sim = sims_[static_cast<std::size_t>(s)].get();
-        auto tracer = std::make_unique<trace::Tracer>(parent_tracer_->ring_capacity());
-        tracer->set_time_source(ts.get(), trace::TimeSourceKind::kSimTime);
-        shard_time_sources_.push_back(std::move(ts));
-        shard_tracers_.push_back(std::move(tracer));
-      }
-      if (parent_metrics_) shard_registries_.push_back(std::make_unique<trace::MetricsRegistry>());
+  for (int s = 0; s < nshards_; ++s) {
+    if (parent_tracer_) {
+      auto ts = std::make_unique<SimTimeSource>();
+      ts->sim = sims_[static_cast<std::size_t>(s)].get();
+      auto tracer = std::make_unique<trace::Tracer>(parent_tracer_->ring_capacity());
+      tracer->set_time_source(ts.get(), trace::TimeSourceKind::kSimTime);
+      shard_time_sources_.push_back(std::move(ts));
+      shard_tracers_.push_back(std::move(tracer));
     }
+    if (parent_metrics_) shard_registries_.push_back(std::make_unique<trace::MetricsRegistry>());
   }
 
   if (!fault_plan.empty()) {
@@ -201,15 +195,13 @@ World::World(topology::MachineConfig machine, std::uint64_t seed, fault::FaultPl
 
 World::~World() {
   // Fold per-shard observability into the parent exactly once, in shard
-  // order: the resulting streams match what a 1-shard run records directly.
+  // order, at every shard count.
   if (parent_tracer_) {
     for (const auto& t : shard_tracers_) parent_tracer_->absorb(*t);
   }
   if (parent_metrics_) {
     for (const auto& r : shard_registries_) parent_metrics_->merge_from(*r);
   }
-  trace::Tracer* tracer = trace::active_tracer();
-  if (tracer && tracer->time_source() == &time_source_) tracer->set_time_source(nullptr);
 }
 
 vclock::ClockPtr World::base_clock(int rank) const {
@@ -282,10 +274,10 @@ std::uint64_t World::total_events() const noexcept {
 
 World::ShardScope::ShardScope(const World& world, int s)
     : tracer_(world.shard_tracers_.empty()
-                  ? world.parent_tracer_
+                  ? nullptr
                   : world.shard_tracers_[static_cast<std::size_t>(s)].get()),
       metrics_(world.shard_registries_.empty()
-                   ? world.parent_metrics_
+                   ? nullptr
                    : world.shard_registries_[static_cast<std::size_t>(s)].get()) {}
 
 // One window-boundary step on the coordinating thread (workers parked):

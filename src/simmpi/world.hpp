@@ -429,17 +429,16 @@ class World {
   std::vector<ChannelSeqs> channel_seqs_;  // per rank, when seq_tracking_
 
   // Observability: the parent tracer/registry are whatever was installed on
-  // the constructing thread.  When sharded, each shard gets a private tracer
-  // and registry (the record paths are not thread-safe); they are absorbed /
-  // merged into the parent in shard-index order by ~World.  ShardScope
-  // installs them around everything run for a shard, so rank code and the
-  // network report there whatever is installed around run().  Trace events and
-  // metric counts, minima and maxima then equal a 1-shard run's; histogram
-  // percentiles (merged per-shard sample reservoirs) and sim.windows_parallel
-  // depend on the shard layout (docs/observability.md).
+  // the constructing thread.  Each shard, at every shard count, gets a
+  // private tracer and registry (the record paths are not thread-safe); they
+  // are absorbed / merged into the parent in shard-index order by ~World.
+  // ShardScope installs them around everything run for a shard, so rank code
+  // and the network report there whatever is installed around run().  Trace
+  // events and metric counts, minima and maxima are the same for any shard
+  // count; histogram percentiles (merged per-shard sample reservoirs) and
+  // sim.windows_parallel depend on the shard layout (docs/observability.md).
   trace::Tracer* parent_tracer_ = nullptr;
   trace::MetricsRegistry* parent_metrics_ = nullptr;
-  SimTimeSource time_source_;  // parent tracer's clock (shard 0)
   std::vector<std::unique_ptr<trace::Tracer>> shard_tracers_;
   std::vector<std::unique_ptr<trace::MetricsRegistry>> shard_registries_;
   std::vector<std::unique_ptr<SimTimeSource>> shard_time_sources_;

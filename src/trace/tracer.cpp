@@ -118,6 +118,10 @@ void Tracer::absorb(const Tracer& other) {
   std::sort(events.begin(), events.end(),
             [](const TraceEvent& a, const TraceEvent& b) { return a.seq < b.seq; });
   for (const TraceEvent& ev : events) push(ev.rank, ev);
+  // What other's rings already overwrote would have been overwritten here
+  // too (same per-rank capacity, same order), so it counts as dropped.
+  recorded_ += other.dropped_;
+  dropped_ += other.dropped_;
 }
 
 void Tracer::clear() {

@@ -89,7 +89,8 @@ class Tracer {
   /// Absorbing per-trial tracers in trial-index order therefore yields the
   /// exact stream a sequential run of those trials would have produced —
   /// the merge step of runner::TrialRunner.  Events keep their rank,
-  /// timestamps and time-source label; ring capacity applies as usual.
+  /// timestamps and time-source label; ring capacity applies as usual, and
+  /// events `other` already dropped count as recorded and dropped here.
   void absorb(const Tracer& other);
 
   void clear();

@@ -13,7 +13,7 @@
 // implementation-defined; seeded std::mt19937_64 stays legal.
 //
 // Host timing that is not simulated (bench_scale's events/s, a test's perf
-// guard, hcs_lint --stats) reads util::host_seconds() from the one
+// guard) reads util::host_seconds() from the one
 // unpoisoned library, hcs_host_clock, whose link list is the allowlist.
 #pragma once
 

@@ -122,7 +122,8 @@ TEST(CheckClockAccuracy, AfterHca3SyncResidualIsMicrosecondScale) {
   AccuracyResult result;
   w.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto sync = make_sync("hca3/recompute_intercept/100/skampi_offset/20");
-    const vclock::ClockPtr g = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+    const vclock::ClockPtr g =
+        (co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock())).clock;
     SKaMPIOffset oalg(20);
     const auto clients = sample_clients(ctx.comm_world().size(), 0, 1.0, 1);
     const AccuracyResult r =

@@ -33,8 +33,7 @@ constexpr std::uint64_t kBaseSeed = 1000;
 
 // Sequential stopping rule (tests/support/stats.hpp): sweep seeds until the
 // 95% CI on the 10 s-horizon error is within 25% of its mean, at least 10
-// and at most 20 seeds (the historical fixed count; $HCLOCKSYNC_SEED_CAP
-// raises or lowers the cap without recalibrating anything).
+// and at most 20 seeds (the historical fixed count).
 teststats::SweepPolicy sweep_policy() {
   teststats::SweepPolicy policy;
   policy.min_seeds = 10;

@@ -41,7 +41,7 @@ TEST(ClockLifetime, ResultClocksReadTheSameAfterTheWorldDies) {
         w.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
           auto sync = make_sync(label);
           clocks[static_cast<std::size_t>(ctx.rank())] =
-              co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+              (co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock())).clock;
           done[static_cast<std::size_t>(ctx.rank())] = ctx.sim().now();
         });
         probe = *std::max_element(done.begin(), done.end()) + 1.0;

@@ -22,7 +22,7 @@ TEST(ClockProp, CopiesReferenceChainToAllRanks) {
     }
     ClockPropSync prop(0);
     out[static_cast<std::size_t>(ctx.rank())] =
-        co_await prop.sync_clocks(ctx.comm_world(), clk);
+        (co_await prop.sync_clocks(ctx.comm_world(), clk)).clock;
   });
   for (int r = 1; r < 4; ++r) {
     for (double t : {0.0, 2.5, 100.0}) {
@@ -38,7 +38,7 @@ TEST(ClockProp, IdentityChainPropagates) {
   w.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     ClockPropSync prop(0);
     out[static_cast<std::size_t>(ctx.rank())] =
-        co_await prop.sync_clocks(ctx.comm_world(), ctx.base_clock());
+        (co_await prop.sync_clocks(ctx.comm_world(), ctx.base_clock())).clock;
   });
   for (int r = 0; r < 3; ++r) {
     EXPECT_DOUBLE_EQ(out[static_cast<std::size_t>(r)]->at_exact(5.0),
@@ -56,7 +56,7 @@ TEST(ClockProp, NonzeroReferenceRank) {
     }
     ClockPropSync prop(2);
     out[static_cast<std::size_t>(ctx.rank())] =
-        co_await prop.sync_clocks(ctx.comm_world(), clk);
+        (co_await prop.sync_clocks(ctx.comm_world(), clk)).clock;
   });
   for (int r = 0; r < 4; ++r) {
     EXPECT_NEAR(out[static_cast<std::size_t>(r)]->at_exact(7.0), out[2]->at_exact(7.0), 1e-15);

@@ -26,7 +26,7 @@ double max_residual(simmpi::World& w, const std::function<std::unique_ptr<ClockS
   w.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto sync = make();
     clocks[static_cast<std::size_t>(ctx.rank())] =
-        co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+        (co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock())).clock;
     end = std::max(end, ctx.sim().now());
   });
   double worst = 0;
@@ -59,7 +59,7 @@ TEST(Hierarchical, H2WithinNodeClocksIdentical) {
   w.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto sync = h2_label_instance();
     clocks[static_cast<std::size_t>(ctx.rank())] =
-        co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+        (co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock())).clock;
   });
   for (int node = 0; node < 3; ++node) {
     const int leader = node * 4;

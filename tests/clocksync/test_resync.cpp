@@ -33,7 +33,7 @@ TEST(Resync, FirstTickSynchronizes) {
   w.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto mgr = make_manager(5.0);
     EXPECT_EQ(mgr->clock(), nullptr);
-    const vclock::ClockPtr g = co_await mgr->tick(ctx.comm_world(), ctx.base_clock());
+    const vclock::ClockPtr g = (co_await mgr->tick(ctx.comm_world(), ctx.base_clock())).clock;
     EXPECT_NE(g, nullptr);
     if (ctx.rank() == 0) resyncs = mgr->resyncs();
   });
@@ -81,7 +81,7 @@ TEST(Resync, KeepsLongRunningTraceAccurate) {
       auto mgr = make_manager(periodic ? 5.0 : 1e9);
       for (int i = 0; i < 30; ++i) {
         clocks[static_cast<std::size_t>(ctx.rank())] =
-            co_await mgr->tick(ctx.comm_world(), ctx.base_clock());
+            (co_await mgr->tick(ctx.comm_world(), ctx.base_clock())).clock;
         co_await ctx.sim().delay(1.0);
       }
       end = std::max(end, ctx.sim().now());

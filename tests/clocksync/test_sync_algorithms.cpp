@@ -36,7 +36,7 @@ std::vector<double> residuals(const std::string& label, int nodes, int cores,
   w.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto sync = make_sync(label);
     clocks[static_cast<std::size_t>(ctx.rank())] =
-        co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+        (co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock())).clock;
     sync_end = std::max(sync_end, ctx.sim().now());
   });
   const double t = sync_end + probe_after;
@@ -108,7 +108,7 @@ TEST(SyncAlgorithms, SingleRankIsIdentity) {
   vclock::ClockPtr out;
   w.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto sync = make_sync("hca3/10/skampi_offset/5");
-    out = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+    out = (co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock())).clock;
   });
   ASSERT_TRUE(out != nullptr);
   // Identity wrapper over the base clock.

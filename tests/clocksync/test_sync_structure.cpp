@@ -24,7 +24,7 @@ std::vector<vclock::ClockPtr> sync_all(const topology::MachineConfig& machine,
   w.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto sync = make_sync(label);
     clocks[static_cast<std::size_t>(ctx.rank())] =
-        co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+        (co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock())).clock;
   });
   return clocks;
 }

@@ -41,7 +41,7 @@ RunResult run_sync(const FaultPlan& plan, std::uint64_t seed) {
     w.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
       auto sync = clocksync::make_sync("hca3/50/skampi_offset/10");
       clocks[static_cast<std::size_t>(ctx.rank())] =
-          co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+          (co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock())).clock;
       out.sync_end = std::max(out.sync_end, ctx.sim().now());
     });
     for (const vclock::ClockPtr& clk : clocks) out.readings.push_back(clk->at_exact(out.sync_end));

@@ -31,7 +31,8 @@ SyncOutcome run_sync(const topology::MachineConfig& machine, const std::string& 
   world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto sync = clocksync::make_sync(label);
     const sim::Time begin = ctx.sim().now();
-    const vclock::ClockPtr g = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+    const vclock::ClockPtr g =
+        (co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock())).clock;
     outcome.duration = std::max(outcome.duration, ctx.sim().now() - begin);
     clocksync::SKaMPIOffset oalg(20);
     const auto acc =
@@ -92,7 +93,7 @@ TEST(EndToEnd, BarrierBiasShape) {
         mpibench::BarrierSchemeParams{60, simmpi::BarrierAlgo::kBruck});
     mpibench::RoundTimeParams rt;
     rt.max_nrep = 60;
-    const auto r = co_await mpibench::run_repro_like(ctx.comm_world(), *g, op, rt);
+    const auto r = co_await mpibench::run_repro_like(ctx.comm_world(), *g.clock, op, rt);
     if (ctx.rank() == 0) {
       imb = i;
       repro = r;
@@ -112,9 +113,9 @@ TEST(EndToEnd, ImbalanceShape) {
     mpibench::ImbalanceParams params;
     params.ncalls = 25;
     const auto tree = co_await mpibench::measure_barrier_imbalance(
-        ctx.comm_world(), *g, simmpi::BarrierAlgo::kTree, params);
+        ctx.comm_world(), *g.clock, simmpi::BarrierAlgo::kTree, params);
     const auto ring = co_await mpibench::measure_barrier_imbalance(
-        ctx.comm_world(), *g, simmpi::BarrierAlgo::kDoubleRing, params);
+        ctx.comm_world(), *g.clock, simmpi::BarrierAlgo::kDoubleRing, params);
     if (ctx.rank() == 0) {
       tree_med = util::median(tree);
       ring_med = util::median(ring);

@@ -51,7 +51,7 @@ TEST(FailureInjection, StepBreaksASynchronizedClockSilently) {
     }
     clocksync::SKaMPIOffset oalg(20);
     const auto r =
-        co_await clocksync::check_clock_accuracy(ctx.comm_world(), *g, oalg, 5.0, clients);
+        co_await clocksync::check_clock_accuracy(ctx.comm_world(), *g.clock, oalg, 5.0, clients);
     if (ctx.rank() == 0) acc = r;
   });
   EXPECT_LT(acc.max_abs_t0, 5e-6);          // fine before the step
@@ -71,7 +71,7 @@ TEST(FailureInjection, PeriodicResyncRecoversFromStep) {
           clocksync::make_sync("hca3/100/skampi_offset/20"), interval);
       for (int i = 0; i < 10; ++i) {
         clocks[static_cast<std::size_t>(ctx.rank())] =
-            co_await mgr.tick(ctx.comm_world(), ctx.base_clock());
+            (co_await mgr.tick(ctx.comm_world(), ctx.base_clock())).clock;
         co_await ctx.sim().delay(1.0);
       }
       end = std::max(end, ctx.sim().now());
@@ -104,7 +104,7 @@ TEST(FailureInjection, RoundTimeSurvivesExtremeOutliers) {
     params.max_nrep = 60;
     params.max_time_slice = 30.0;
     const auto m = co_await mpibench::run_roundtime_scheme(
-        ctx.comm_world(), *g, mpibench::make_allreduce_op(8), params);
+        ctx.comm_world(), *g.clock, mpibench::make_allreduce_op(8), params);
     if (ctx.rank() == 0) result = m;
   });
   EXPECT_EQ(result.valid_reps(), 60);

@@ -1,7 +1,8 @@
 // hcs-lint-path: src/clocksync/callers.cpp
 // Bad fixture for ip-unchecked-sync-result, file 2/2: the three ways to drop
-// the SyncReport — discard the value, narrow it to the clock, or bind it and
-// never consult .report.  Not compiled.
+// the SyncReport — discard the value, read .clock straight off the call, or
+// bind it and never consult .report.  Narrowing to a ClockPtr does not
+// compile (tests/compile/bad_sync_narrowing.cpp).  Not compiled.
 
 namespace hcs::clocksync {
 
@@ -9,9 +10,8 @@ void caller_discards(simmpi::Comm& comm) {
   run_mini_sync(comm);  // hcs-lint-expect: ip-unchecked-sync-result
 }
 
-void caller_narrows(simmpi::Comm& comm) {
-  const vclock::ClockPtr g = run_mini_sync(comm);  // hcs-lint-expect: ip-unchecked-sync-result
-  install_clock(g);
+void caller_takes_clock(simmpi::Comm& comm) {
+  install_clock(run_mini_sync(comm).clock);  // hcs-lint-expect: ip-unchecked-sync-result
 }
 
 void caller_binds_unchecked(simmpi::Comm& comm) {

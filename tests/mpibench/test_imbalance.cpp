@@ -18,7 +18,8 @@ std::vector<double> run_imbalance(const topology::MachineConfig& m, std::uint64_
     auto g = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
     ImbalanceParams params;
     params.ncalls = ncalls;
-    const auto imbalances = co_await measure_barrier_imbalance(ctx.comm_world(), *g, algo, params);
+    const auto imbalances =
+        co_await measure_barrier_imbalance(ctx.comm_world(), *g.clock, algo, params);
     if (ctx.rank() == 0) out = imbalances;
   });
   return out;

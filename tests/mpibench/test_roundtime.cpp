@@ -24,7 +24,7 @@ MeasurementResult run_rt(const topology::MachineConfig& m, std::uint64_t seed, F
     auto sync = clocksync::make_sync("hca3/50/skampi_offset/20");
     auto g = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
     const RoundTimeParams params = params_fn();
-    const auto r = co_await run_roundtime_scheme(ctx.comm_world(), *g, make_allreduce_op(8),
+    const auto r = co_await run_roundtime_scheme(ctx.comm_world(), *g.clock, make_allreduce_op(8),
                                                  params);
     if (ctx.rank() == 0) result = r;
   });
@@ -104,7 +104,7 @@ TEST(RoundTime, MedianRobustToSpikes) {
     auto g = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
     RoundTimeParams p;
     p.max_nrep = 100;
-    const auto r = co_await run_repro_like(ctx.comm_world(), *g, make_allreduce_op(8), p);
+    const auto r = co_await run_repro_like(ctx.comm_world(), *g.clock, make_allreduce_op(8), p);
     if (ctx.rank() == 0) report = r;
   });
   EXPECT_GT(report.reported_latency, 1e-6);

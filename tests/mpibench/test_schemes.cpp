@@ -78,7 +78,8 @@ TEST(WindowScheme, AllRepsValidWithGenerousWindow) {
     WindowSchemeParams params;
     params.nrep = 20;
     params.window = 500e-6;  // plenty for a small allreduce
-    const auto m = co_await run_window_scheme(ctx.comm_world(), *g, make_allreduce_op(8), params);
+    const auto m =
+        co_await run_window_scheme(ctx.comm_world(), *g.clock, make_allreduce_op(8), params);
     if (ctx.rank() == 0) result = m;
   });
   EXPECT_EQ(result.invalid_reps, 0);
@@ -100,7 +101,8 @@ TEST(WindowScheme, TooSmallWindowInvalidatesCascade) {
     WindowSchemeParams params;
     params.nrep = 20;
     params.window = 1e-6;  // far below the allreduce latency
-    const auto m = co_await run_window_scheme(ctx.comm_world(), *g, make_allreduce_op(8), params);
+    const auto m =
+        co_await run_window_scheme(ctx.comm_world(), *g.clock, make_allreduce_op(8), params);
     if (ctx.rank() == 0) result = m;
   });
   EXPECT_GT(result.invalid_reps, 10);
@@ -112,7 +114,7 @@ TEST(WindowScheme, GlobalRuntimeAtLeastLocalLatency) {
   w.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
     auto sync = clocksync::make_sync("hca3/50/skampi_offset/20");
     auto g = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
-    const auto m = co_await run_window_scheme(ctx.comm_world(), *g, make_allreduce_op(8),
+    const auto m = co_await run_window_scheme(ctx.comm_world(), *g.clock, make_allreduce_op(8),
                                               WindowSchemeParams{10, 500e-6, 1e-3});
     if (ctx.rank() == 0) result = m;
   });

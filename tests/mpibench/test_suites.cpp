@@ -27,7 +27,7 @@ AllSuites run_all_suites(const topology::MachineConfig& m, std::uint64_t seed, s
         co_await run_imb_like(ctx.comm_world(), *clk, op, BarrierSchemeParams{nrep, barrier});
     RoundTimeParams rt;
     rt.max_nrep = nrep;
-    const auto repro = co_await run_repro_like(ctx.comm_world(), *g, op, rt);
+    const auto repro = co_await run_repro_like(ctx.comm_world(), *g.clock, op, rt);
     if (ctx.rank() == 0) out = AllSuites{osu, imb, repro};
   });
   return out;

@@ -265,9 +265,9 @@ std::vector<double> sync_trace(int shards, const fault::FaultPlan& plan,
     out.assign(static_cast<std::size_t>(2 * w.size()), 0.0);
     w.run_all([&](RankCtx& ctx) -> sim::Task<void> {
       auto sync = clocksync::make_sync(algo);
-      const auto clock = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+      const auto synced = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
       const std::size_t me = static_cast<std::size_t>(ctx.rank());
-      out[2 * me] = clock->at_exact(0.5);
+      out[2 * me] = synced.clock->at_exact(0.5);
       out[2 * me + 1] = ctx.sim().now();
     });
   }  // ~World folds the shard registries into `registry`
@@ -317,9 +317,9 @@ DeliveryRun hierarchical_run(int shards) {
     run.corrections.assign(static_cast<std::size_t>(2 * w.size()), 0.0);
     w.run_all([&](RankCtx& ctx) -> sim::Task<void> {
       auto sync = clocksync::make_sync("top/hca3/20/skampi_offset/5/bottom/clockpropagation");
-      const auto clock = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+      const auto synced = co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
       const std::size_t me = static_cast<std::size_t>(ctx.rank());
-      run.corrections[2 * me] = clock->at_exact(0.5);
+      run.corrections[2 * me] = synced.clock->at_exact(0.5);
       run.corrections[2 * me + 1] = ctx.sim().now();
     });
     std::set<const sim::Simulation*> sims;

@@ -4,7 +4,6 @@
 // deterministic "distributions" with expected stop counts.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <mutex>
 #include <vector>
 
@@ -123,24 +122,6 @@ TEST(AdaptiveSweep, DeterministicAcrossJobs) {
   const std::vector<double> sequential = adaptive_seed_sweep(7, /*jobs=*/1, metric);
   const std::vector<double> parallel = adaptive_seed_sweep(7, /*jobs=*/4, metric);
   EXPECT_EQ(sequential, parallel);
-}
-
-TEST(AdaptiveSweep, HonorsSeedCapEnvironment) {
-  ASSERT_EQ(::setenv("HCLOCKSYNC_SEED_CAP", "7", /*overwrite=*/1), 0);
-  const std::vector<double> xs = adaptive_seed_sweep(
-      100, /*jobs=*/1, [](std::uint64_t seed) { return (seed % 2 == 0) ? 0.0 : 100.0; });
-  ASSERT_EQ(::unsetenv("HCLOCKSYNC_SEED_CAP"), 0);
-  EXPECT_EQ(xs.size(), 7u);
-}
-
-TEST(AdaptiveSweep, IgnoresMalformedSeedCap) {
-  ASSERT_EQ(::setenv("HCLOCKSYNC_SEED_CAP", "lots", /*overwrite=*/1), 0);
-  EXPECT_EQ(seed_cap(20), 20);
-  ASSERT_EQ(::setenv("HCLOCKSYNC_SEED_CAP", "-3", /*overwrite=*/1), 0);
-  EXPECT_EQ(seed_cap(20), 20);
-  ASSERT_EQ(::setenv("HCLOCKSYNC_SEED_CAP", "64", /*overwrite=*/1), 0);
-  EXPECT_EQ(seed_cap(20), 64);
-  ASSERT_EQ(::unsetenv("HCLOCKSYNC_SEED_CAP"), 0);
 }
 
 }  // namespace

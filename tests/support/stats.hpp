@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -46,14 +45,13 @@ std::vector<double> seed_sweep(int nseeds, std::uint64_t base_seed, int jobs, Fn
 // Sequential stopping rule (Hunold & Carpen-Amarie, "MPI Benchmarking
 // Revisited"): instead of always burning a fixed 20 seeds, run batches until
 // the Student-t confidence interval of the mean of the checked statistic is
-// tight enough relative to the mean, or a hard cap is reached.  The cap
-// defaults to the historical 20 and honors $HCLOCKSYNC_SEED_CAP, so CI can
-// trade time for confidence without code changes.
+// tight enough relative to the mean, or a hard cap (policy.max_seeds,
+// default the historical 20) is reached.
 
 struct SweepPolicy {
   int min_seeds = 5;   // seeds in the first batch, before any CI check
   int batch = 5;       // seeds added per subsequent round
-  int max_seeds = 20;  // hard cap; adaptive_seed_sweep applies $HCLOCKSYNC_SEED_CAP
+  int max_seeds = 20;  // hard cap
   double confidence = 0.95;     // two-sided Student-t confidence level (0.95 or 0.99)
   double rel_halfwidth = 0.05;  // stop once halfwidth <= rel_halfwidth * |mean|
 };
@@ -114,26 +112,15 @@ inline bool should_stop(const std::vector<double>& xs, const SweepPolicy& policy
   return ci.halfwidth <= policy.rel_halfwidth * std::abs(ci.mean);
 }
 
-/// The hard cap after applying $HCLOCKSYNC_SEED_CAP (must parse as a
-/// positive integer to take effect).
-inline int seed_cap(int fallback) {
-  if (const char* env = std::getenv("HCLOCKSYNC_SEED_CAP")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != nullptr && *end == '\0' && v > 0) return static_cast<int>(v);
-  }
-  return fallback;
-}
-
 /// seed_sweep with the sequential stopping rule: runs metric(seed) for seeds
 /// base_seed + [0, n) in batches, stopping as soon as should_stop() holds or
-/// the (env-capped) policy.max_seeds is reached, and returns the values in
+/// policy.max_seeds is reached, and returns the values in
 /// seed order.  Deterministic for any job count: batch boundaries and the
 /// stopping decision depend only on the metric values, never on timing.
 template <typename Fn>
 std::vector<double> adaptive_seed_sweep(std::uint64_t base_seed, int jobs, Fn&& metric,
                                         SweepPolicy policy = {}) {
-  const int cap = std::max(seed_cap(policy.max_seeds), 1);
+  const int cap = std::max(policy.max_seeds, 1);
   const int first = std::clamp(policy.min_seeds, 1, cap);
   const int step = std::max(policy.batch, 1);
   runner::TrialRunner pool(jobs);

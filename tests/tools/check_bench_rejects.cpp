@@ -10,11 +10,15 @@
 // A binary that accepted one of these would run its full workload instead,
 // which the ctest time limit turns into a failure too.
 //
-//   usage: check_bench_rejects <path to bench binary> ["--option value" ...]
+//   usage: check_bench_rejects <path to bench binary> [--no-fault-flags]
+//                              ["--option value" ...]
 //
-// Given "--option value" arguments (a binary's own numeric flags), each is
-// one bad invocation instead of the common cases above, and must likewise
-// exit 2 naming the option and the value.
+// --no-fault-flags adds --fault, --fault-file and --fault-seed to the common
+// cases, each of which must exit 2 as an unknown option: a binary whose
+// Worlds ignore the fault plan must not pretend to inject faults.  Given
+// "--option value" arguments (a binary's own numeric flags), each is one bad
+// invocation instead of the common cases above, and must likewise exit 2
+// naming the option and the value.
 #include <sys/wait.h>
 
 #include <cstdio>
@@ -43,7 +47,8 @@ int run(const std::string& command, std::string& output) {
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    std::cerr << "usage: check_bench_rejects <bench binary> [\"--option value\" ...]\n";
+    std::cerr << "usage: check_bench_rejects <bench binary> [--no-fault-flags] "
+                 "[\"--option value\" ...]\n";
     return 2;
   }
   std::vector<BadInvocation> cases = {
@@ -53,8 +58,15 @@ int main(int argc, char** argv) {
       {"--seed abc", {"--seed", "'abc'"}},
       {"--scale 0.5abc", {"--scale", "'0.5abc'"}},
   };
-  if (argc > 2) cases.clear();
-  for (int i = 2; i < argc; ++i) {
+  int first = 2;
+  if (argc > 2 && std::string(argv[2]) == "--no-fault-flags") {
+    cases.push_back({"--fault drop:p=0.1", {"unknown option --fault "}});
+    cases.push_back({"--fault-file faults.txt", {"unknown option --fault-file "}});
+    cases.push_back({"--fault-seed 3", {"unknown option --fault-seed "}});
+    first = 3;
+  }
+  if (argc > first) cases.clear();
+  for (int i = first; i < argc; ++i) {
     const std::string args = argv[i];
     const std::size_t space = args.find(' ');
     if (space == std::string::npos) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "clocksync/factory.hpp"
 #include "simmpi/world.hpp"
@@ -169,6 +170,25 @@ TEST(StructuredTracer, AbsorbRespectsRingCapacity) {
   EXPECT_DOUBLE_EQ(events[1].ts, 5.0);
 }
 
+TEST(StructuredTracer, AbsorbCountsTheAbsorbedTracersDrops) {
+  // A World or trial tracer has the parent's ring capacity; absorbing one
+  // that overflowed must report the counts recording directly would have.
+  auto record = [](Tracer& t) {
+    for (int i = 0; i < 5; ++i) t.record_instant(0, Category::kApp, "e", i);
+    t.record_instant(1, Category::kApp, "f", 0);
+  };
+  Tracer direct(2), parent(2), trial(2);
+  parent.record_instant(0, Category::kApp, "before", 0);
+  direct.record_instant(0, Category::kApp, "before", 0);
+  record(direct);
+  record(trial);
+  parent.absorb(trial);
+  EXPECT_EQ(parent.recorded(), direct.recorded());
+  EXPECT_EQ(parent.dropped(), direct.dropped());
+  EXPECT_EQ(parent.dropped(), 4u);
+  ASSERT_EQ(parent.merged_events().size(), direct.merged_events().size());
+}
+
 TEST(TracerThreadScope, InstallIsPerThread) {
   Tracer tracer;
   const ScopedTracer install(&tracer);
@@ -258,11 +278,14 @@ TEST(StructuredTracer, IdenticalSimRunsProduceIdenticalStreams) {
   const auto run_once = [](std::vector<TraceEvent>& out) {
     Tracer tracer;
     const ScopedTracer install(&tracer);
-    simmpi::World world(topology::testbox(2, 2), 17);
-    world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
-      auto sync = clocksync::make_sync("hca3/recompute_intercept/50/skampi_offset/10");
-      (void)co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
-    });
+    {
+      // The World folds its shards' events into `tracer` when destroyed.
+      simmpi::World world(topology::testbox(2, 2), 17);
+      world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
+        auto sync = clocksync::make_sync("hca3/recompute_intercept/50/skampi_offset/10");
+        (void)co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+      });
+    }
     out = tracer.merged_events();
   };
   std::vector<TraceEvent> first, second;
@@ -281,14 +304,29 @@ TEST(StructuredTracer, IdenticalSimRunsProduceIdenticalStreams) {
 }
 
 TEST(StructuredTracer, WorldInstallsSimTimeSource) {
+  // Rank code records into its shard's tracer, which reads that shard's
+  // simulated time; the tracer installed around the World keeps its own
+  // (here: no) time source, so nothing can dangle once the World is gone.
   Tracer tracer;
   const ScopedTracer install(&tracer);
+  std::vector<const TimeSource*> sources;
+  std::vector<TimeSourceKind> kinds;
   {
     simmpi::World world(topology::testbox(1, 2), 3);
-    EXPECT_NE(tracer.time_source(), nullptr);
-    EXPECT_EQ(tracer.time_source_kind(), TimeSourceKind::kSimTime);
+    world.run_all([&](simmpi::RankCtx& ctx) -> sim::Task<void> {
+      co_await ctx.sim().delay(0.5);
+      const Tracer* shard = active_tracer();
+      sources.push_back(shard != nullptr ? shard->time_source() : nullptr);
+      kinds.push_back(shard != nullptr ? shard->time_source_kind() : TimeSourceKind::kLocalClock);
+      EXPECT_EQ(shard != nullptr ? shard->now() : -1.0, 0.5);
+    });
+    EXPECT_EQ(tracer.time_source(), nullptr);
   }
-  // World destruction must clear its dangling time source.
+  ASSERT_EQ(sources.size(), 2u);
+  for (std::size_t r = 0; r < sources.size(); ++r) {
+    EXPECT_NE(sources[r], nullptr);
+    EXPECT_EQ(kinds[r], TimeSourceKind::kSimTime);
+  }
   EXPECT_EQ(tracer.time_source(), nullptr);
 }
 

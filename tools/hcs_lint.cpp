@@ -7,11 +7,9 @@
 //     --root DIR             repo root; relative paths resolve against it (default: cwd)
 //     --rule ID              run only this rule (repeatable)
 //     --sarif FILE           also write the findings as SARIF 2.1.0
-//     --stats                print a per-rule findings/runtime table
 //     --list-rules           print the rule table and exit
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -21,7 +19,6 @@
 #include "lint/rules.hpp"
 #include "lint/sarif.hpp"
 #include "util/cli.hpp"
-#include "util/host_clock.hpp"
 
 namespace {
 
@@ -37,29 +34,17 @@ int list_rules() {
   return 0;
 }
 
-void print_stats(const hcs::lint::AnalysisStats& stats) {
-  std::printf("\n%-28s %9s %9s\n", "rule", "findings", "ms");
-  for (const auto& [id, rs] : stats.rules) {
-    std::printf("%-28s %9d %9.2f\n", id.c_str(), rs.findings, rs.seconds * 1e3);
-  }
-  std::printf("files: %d\n", stats.files);
-  std::printf("phase 1 (summaries): %.1f ms   phase 2 (interproc): %.1f ms   total: %.1f ms\n",
-              stats.summary_seconds * 1e3, stats.interproc_seconds * 1e3,
-              stats.total_seconds * 1e3);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace hcs;
   try {
-    const util::Cli cli(argc, argv, {"list-rules", "stats"});
-    cli.reject_unknown({"root", "rule", "sarif", "stats", "list-rules"});
+    const util::Cli cli(argc, argv, {"list-rules"});
+    cli.reject_unknown({"root", "rule", "sarif", "list-rules"});
     if (cli.has("list-rules")) return list_rules();
 
     lint::AnalyzerOptions options;
     options.root = cli.get("root", "");
-    options.now = util::host_seconds;
     for (const std::string& id : cli.get_all("rule")) {
       if (!lint::find_rule(id)) {
         std::cerr << "hcs-lint: unknown rule '" << id << "' (see --list-rules)\n";
@@ -83,7 +68,6 @@ int main(int argc, char** argv) {
       std::cout << f.path << ":" << f.line << ":" << f.col << ": " << to_string(f.severity)
                 << ": " << f.message << " [" << f.rule << "]\n";
     }
-    if (cli.has("stats")) print_stats(result.stats);
     if (result.findings.empty()) {
       std::cout << "hcs-lint: clean (" << result.stats.files << " files)\n";
       return 0;
