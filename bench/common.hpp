@@ -122,9 +122,9 @@ std::size_t peak_rss_bytes();
 
 /// Publishes the process memory high-water marks into the active metrics
 /// registry: hcs.mem.peak_rss_bytes (peak_rss_bytes()) and
-/// hcs.mem.frame_pool_bytes (the coroutine frame pool's slab reservation).
-/// No-op
-/// without an installed registry.
+/// hcs.mem.frame_pool_bytes (FramePool::reserved_bytes(): the most slab
+/// bytes the coroutine frame pools of all live Simulations held at once).
+/// No-op without an installed registry.
 void record_memory_metrics();
 
 /// The clock of a synchronization the bench requires to be clean: its World

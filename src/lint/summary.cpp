@@ -172,6 +172,16 @@ std::size_t expr_head(const Toks& t, std::size_t i) {
   return k;
 }
 
+// True when the declarator at `name` is declared auto or SyncResult: the
+// tokens before it, back to the statement start, name one of them.
+bool declares_result(const Toks& t, std::size_t name, std::size_t floor) {
+  for (std::size_t p = name; p-- > floor;) {
+    if (!benign_decl_token(t[p])) return false;
+    if (is_ident(t[p], "auto") || is_ident(t[p], "SyncResult")) return true;
+  }
+  return false;
+}
+
 ResultUse classify_use(const Toks& t, std::size_t i, const FuncExtent& fe) {
   const std::size_t close = match_forward(t, i + 1);
   std::size_t after = close + 1;
@@ -208,11 +218,14 @@ ResultUse classify_use(const Toks& t, std::size_t i, const FuncExtent& fe) {
     if (is_assign_op(tok)) {
       if (k == 0 || !is_ident(t[k - 1])) return ResultUse::kConsumed;
       const std::string var = t[k - 1].text;
-      bool tracked = false;
-      for (std::size_t p = k - 1; p-- > fe.open;) {
-        const Token& tt = t[p];
-        if (!benign_decl_token(tt)) break;
-        if (is_ident(tt, "auto") || is_ident(tt, "SyncResult")) tracked = true;
+      bool tracked = declares_result(t, k - 1, fe.open);
+      // "SyncResult r; ... r = f(...);" reads like a binding.  A member
+      // ("x.r = ", "this->r = ") is another object.
+      const bool member = k >= 2 && (is(t[k - 2], ".") || is(t[k - 2], "->"));
+      for (std::size_t p = fe.open + 1; !tracked && !member && p + 1 < k - 1; ++p) {
+        tracked = is_ident(t[p]) && t[p].text == var &&
+                  (is(t[p + 1], ";") || is(t[p + 1], "=") || is(t[p + 1], "{")) &&
+                  declares_result(t, p, fe.open);
       }
       if (!tracked) return ResultUse::kConsumed;  // assignment to an existing object
       // auto/SyncResult binding: does anything ever look past .clock?

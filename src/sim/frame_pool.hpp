@@ -1,203 +1,247 @@
-// Slab-backed, thread-cached allocator for coroutine frames.
+// One slab allocator for coroutine frames per PDES shard.
 //
 // Every blocking operation in the simulator (delay, p2p, collectives, the
 // sync algorithms' phases) is a short-lived Task<T> coroutine whose frame
-// would otherwise round-trip through malloc/free millions of times per run.
-// Two layers keep that cheap at 100k+ ranks:
+// would otherwise round-trip through malloc/free millions of times per run,
+// and at scale every rank holds its chain of them at once.  Each
+// sim::Simulation, so each shard of a simmpi::World, owns a FramePool as its
+// first member: the pool is destroyed after every frame of the shard.
 //
-// * **Thread caches** (FramePool): per-thread, size-bucketed freelists.
-//   Allocation is a pointer pop in the steady state, deallocation a pointer
-//   push, no locks — each thread owns its cache.  runner::TrialRunner runs
-//   whole trials per thread, so their frames are born and die on one
-//   thread.  A PDES shard's windows run on its worker or, when the shard is
-//   the window's only one with events, on the coordinating thread, so a
-//   shard's frames may be freed on another thread than the one that
-//   allocated them.  That is cheap while blocks flow both ways.  A one-way
-//   flow is not: the allocating thread's cache never refills from the
-//   frees, so the arena carves a fresh slab for each of its misses.  Message
-//   deliveries would be such a flow (the coordinator schedules every
-//   inter-node one, the workers fire them), so they are callback events
-//   whose records recycle per destination shard, not coroutines
-//   (simmpi/world.hpp).
-// * **A global slab arena** (SlabArena): when a thread cache misses, it
-//   refills a whole batch of blocks carved from 64 KiB size-classed slabs
-//   under one mutex acquisition, instead of one ::operator new per frame.
-//   A 100k-rank World's frames land contiguously instead of scattered
-//   across the heap, and the startup cost is one slab allocation per
-//   ~64 KiB of frames rather than per frame.  Dying threads hand their
-//   chains back to the arena, so shard workers from one run recycle
-//   into the next.  Slabs live until process exit (freed by the arena
-//   destructor, keeping leak checkers quiet); peak footprint is visible to
-//   benches via FramePool::reserved_bytes().
+// * **Which pool.** A FramePool::Scope installs a pool on the calling thread
+//   and restores the previous one on exit.  Simulation::spawn and the event
+//   loop (Simulation::drain_through) hold one for their own pool, and
+//   World::ShardScope for the shard it runs.  A frame allocated with no pool
+//   installed (a Task built before run()) goes to ::operator new.
+// * **Slabs.** A pool carves 16 KiB slabs lazily, with a bump pointer, into
+//   blocks of one 16 B size class each; a freed block goes on its slab's
+//   free list.  A slab whose last live block is freed joins the pool's empty
+//   list, where any size class reuses it, so a pool holds about the peak of
+//   its live frames, not the sum of every size class's own peak (a World's
+//   split frames peak at its start, its sync frames later).  ~FramePool
+//   frees every slab, so the next World or trial gets the memory back from
+//   malloc.  A frame still live then would outlive its shard: the destructor
+//   aborts.
+// * **Threads.** Each block's header names its slab and each slab its pool,
+//   so deallocate returns a block to its owner without reading a
+//   thread-local.  There are no locks: only the thread running a shard, or
+//   the coordinator while the shard workers are parked, creates, resumes or
+//   destroys that shard's frames (drain_through holds the only resume()).
 //
-// Layout: each block carries a small header tagging its bucket so sized and
-// unsized deallocation both work; frames larger than the largest bucket fall
-// through to ::operator new/delete untouched.  Blocks freed on a different
-// thread than the one that allocated them simply land in the freeing
-// thread's cache — correct, but see the one-way flow above.
+// Under AddressSanitizer free blocks and each slab's uncarved tail are
+// poisoned, so ASan reports a use of a destroyed frame.  Frames larger than
+// the largest size class go to ::operator new/delete.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
+#include <cstdio>
+#include <cstdlib>
 #include <new>
-#include <vector>
+#include <utility>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace hcs::sim::detail {
 
-class SlabArena {
- public:
-  static SlabArena& instance() {
-    static SlabArena arena;
-    return arena;
-  }
-
-  // Pops up to `want` blocks of size `block_bytes` as a chain linked through
-  // each block's first word; carves a fresh slab when the recycled chains run
-  // dry.  Always returns at least one block.
-  void* take_chain(std::size_t bucket, std::size_t block_bytes,
-                   std::size_t want) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (free_[bucket] == nullptr) carve_slab(bucket, block_bytes);
-    void* head = free_[bucket];
-    void* tail = head;
-    for (std::size_t i = 1; i < want; ++i) {
-      void* next = *static_cast<void**>(tail);
-      if (next == nullptr) break;
-      tail = next;
-    }
-    free_[bucket] = *static_cast<void**>(tail);
-    *static_cast<void**>(tail) = nullptr;
-    return head;
-  }
-
-  // Returns a chain of blocks (linked through their first word) to the
-  // arena's recycled list — used by thread caches on thread exit.
-  void give_chain(std::size_t bucket, void* head) noexcept {
-    if (head == nullptr) return;
-    void* tail = head;
-    while (*static_cast<void**>(tail) != nullptr) {
-      tail = *static_cast<void**>(tail);
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    *static_cast<void**>(tail) = free_[bucket];
-    free_[bucket] = head;
-  }
-
-  std::size_t bytes_reserved() const noexcept {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-
-  static constexpr std::size_t kBuckets = 33;  // pooled blocks up to 2 KiB
-  static constexpr std::size_t kSlabBytes = std::size_t{1} << 16;  // 64 KiB
-
- private:
-  SlabArena() = default;
-  ~SlabArena() {
-    for (void* slab : slabs_) ::operator delete(slab);
-  }
-  SlabArena(const SlabArena&) = delete;
-  SlabArena& operator=(const SlabArena&) = delete;
-
-  // Called under mu_.  One slab serves kSlabBytes/block_bytes frames; all of
-  // them join the recycled chain at once.
-  void carve_slab(std::size_t bucket, std::size_t block_bytes) {
-    const std::size_t count = kSlabBytes / block_bytes > 0
-                                  ? kSlabBytes / block_bytes
-                                  : std::size_t{1};
-    const std::size_t slab_bytes = count * block_bytes;
-    char* slab = static_cast<char*>(::operator new(slab_bytes));
-    slabs_.push_back(slab);
-    bytes_.fetch_add(slab_bytes, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < count; ++i) {
-      void* block = slab + i * block_bytes;
-      *static_cast<void**>(block) = free_[bucket];
-      free_[bucket] = block;
-    }
-  }
-
-  std::mutex mu_;
-  std::vector<void*> slabs_;
-  void* free_[kBuckets] = {};
-  std::atomic<std::size_t> bytes_{0};
-};
-
 class FramePool {
  public:
-  static void* allocate(std::size_t bytes) {
-    const std::size_t total = bytes + kHeader;
-    const std::size_t bucket = (total + kGranularity - 1) / kGranularity;
-    Cache& c = cache();
-    ++c.frames;
-    if (bucket >= kBuckets) return finish(::operator new(total), 0);  // 0 = unpooled
-    if (void* p = c.free[bucket]) {
-      c.free[bucket] = *static_cast<void**>(p);
-      return finish(p, bucket);
+  FramePool() = default;
+  FramePool(const FramePool&) = delete;
+  FramePool& operator=(const FramePool&) = delete;
+
+  ~FramePool() {
+    held_ -= bytes_held();
+    while (Slab* s = empty_) {
+      empty_ = s->next;
+      unpoison(s, kSlabBytes);
+      ::operator delete(s);
+      --slabs_;
     }
-    // Miss: pull a batch from the arena under one lock, keep the rest.
-    const std::size_t block_bytes = bucket * kGranularity;
-    void* head = SlabArena::instance().take_chain(bucket, block_bytes,
-                                                  kRefillBatch);
-    c.free[bucket] = *static_cast<void**>(head);
-    return finish(head, bucket);
+    if (slabs_ != 0) {
+      std::fputs("FramePool: a coroutine frame outlives its pool\n", stderr);
+      std::abort();
+    }
+  }
+
+  /// Installs `pool` for the frames this thread allocates until the scope
+  /// ends, then restores the previously installed pool (or none).
+  class Scope {
+   public:
+    explicit Scope(FramePool& pool) noexcept : previous_(std::exchange(tls_.pool, &pool)) {}
+    ~Scope() { tls_.pool = previous_; }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    FramePool* previous_;
+  };
+
+  static void* allocate(std::size_t bytes) {
+    ThreadState& t = tls_;
+    ++t.frames;
+    const std::size_t cls = (bytes + kHeader + kGranularity - 1) / kGranularity;
+    if (t.pool != nullptr && cls < kClasses) return t.pool->take(cls) + 1;
+    auto* h = static_cast<Header*>(::operator new(bytes + kHeader));
+    h->slab = nullptr;  // unpooled
+    return h + 1;
   }
 
   static void deallocate(void* user) noexcept {
-    void* p = static_cast<char*>(user) - kHeader;
-    const std::size_t bucket = *static_cast<std::size_t*>(p);
-    if (bucket == 0) {
-      ::operator delete(p);
+    Header* h = static_cast<Header*>(user) - 1;
+    if (h->slab == nullptr) {
+      ::operator delete(h);
       return;
     }
-    Cache& c = cache();
-    *static_cast<void**>(p) = c.free[bucket];
-    c.free[bucket] = p;
+    h->slab->pool->give(h);
   }
 
-  /// Total slab bytes the process has carved for pooled frames (never
-  /// shrinks; slabs are recycled, not returned).  Benches report this next
-  /// to peak RSS so frame-memory growth is visible per scale point.
-  static std::size_t reserved_bytes() noexcept {
-    return SlabArena::instance().bytes_reserved();
-  }
+  /// Slab bytes this pool holds now.
+  std::size_t bytes_held() const noexcept { return slabs_ * kSlabBytes; }
+
+  /// High-water mark of the slab bytes all pools of the process held at
+  /// once.  Benches report it next to peak RSS so frame-memory growth is
+  /// visible per scale point.
+  static std::size_t reserved_bytes() noexcept { return peak_.load(); }
 
   /// Frames this thread has allocated so far, pooled or not.  Tests pin the
   /// frames each blocking operation costs with it.
-  static std::uint64_t frames_allocated() noexcept { return cache().frames; }
+  static std::uint64_t frames_allocated() noexcept { return tls_.frames; }
+
+  static constexpr std::size_t kSlabBytes = std::size_t{1} << 14;  // 16 KiB
 
  private:
-  // The header must preserve the alignment ::operator new guarantees, since
-  // coroutine frames assume at most that from their promise's operator new.
-  // Slab carving keeps it: blocks are multiples of kGranularity from a
-  // max_align_t-aligned slab base.
-  static constexpr std::size_t kHeader = alignof(std::max_align_t);
-  static constexpr std::size_t kGranularity = 64;  // one cache line per step
-  static constexpr std::size_t kBuckets = SlabArena::kBuckets;
-  static constexpr std::size_t kRefillBatch = 32;
+  static constexpr std::size_t kMaxBlock = 2048;  // larger frames go unpooled
+  struct Slab;
 
-  struct Cache {
-    void* free[kBuckets] = {};
-    std::uint64_t frames = 0;
-    // Thread exit: hand every chain back to the arena so the next worker
-    // generation reuses these frames.  Thread-storage objects are destroyed
-    // before static-storage ones, so the arena is still alive here.
-    ~Cache() {
-      for (std::size_t b = 0; b < kBuckets; ++b) {
-        if (free[b] != nullptr) SlabArena::instance().give_chain(b, free[b]);
-      }
-    }
+  // Sits before every frame.  Its size keeps the alignment ::operator new
+  // guarantees, which coroutine frames assume from their promise's operator
+  // new: blocks are multiples of kGranularity from a max_align_t-aligned
+  // slab data start.
+  struct alignas(std::max_align_t) Header {
+    Slab* slab;         // owning slab, nullptr for an unpooled frame
+    Header* next_free;  // the slab's next free block, while this one is free
   };
 
-  static Cache& cache() noexcept {
-    static thread_local Cache c;
-    return c;
+  struct Slab {
+    FramePool* pool;
+    Slab* prev;     // neighbours in partial_[cls], or (next) in empty_
+    Slab* next;
+    Header* free;   // freed blocks of this slab
+    char* bump;     // the next uncarved block
+    char* last;     // the last address a whole block can start at
+    std::size_t cls;
+    std::uint32_t block_bytes;
+    std::uint32_t live;  // blocks handed out and not yet given back
+  };
+
+  struct ThreadState {
+    FramePool* pool;  // the installed pool, nullptr for none
+    std::uint64_t frames;
+  };
+
+  static constexpr std::size_t kHeader = sizeof(Header);
+  static constexpr std::size_t kGranularity = alignof(std::max_align_t);
+  static constexpr std::size_t kClasses = kMaxBlock / kGranularity + 1;
+  static constexpr std::size_t kSlabHeader =
+      (sizeof(Slab) + kGranularity - 1) / kGranularity * kGranularity;
+  static_assert(kHeader == kGranularity);
+  // give() relies on a slab with a live block and a free or uncarved one
+  // being listed, which holds once every slab has room for two blocks.
+  static_assert((kSlabBytes - kSlabHeader) / kMaxBlock >= 2);
+
+  static char* data(Slab* s) noexcept { return reinterpret_cast<char*>(s) + kSlabHeader; }
+
+#if defined(__SANITIZE_ADDRESS__)
+  static void poison(void* p, std::size_t n) noexcept { ASAN_POISON_MEMORY_REGION(p, n); }
+  static void unpoison(void* p, std::size_t n) noexcept { ASAN_UNPOISON_MEMORY_REGION(p, n); }
+#else
+  static void poison(void*, std::size_t) noexcept {}
+  static void unpoison(void*, std::size_t) noexcept {}
+#endif
+
+  Header* take(std::size_t cls) {
+    Slab* s = partial_[cls];
+    if (s == nullptr) s = open_slab(cls);
+    Header* h = s->free;
+    if (h != nullptr) {
+      s->free = h->next_free;
+    } else {
+      h = reinterpret_cast<Header*>(s->bump);
+      s->bump += s->block_bytes;
+    }
+    unpoison(h, s->block_bytes);
+    h->slab = s;
+    ++s->live;
+    if (s->free == nullptr && s->bump > s->last) unlink(s);  // now full
+    return h;
   }
 
-  static void* finish(void* p, std::size_t bucket) noexcept {
-    *static_cast<std::size_t*>(p) = bucket;
-    return static_cast<char*>(p) + kHeader;
+  void give(Header* h) noexcept {
+    Slab* s = h->slab;
+    if (--s->live == 0) {
+      // Listed, since it had room for this block's neighbour: reuse it for
+      // any size class.
+      unlink(s);
+      poison(data(s), kSlabBytes - kSlabHeader);
+      s->next = empty_;
+      empty_ = s;
+      return;
+    }
+    const bool was_full = s->free == nullptr && s->bump > s->last;
+    h->next_free = s->free;
+    s->free = h;
+    poison(h + 1, s->block_bytes - kHeader);
+    if (was_full) link(s);
   }
+
+  // A slab for class `cls` from the empty list, or a new one.
+  Slab* open_slab(std::size_t cls) {
+    Slab* s = empty_;
+    if (s != nullptr) {
+      empty_ = s->next;
+    } else {
+      s = static_cast<Slab*>(::operator new(kSlabBytes));
+      ++slabs_;
+      const std::size_t now = held_ += kSlabBytes;
+      std::size_t peak = peak_.load();
+      while (now > peak && !peak_.compare_exchange_weak(peak, now)) {
+      }
+      poison(data(s), kSlabBytes - kSlabHeader);
+    }
+    s->pool = this;
+    s->free = nullptr;
+    s->bump = data(s);
+    s->block_bytes = static_cast<std::uint32_t>(cls * kGranularity);
+    s->last = reinterpret_cast<char*>(s) + kSlabBytes - s->block_bytes;
+    s->cls = cls;
+    s->live = 0;
+    link(s);
+    return s;
+  }
+
+  void link(Slab* s) noexcept {
+    Slab*& head = partial_[s->cls];
+    s->prev = nullptr;
+    s->next = head;
+    if (head != nullptr) head->prev = s;
+    head = s;
+  }
+
+  void unlink(Slab* s) noexcept {
+    (s->prev != nullptr ? s->prev->next : partial_[s->cls]) = s->next;
+    if (s->next != nullptr) s->next->prev = s->prev;
+  }
+
+  Slab* partial_[kClasses] = {};  // per class: slabs with a free or uncarved block
+  Slab* empty_ = nullptr;         // slabs with no live block, any class
+  std::size_t slabs_ = 0;         // slabs this pool holds
+
+  static constinit inline thread_local ThreadState tls_{};
+  static inline std::atomic<std::size_t> held_{0};  // slab bytes all pools hold now
+  static inline std::atomic<std::size_t> peak_{0};  // high-water mark of held_
 };
 
 }  // namespace hcs::sim::detail

@@ -65,7 +65,10 @@ Simulation::~Simulation() {
   for (auto h : live_roots_) h.destroy();
 }
 
-void Simulation::spawn(Task<void> task) { run_root(*this, std::move(task)); }
+void Simulation::spawn(Task<void> task) {
+  const detail::FramePool::Scope frames(frame_pool_);
+  run_root(*this, std::move(task));
+}
 
 std::size_t Simulation::on_root_started(std::coroutine_handle<> handle) {
   ++spawned_;
@@ -98,6 +101,7 @@ std::runtime_error budget_exceeded(std::uint64_t max_events) {
 bool Simulation::drain_through(Time last, std::uint64_t max_events) {
   // A pending error (a process may fail before its first suspension, since
   // spawn is eager) stops the loop before the next pop.
+  const detail::FramePool::Scope frames(frame_pool_);
   while (!first_error_ && !queue_.empty() && queue_.next_time() <= last) {
     if (events_processed_ >= max_events) return false;
     const EventQueue::Event ev = queue_.pop();

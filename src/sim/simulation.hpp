@@ -6,7 +6,8 @@
 // event budget is exceeded.  Work that needs no coroutine of its own (a
 // message delivery) is a callback event instead: one queue entry, no frame.
 // Everything is deterministic: the scheduler draws no random numbers, and
-// ties run in FIFO order.
+// ties run in FIFO order.  The Simulation owns the pool its processes'
+// coroutine frames come from (sim/frame_pool.hpp).
 #pragma once
 
 #include <coroutine>
@@ -29,6 +30,11 @@ class Simulation {
   Simulation& operator=(const Simulation&) = delete;
 
   Time now() const noexcept { return now_; }
+
+  /// The pool this simulation's coroutine frames come from: spawn() and
+  /// the event loop install it, and so does whoever runs work on its
+  /// behalf (simmpi::World::ShardScope).
+  detail::FramePool& frame_pool() noexcept { return frame_pool_; }
 
   /// Schedules `handle` to resume at absolute time `t` (>= now()).  Inline:
   /// together with EventQueue::push this is the schedule half of the
@@ -128,6 +134,8 @@ class Simulation {
   // Runs a popped callback, parking what it throws as a process error.
   void fire(Callback& callback) noexcept;
 
+  // First, so it is destroyed after every frame the members below own.
+  detail::FramePool frame_pool_;
   Time now_ = 0.0;
   EventQueue queue_;
   std::uint64_t events_processed_ = 0;

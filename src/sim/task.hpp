@@ -35,9 +35,10 @@ namespace detail {
 
 class TaskPromiseBase {
  public:
-  // Route every Task frame through the thread-local freelist: blocking-op
-  // coroutines are created and destroyed millions of times per simulation,
-  // and this turns the malloc/free round-trip into two pointer moves.
+  // Route every Task frame through the installed shard's frame pool:
+  // blocking-op coroutines are created and destroyed millions of times per
+  // simulation, and this turns the malloc/free round-trip into a few
+  // pointer moves.
   static void* operator new(std::size_t bytes) { return FramePool::allocate(bytes); }
   static void operator delete(void* p) noexcept { FramePool::deallocate(p); }
   static void operator delete(void* p, std::size_t) noexcept { FramePool::deallocate(p); }

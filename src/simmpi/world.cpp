@@ -278,7 +278,8 @@ World::ShardScope::ShardScope(const World& world, int s)
                   : world.shard_tracers_[static_cast<std::size_t>(s)].get()),
       metrics_(world.shard_registries_.empty()
                    ? nullptr
-                   : world.shard_registries_[static_cast<std::size_t>(s)].get()) {}
+                   : world.shard_registries_[static_cast<std::size_t>(s)].get()),
+      frames_(world.sims_[static_cast<std::size_t>(s)]->frame_pool()) {}
 
 // One window-boundary step on the coordinating thread (workers parked):
 // collect errors, drain cross-shard traffic, pick the next window and the

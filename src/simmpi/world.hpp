@@ -355,10 +355,10 @@ class World {
     std::vector<Delivery*> free_deliveries;
   };
 
-  // Installs shard `s`'s tracer and metrics registry on the calling thread
-  // and restores the previous sinks on exit.  Whoever runs work on a shard's
-  // behalf holds one: launch, a worker, or the coordinator in a lone window
-  // or a window-boundary drain.
+  // Installs shard `s`'s tracer, metrics registry and frame pool on the
+  // calling thread and restores the previous ones on exit.  Whoever runs
+  // work on a shard's behalf holds one: launch, a worker, or the coordinator
+  // in a lone window or a window-boundary drain.
   class ShardScope {
    public:
     ShardScope(const World& world, int s);
@@ -368,6 +368,7 @@ class World {
    private:
     trace::ScopedTracer tracer_;
     trace::ScopedMetrics metrics_;
+    sim::detail::FramePool::Scope frames_;
   };
 
   BurstSlot& burst_slot(int rank) { return mailboxes_[static_cast<std::size_t>(rank)].burst; }

@@ -1,5 +1,5 @@
 // hcs-lint-path: src/clocksync/callers.cpp
-// Bad fixture for ip-unchecked-sync-result, file 2/2: the three ways to drop
+// Bad fixture for ip-unchecked-sync-result, file 2/3: the three ways to drop
 // the SyncReport — discard the value, read .clock straight off the call, or
 // bind it and never consult .report.  Narrowing to a ClockPtr does not
 // compile (tests/compile/bad_sync_narrowing.cpp).  Not compiled.

@@ -1,5 +1,5 @@
 // hcs-lint-path: src/clocksync/mini_sync.cpp
-// Bad fixture for ip-unchecked-sync-result, file 1/2: a SyncResult-returning
+// Bad fixture for ip-unchecked-sync-result, file 1/3: a SyncResult-returning
 // definition for the index to resolve.  Not compiled.
 
 namespace hcs::clocksync {

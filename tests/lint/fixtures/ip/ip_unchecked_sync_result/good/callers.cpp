@@ -1,5 +1,5 @@
 // hcs-lint-path: src/clocksync/callers.cpp
-// Good fixture for ip-unchecked-sync-result, file 2/3: the caller binds the
+// Good fixture for ip-unchecked-sync-result, file 2/4: the caller binds the
 // full result and consults the report before trusting the clock.  Not
 // compiled.
 

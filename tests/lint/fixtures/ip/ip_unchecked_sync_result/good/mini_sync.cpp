@@ -1,5 +1,5 @@
 // hcs-lint-path: src/clocksync/mini_sync.cpp
-// Good fixture for ip-unchecked-sync-result, file 1/3: same definition as
+// Good fixture for ip-unchecked-sync-result, file 1/4: same definition as
 // the bad set.  Not compiled.
 
 namespace hcs::clocksync {

@@ -1,5 +1,5 @@
 // hcs-lint-path: tests/clocksync/test_probe.cpp
-// Good fixture for ip-unchecked-sync-result, file 3/3: tests/ is exempt —
+// Good fixture for ip-unchecked-sync-result, file 4/4: tests/ is exempt —
 // a harness may drive sync_clocks purely for its side effects.  Not
 // compiled.
 

@@ -22,6 +22,7 @@
 #include "replay/record.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
+#include "simmpi/collectives.hpp"
 #include "simmpi/comm.hpp"
 #include "topology/presets.hpp"
 #include "trace/metrics.hpp"
@@ -487,6 +488,33 @@ TEST(ShardedEngine, DeadlockNamesAnUnpairedBurst) {
                         "rank 2 waits on pingpong_burst(partner 3)"),
               std::string::npos)
         << what;
+  }
+}
+
+// Each shard's frames come from its Simulation's pool, which is destroyed
+// after them: ~FramePool aborts the test if a frame outlives its shard.  A
+// crash plan leaves the victims' guarded frames behind, a deadlock the
+// blocked ranks' whole frame chains, for ~World to destroy.
+TEST(ShardedEngine, CrashPlanTearsDownWithEveryFrameReturned) {
+  World w(topology::testbox(4, 2), 9, plan_of({"crash:rank=5,at=0.01s"}), 4);
+  w.run_all([](RankCtx& ctx) -> sim::Task<void> {
+    auto sync = clocksync::make_sync(kHCA2);
+    (void)co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+  });
+  for (int r = 0; r < w.size(); r += 2) {
+    EXPECT_GT(w.sim_of(r).frame_pool().bytes_held(), 0u) << "rank " << r;
+  }
+}
+
+TEST(ShardedEngine, DeadlockTearsDownWithEveryFrameReturned) {
+  World w(topology::testbox(4, 2), 3, {}, 4);
+  w.launch([](RankCtx& ctx) -> sim::Task<void> {
+    // hcs-lint: allow-next-line(coll-rank-branch) — rank 0 never entering is the test
+    if (ctx.rank() != 0) co_await barrier(ctx.comm_world());
+  });
+  EXPECT_THROW(w.run(), std::runtime_error);
+  for (int r = 0; r < w.size(); r += 2) {
+    EXPECT_GT(w.sim_of(r).frame_pool().bytes_held(), 0u) << "rank " << r;
   }
 }
 
