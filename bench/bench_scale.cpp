@@ -9,8 +9,8 @@
 //     fig_scale mode re-asserts it at sweep size;
 //   - the host table on stderr carries what depends on the machine running
 //     the simulator (wall-clock seconds, events/second, peak RSS and the
-//     coroutine-frame-pool reservation) and is the evidence for the slab
-//     allocation work (BENCH_pr7.json).
+//     most slab bytes the point's own World held in coroutine-frame pools)
+//     and is the evidence for the slab allocation work (BENCH_pr7.json).
 //
 // --ranks R[,R...] overrides the sweep (each R rounds up to whole 16-core
 // Titan nodes), which is how the smoke tests keep this binary cheap.
@@ -24,7 +24,6 @@
 #include "clocksync/factory.hpp"
 #include "clocksync/skampi_offset.hpp"
 #include "common.hpp"
-#include "sim/frame_pool.hpp"
 #include "simmpi/world.hpp"
 #include "util/host_clock.hpp"
 
@@ -40,7 +39,7 @@ struct ScalePoint {
   std::uint64_t events = 0;    // events processed by the World
   double wall_s = 0.0;         // host seconds for the whole World run
   std::size_t peak_rss = 0;    // process high-water mark after this point
-  std::size_t pool_bytes = 0;  // frame-pool slab reservation after this point
+  std::size_t pool_bytes = 0;  // this World's frame-pool slab high-water mark
 };
 
 ScalePoint run_scale_point(const topology::MachineConfig& machine, const std::string& label,
@@ -71,7 +70,7 @@ ScalePoint run_scale_point(const topology::MachineConfig& machine, const std::st
   point.events = world.events_processed();
   point.wall_s = util::host_seconds() - wall0;
   point.peak_rss = peak_rss_bytes();
-  point.pool_bytes = sim::detail::FramePool::reserved_bytes();
+  point.pool_bytes = world.frame_pool_peak_bytes();
   return point;
 }
 

@@ -17,7 +17,14 @@ HCA3Sync::HCA3Sync(SyncConfig cfg, std::unique_ptr<OffsetAlgorithm> oalg)
 
 std::string HCA3Sync::name() const { return sync_label("hca3", cfg_, *oalg_); }
 
+// Without a failure detector no rank can crash: the sync is one tree pass,
+// returned without a frame of its own.
 sim::Task<SyncResult> HCA3Sync::sync_clocks(simmpi::Comm& comm, vclock::ClockPtr clk) {
+  if (!crash_model_active(comm)) return sync_once(comm, std::move(clk));
+  return sync_healing(comm, std::move(clk));
+}
+
+sim::Task<SyncResult> HCA3Sync::sync_healing(simmpi::Comm& comm, vclock::ClockPtr clk) {
   SyncResult res = co_await sync_once(comm, clk);
   if (!crash_era_begun(comm) || comm.size() <= 1) co_return res;
   // Crash healing: a dead tree reference orphans its whole subtree (the

@@ -21,6 +21,7 @@ class HCA3Sync final : public ClockSync {
 
  private:
   sim::Task<SyncResult> sync_once(simmpi::Comm& comm, vclock::ClockPtr clk);
+  sim::Task<SyncResult> sync_healing(simmpi::Comm& comm, vclock::ClockPtr clk);
 
   SyncConfig cfg_;
   std::unique_ptr<OffsetAlgorithm> oalg_;

@@ -27,6 +27,15 @@ sim::Task<SyncResult> HierarchicalSync::sync_clocks(simmpi::Comm& comm, vclock::
   return sync_h2(comm, std::move(clk));
 }
 
+// One hierarchy level.  Without a failure detector no rank can crash, so
+// the level is exactly one sync_clocks call and this function returns it:
+// a rank waiting in the level holds no frame of its own here.
+sim::Task<SyncResult> HierarchicalSync::run_level(ClockSync& algo, simmpi::Comm& level,
+                                                  vclock::ClockPtr base) {
+  if (!crash_model_active(level)) return algo.sync_clocks(level, std::move(base));
+  return run_level_healing(algo, level, std::move(base));
+}
+
 // One hierarchy level, self-healing under the crash model: if any live
 // member's level sync failed (typically because the level's reference rank
 // died mid-phase), the survivors agree on a re-run, re-split — which elects
@@ -34,11 +43,10 @@ sim::Task<SyncResult> HierarchicalSync::sync_clocks(simmpi::Comm& comm, vclock::
 // re-parents the orphans under it — and repeat just this level.  Healed
 // ranks report at least kDegraded even when the re-run succeeds: their clock
 // chains through a replacement elected after the original reference died.
-// Fault-free — and under any plan whose first crash/link-cut has not fired
-// yet — this is exactly one sync_clocks call, bit-identical to the
-// pre-healing behaviour.
-sim::Task<SyncResult> HierarchicalSync::run_level(ClockSync& algo, simmpi::Comm& level,
-                                                  vclock::ClockPtr base) {
+// Under any plan whose first crash/link-cut has not fired yet this is
+// exactly one sync_clocks call, bit-identical to the fault-free run.
+sim::Task<SyncResult> HierarchicalSync::run_level_healing(ClockSync& algo, simmpi::Comm& level,
+                                                          vclock::ClockPtr base) {
   SyncResult res = co_await algo.sync_clocks(level, base);
   if (!crash_era_begun(level)) co_return res;
   const bool rerun = co_await agree_any(level, res.report.health == SyncHealth::kFailed);
@@ -57,82 +65,65 @@ sim::Task<SyncResult> HierarchicalSync::run_level(ClockSync& algo, simmpi::Comm&
   co_return redo;
 }
 
+// sync_h2 and sync_h3 hold their frame on every rank for the whole sync,
+// so they keep few locals across a suspension: each communicator is
+// initialized by its split in place, and the levels run from one await site
+// (GCC gives every await site and every block's locals their own frame
+// slots).  Clocks nest: each level's clock is the next level's base, and
+// level reports merge — a rank is degraded if any level it took part in was.
+
 // Algorithm 4 (H2HCA).
 sim::Task<SyncResult> HierarchicalSync::sync_h2(simmpi::Comm& comm, vclock::ClockPtr clk) {
   const int wr = comm.my_world_rank();
   // Communicator creation (MPI_COMM_TYPE_SHARED analogue + a leaders split);
   // deliberately inside the timed region, as in the paper's evaluation.
-  simmpi::Comm comm_intranode;
-  simmpi::Comm comm_internode;
-  {
-    HCS_TRACE_SCOPE(Sync, wr, "hier.split");
-    comm_intranode = co_await comm.split_shared_node();
-    const int leader_color = comm_intranode.rank() == 0 ? 0 : simmpi::Comm::kUndefined;
-    comm_internode = co_await comm.split(leader_color, comm.rank());
-  }
+  trace::Span split_span(trace::active_tracer(), trace::Category::kSync, wr, "hier.split");
+  simmpi::Comm comm_intranode = co_await comm.split_shared_node();
+  simmpi::Comm comm_internode = co_await comm.split(
+      comm_intranode.rank() == 0 ? 0 : simmpi::Comm::kUndefined, comm.rank());
+  split_span.end();
 
-  // Step 1: synchronization between nodes.  Level reports merge: a rank is
-  // degraded if any level it participated in was degraded.
-  SyncReport report;
-  vclock::ClockPtr global_clk1 = vclock::GlobalClockLM::identity(clk);
-  if (comm_internode.valid() && comm_internode.size() > 1) {
-    HCS_TRACE_SCOPE(Sync, wr, "hier.top");
-    SyncResult res = co_await run_level(*top_, comm_internode, clk);
-    global_clk1 = std::move(res.clock);
-    report.merge(res.report);
+  // Step 1: synchronization between nodes.  Step 2: within the compute node.
+  SyncResult out{vclock::GlobalClockLM::identity(clk), {}};
+  for (int step = 0; step < 2; ++step) {
+    simmpi::Comm& level = step == 0 ? comm_internode : comm_intranode;
+    if (!level.valid() || level.size() <= 1) continue;
+    HCS_TRACE_SCOPE(Sync, wr, step == 0 ? "hier.top" : "hier.bottom");
+    SyncResult res =
+        co_await run_level(step == 0 ? *top_ : *bottom_, level, step == 0 ? clk : out.clock);
+    out.clock = std::move(res.clock);
+    out.report.merge(res.report);
   }
-  // Step 2: synchronization within the compute node.
-  vclock::ClockPtr global_clk2 = global_clk1;
-  if (comm_intranode.size() > 1) {
-    HCS_TRACE_SCOPE(Sync, wr, "hier.bottom");
-    SyncResult res = co_await run_level(*bottom_, comm_intranode, global_clk1);
-    global_clk2 = std::move(res.clock);
-    report.merge(res.report);
-  }
-  co_return SyncResult{std::move(global_clk2), report};
+  co_return out;
 }
 
 // §IV-D (H3HCA): node leaders / socket leaders per node / within-socket.
 sim::Task<SyncResult> HierarchicalSync::sync_h3(simmpi::Comm& comm, vclock::ClockPtr clk) {
   const int wr = comm.my_world_rank();
-  simmpi::Comm comm_socket;
-  simmpi::Comm comm_socket_leaders;
-  simmpi::Comm comm_internode;
-  {
-    HCS_TRACE_SCOPE(Sync, wr, "hier.split");
-    comm_socket = co_await comm.split_shared_socket();
-    const auto loc = comm.world().topo().locate(comm.my_world_rank());
-    const int socket_leader_color =
-        comm_socket.rank() == 0 ? loc.node : simmpi::Comm::kUndefined;
-    comm_socket_leaders = co_await comm.split(socket_leader_color, comm.rank());
-    const bool is_node_leader = comm_socket_leaders.valid() && comm_socket_leaders.rank() == 0;
-    const int node_leader_color = is_node_leader ? 0 : simmpi::Comm::kUndefined;
-    comm_internode = co_await comm.split(node_leader_color, comm.rank());
-  }
+  trace::Span split_span(trace::active_tracer(), trace::Category::kSync, wr, "hier.split");
+  simmpi::Comm comm_socket = co_await comm.split_shared_socket();
+  simmpi::Comm comm_socket_leaders = co_await comm.split(
+      comm_socket.rank() == 0 ? comm.world().topo().locate(wr).node : simmpi::Comm::kUndefined,
+      comm.rank());
+  simmpi::Comm comm_internode = co_await comm.split(
+      comm_socket_leaders.valid() && comm_socket_leaders.rank() == 0 ? 0
+                                                                     : simmpi::Comm::kUndefined,
+      comm.rank());
+  split_span.end();
 
-  SyncReport report;
-  vclock::ClockPtr global_clk1 = vclock::GlobalClockLM::identity(clk);
-  if (comm_internode.valid() && comm_internode.size() > 1) {
-    HCS_TRACE_SCOPE(Sync, wr, "hier.top");
-    SyncResult res = co_await run_level(*top_, comm_internode, clk);
-    global_clk1 = std::move(res.clock);
-    report.merge(res.report);
+  static constexpr const char* kLevelSpans[] = {"hier.top", "hier.mid", "hier.bottom"};
+  SyncResult out{vclock::GlobalClockLM::identity(clk), {}};
+  for (int step = 0; step < 3; ++step) {
+    simmpi::Comm& level =
+        step == 0 ? comm_internode : step == 1 ? comm_socket_leaders : comm_socket;
+    if (!level.valid() || level.size() <= 1) continue;
+    HCS_TRACE_SCOPE(Sync, wr, kLevelSpans[step]);
+    ClockSync& algo = step == 0 ? *top_ : step == 1 ? *mid_ : *bottom_;
+    SyncResult res = co_await run_level(algo, level, step == 0 ? clk : out.clock);
+    out.clock = std::move(res.clock);
+    out.report.merge(res.report);
   }
-  vclock::ClockPtr global_clk2 = global_clk1;
-  if (comm_socket_leaders.valid() && comm_socket_leaders.size() > 1) {
-    HCS_TRACE_SCOPE(Sync, wr, "hier.mid");
-    SyncResult res = co_await run_level(*mid_, comm_socket_leaders, global_clk1);
-    global_clk2 = std::move(res.clock);
-    report.merge(res.report);
-  }
-  vclock::ClockPtr global_clk3 = global_clk2;
-  if (comm_socket.size() > 1) {
-    HCS_TRACE_SCOPE(Sync, wr, "hier.bottom");
-    SyncResult res = co_await run_level(*bottom_, comm_socket, global_clk2);
-    global_clk3 = std::move(res.clock);
-    report.merge(res.report);
-  }
-  co_return SyncResult{std::move(global_clk3), report};
+  co_return out;
 }
 
 std::unique_ptr<ClockSync> make_h2hca(std::unique_ptr<ClockSync> top,

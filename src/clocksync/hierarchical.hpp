@@ -34,6 +34,8 @@ class HierarchicalSync final : public ClockSync {
   sim::Task<SyncResult> sync_h2(simmpi::Comm& comm, vclock::ClockPtr clk);
   sim::Task<SyncResult> sync_h3(simmpi::Comm& comm, vclock::ClockPtr clk);
   sim::Task<SyncResult> run_level(ClockSync& algo, simmpi::Comm& level, vclock::ClockPtr base);
+  sim::Task<SyncResult> run_level_healing(ClockSync& algo, simmpi::Comm& level,
+                                          vclock::ClockPtr base);
 
   std::unique_ptr<ClockSync> top_;
   std::unique_ptr<ClockSync> mid_;  // nullptr for H2HCA

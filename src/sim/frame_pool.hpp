@@ -32,6 +32,7 @@
 // the largest size class go to ::operator new/delete.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -101,9 +102,13 @@ class FramePool {
   /// Slab bytes this pool holds now.
   std::size_t bytes_held() const noexcept { return slabs_ * kSlabBytes; }
 
+  /// High-water mark of the slab bytes this pool held, so of its shard's
+  /// frames alone, whatever other pools of the process held before or beside
+  /// it.  bench_scale reports its sum over a World's shards per scale point.
+  std::size_t peak_bytes() const noexcept { return peak_slabs_ * kSlabBytes; }
+
   /// High-water mark of the slab bytes all pools of the process held at
-  /// once.  Benches report it next to peak RSS so frame-memory growth is
-  /// visible per scale point.
+  /// once.  Benches report it next to peak RSS.
   static std::size_t reserved_bytes() noexcept { return peak_.load(); }
 
   /// Frames this thread has allocated so far, pooled or not.  Tests pin the
@@ -204,7 +209,7 @@ class FramePool {
       empty_ = s->next;
     } else {
       s = static_cast<Slab*>(::operator new(kSlabBytes));
-      ++slabs_;
+      peak_slabs_ = std::max(peak_slabs_, ++slabs_);
       const std::size_t now = held_ += kSlabBytes;
       std::size_t peak = peak_.load();
       while (now > peak && !peak_.compare_exchange_weak(peak, now)) {
@@ -238,6 +243,7 @@ class FramePool {
   Slab* partial_[kClasses] = {};  // per class: slabs with a free or uncarved block
   Slab* empty_ = nullptr;         // slabs with no live block, any class
   std::size_t slabs_ = 0;         // slabs this pool holds
+  std::size_t peak_slabs_ = 0;    // high-water mark of slabs_
 
   static constinit inline thread_local ThreadState tls_{};
   static inline std::atomic<std::size_t> held_{0};  // slab bytes all pools hold now

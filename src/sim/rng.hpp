@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace hcs::sim {
@@ -46,8 +47,10 @@ class Rng {
 
  private:
   std::uint64_t s_[4];
-  double spare_ = 0.0;
-  bool has_spare_ = false;
+  // normal()'s cached second value; NaN while none is cached.  The polar
+  // method never yields NaN, and a flag beside the double would cost 8 B
+  // more per stream (ChannelStreams holds one per channel).
+  double spare_ = std::numeric_limits<double>::quiet_NaN();
 };
 
 /// splitmix64 step, exposed for seed derivation in tests and harnesses.

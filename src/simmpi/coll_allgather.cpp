@@ -7,43 +7,53 @@ namespace hcs::simmpi {
 
 namespace {
 
-// Bruck: log2(p) rounds on rotated block order, then a local rotation.
-sim::Task<std::vector<double>> allgather_bruck(Comm& comm, std::vector<double> mine,
-                                               std::int64_t wire_bytes) {
-  const int p = comm.size();
-  const int r = comm.rank();
-  const std::size_t unit = mine.size();
+// The first `n` values of `blocks`: the blocks a Bruck round sends.
+std::vector<double> first_values(const std::vector<double>& blocks, std::size_t n) {
+  return std::vector<double>(blocks.begin(), blocks.begin() + static_cast<std::ptrdiff_t>(n));
+}
 
-  // blocks[i] is the block of rank (r + i) % p.
-  std::vector<double> blocks = std::move(mine);
-  int have = 1;
-  int round = 0;
-  for (int dist = 1; dist < p; dist <<= 1, ++round) {
-    const int to = (r - dist + p) % p;
-    const int from = (r + dist) % p;
-    const int send_count = std::min(have, p - have);
-    std::vector<double> out(blocks.begin(),
-                            blocks.begin() + static_cast<std::ptrdiff_t>(unit) * send_count);
-    const std::int64_t tag = comm.collective_tag(round);
-    co_await comm.send(to, tag, std::move(out),
-                       detail::wire_size(wire_bytes, unit, static_cast<std::size_t>(send_count)));
-    // `have` evolves identically on every rank (1, 2, 4, ... clamped at p),
-    // so the expected incoming block count equals our own send_count even
-    // when the sender died and the payload is NaN-substituted.
-    std::optional<Message> msg = co_await comm.recv_ft(from, tag);
-    std::vector<double> got =
-        detail::data_or_nan(std::move(msg), unit * static_cast<std::size_t>(send_count));
-    blocks.insert(blocks.end(), got.begin(), got.end());
-    have += send_count;
-  }
-  // Un-rotate: result block j belongs to rank j == (r + i) % p.
+// Appends a Bruck round's `n` incoming values, NaN for a lost message.
+void append_values(std::vector<double>& blocks, std::optional<Message> msg, std::size_t n) {
+  const std::vector<double> got = detail::data_or_nan(std::move(msg), n);
+  blocks.insert(blocks.end(), got.begin(), got.end());
+}
+
+// Un-rotates Bruck's blocks: result block j belongs to rank j == (r + i) % p.
+std::vector<double> unrotate(const std::vector<double>& blocks, int r, int p, std::size_t unit) {
   std::vector<double> out(unit * static_cast<std::size_t>(p));
   for (int i = 0; i < p; ++i) {
     const int owner = (r + i) % p;
     std::copy_n(blocks.begin() + static_cast<std::ptrdiff_t>(unit) * i, unit,
                 out.begin() + static_cast<std::ptrdiff_t>(unit) * owner);
   }
-  co_return out;
+  return out;
+}
+
+// Bruck: log2(p) rounds on rotated block order, then a local rotation.
+// Every rank of a split holds this frame, so the values sent and received
+// are built and consumed by the plain helpers above, off the frame.
+sim::Task<std::vector<double>> allgather_bruck(Comm& comm, std::vector<double> mine,
+                                               std::int64_t wire_bytes) {
+  const int p = comm.size();
+  const int r = comm.rank();
+  const std::size_t unit = mine.size();
+
+  // The blocks grow in `mine`: its i-th block is that of rank (r + i) % p.
+  int have = 1;
+  int round = 0;
+  for (int dist = 1; dist < p; dist <<= 1, ++round) {
+    const int send_count = std::min(have, p - have);
+    const std::size_t values = unit * static_cast<std::size_t>(send_count);
+    const std::int64_t tag = comm.collective_tag(round);
+    co_await comm.send((r - dist + p) % p, tag, first_values(mine, values),
+                       detail::wire_size(wire_bytes, unit, static_cast<std::size_t>(send_count)));
+    // `have` evolves identically on every rank (1, 2, 4, ... clamped at p),
+    // so the expected incoming block count equals our own send_count even
+    // when the sender died and the payload is NaN-substituted.
+    append_values(mine, co_await comm.recv_ft((r + dist) % p, tag), values);
+    have += send_count;
+  }
+  co_return unrotate(mine, r, p, unit);
 }
 
 // Ring: p-1 steps, each forwarding the block received in the previous step.

@@ -157,22 +157,34 @@ sim::Task<std::vector<double>> Comm::split_exchange_ft(std::vector<double> mine)
   co_return all;
 }
 
+// The fault-free split, which every rank of a large World runs, keeps its
+// frame small: the exchange path's locals live in a coroutine of their own.
+// The sequence number is taken and the table posted at the call; every
+// caller awaits the split at once, so that is the order the splits run in.
 sim::Task<Comm> Comm::split(int color, int key) {
   const std::uint64_t seq = ++split_seq_;
   const std::uint64_t new_context =
       mix64(context_ ^ (seq * 0x9e3779b97f4a7c15ULL) ^
             (static_cast<std::uint64_t>(color) + 0x165667b19e3779f9ULL));
-  const bool crash_model = world_->failure_detector() && size() > 1;
-  if (!crash_model && !world_->records_transport()) {
-    // The table path: the Bruck allgather's messages carry nothing, so
-    // simulated traffic is that of the payload exchange below.
-    const std::shared_ptr<World::SplitTable> table =
-        world_->post_split(context_, seq, size(), my_index_, color, key);
-    co_await allgather(*this, std::vector<double>(), AllgatherAlgo::kBruck, 2 * sizeof(double));
-    World::SplitPlacement placed = world_->take_split(*table, *members_, my_index_);
-    if (!placed.members) co_return Comm{};
-    co_return Comm(world_, std::move(placed.members), placed.rank, new_context);
+  if ((world_->failure_detector() && size() > 1) || world_->records_transport()) {
+    return split_exchange(color, key, new_context);
   }
+  return split_table(world_->post_split(context_, seq, size(), my_index_, color, key),
+                     new_context);
+}
+
+// The table path: this member's (color, key) is posted to `table`, and the
+// Bruck allgather's messages carry nothing, so simulated traffic is that of
+// split_exchange's payload exchange.
+sim::Task<Comm> Comm::split_table(std::shared_ptr<World::SplitTable> table,
+                                  std::uint64_t new_context) {
+  co_await allgather(*this, std::vector<double>(), AllgatherAlgo::kBruck, 2 * sizeof(double));
+  World::SplitPlacement placed = world_->take_split(*table, *members_, my_index_);
+  if (!placed.members) co_return Comm{};
+  co_return Comm(world_, std::move(placed.members), placed.rank, new_context);
+}
+
+sim::Task<Comm> Comm::split_exchange(int color, int key, std::uint64_t new_context) {
   // Exchange (color, key) with every member, then build the group locally —
   // the standard MPI_Comm_split recipe.  Under the crash model the exchange
   // is fault-tolerant and dead ranks simply drop out of the new
@@ -180,7 +192,7 @@ sim::Task<Comm> Comm::split(int color, int key) {
   // split becomes its rank 0 — deterministic leader election for free.
   const std::vector<double> mine = {static_cast<double>(color), static_cast<double>(key)};
   std::vector<double> all;
-  if (crash_model) {
+  if (world_->failure_detector() && size() > 1) {
     all = co_await split_exchange_ft(mine);
   } else {
     all = co_await allgather(*this, mine);

@@ -122,6 +122,9 @@ class Comm {
 
  private:
   std::int64_t user_tag(int tag) const;
+  sim::Task<Comm> split_table(std::shared_ptr<World::SplitTable> table,
+                              std::uint64_t new_context);
+  sim::Task<Comm> split_exchange(int color, int key, std::uint64_t new_context);
   sim::Task<std::vector<double>> split_exchange_ft(std::vector<double> mine);
 
   World* world_ = nullptr;

@@ -272,6 +272,12 @@ std::uint64_t World::total_events() const noexcept {
   return total;
 }
 
+std::size_t World::frame_pool_peak_bytes() const noexcept {
+  std::size_t total = 0;
+  for (const auto& s : sims_) total += s->frame_pool().peak_bytes();
+  return total;
+}
+
 World::ShardScope::ShardScope(const World& world, int s)
     : tracer_(world.shard_tracers_.empty()
                   ? nullptr
@@ -670,7 +676,11 @@ struct World::RecvPark {
 };
 
 sim::Task<Message> World::await_recv(RecvRequest request) {
-  if (replay_feed_) co_return co_await replay_recv(std::move(request));
+  if (replay_feed_) return replay_recv(std::move(request));
+  return park_recv(std::move(request));
+}
+
+sim::Task<Message> World::park_recv(RecvRequest request) {
   // Even a plain receive gets a bound under the crash model: blocking on a
   // peer the detector has declared dead is turned into a loud error (and
   // the liveness net turns any remaining cross-wait into one too) instead
@@ -697,7 +707,12 @@ sim::Task<Message> World::await_recv(RecvRequest request) {
 
 sim::Task<std::optional<Message>> World::await_recv_until(RecvRequest request,
                                                           sim::Time deadline) {
-  if (replay_feed_) co_return co_await replay_recv_until(std::move(request));
+  if (replay_feed_) return replay_recv_until(std::move(request));
+  return park_recv_until(std::move(request), deadline);
+}
+
+sim::Task<std::optional<Message>> World::park_recv_until(RecvRequest request,
+                                                         sim::Time deadline) {
   sim::Simulation& s = sim_of(request->owner);
   RecvPark park{this, request, deadline};
   co_await park;

@@ -180,6 +180,10 @@ class World {
   /// Total events processed across all shards so far (bench reporting).
   std::uint64_t events_processed() const noexcept { return total_events(); }
 
+  /// This World's coroutine-frame memory: the sum over its shards of each
+  /// shard's frame-pool high-water mark of slab bytes.
+  std::size_t frame_pool_peak_bytes() const noexcept;
+
   using RankFn = std::function<sim::Task<void>(RankCtx&)>;
 
   /// Spawns one process per rank running `fn`.
@@ -398,6 +402,10 @@ class World {
   void purge_mailbox(int rank);
   void cancel_recv(const RecvRequest& request);
   struct RecvPark;  // await_recv's park/resolve step (world.cpp)
+  // await_recv and await_recv_until without a replay feed: the one frame a
+  // parked receive holds.
+  sim::Task<Message> park_recv(RecvRequest request);
+  sim::Task<std::optional<Message>> park_recv_until(RecvRequest request, sim::Time deadline);
 
   // --- record / replay internals (world.cpp, docs/record-replay.md) ---
   void record_recv_completion(const RecvRequest& request);

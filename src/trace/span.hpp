@@ -31,8 +31,13 @@ class Span {
       t0_ = tracer_->now();
     }
   }
-  ~Span() {
+  ~Span() { end(); }
+
+  /// Records the span now instead of at destruction, for a span that must
+  /// end before the scope of its variable does.
+  void end() {
     if (tracer_) tracer_->record_complete(rank_, cat_, name_, t0_, tracer_->now() - t0_, arg_);
+    tracer_ = nullptr;
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;

@@ -5,7 +5,8 @@
 // growth across World::launch and World::run — the same quantity the
 // benchmark driver reports as launch + run RSS.  A p^2 structure (a member
 // list per rank, or every rank holding all 2p split values) makes the bytes
-// per rank grow linearly with p and fails the gate.
+// per rank grow linearly with p and fails the gate.  A second gate bounds
+// the frame-pool bytes per rank of one 4 096-rank H2HCA sync.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -17,6 +18,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "clocksync/factory.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/world.hpp"
 #include "topology/presets.hpp"
@@ -91,6 +93,33 @@ TEST(ScaleMemory, BytesPerRankStayFlatFrom2kTo32kRanks) {
         << ranks << " ranks: " << per_rank << " B/rank against " << at_2k << " at 2048";
     std::printf("%d ranks: %.0f B/rank (2048 ranks: %.0f)\n", ranks, per_rank, at_2k);
   }
+}
+
+// Coroutine-frame memory of one fault-free H2HCA sync (Alg. 4) at 4 096
+// ranks on 256 Titan nodes, the World that sets the titan4k benchmark's
+// peak: the most slab bytes its frame pool held, per rank.  One shard, so
+// the figure is deterministic.  It peaks as the last ranks leave the leaders'
+// split while the rest already wait in the bottom level.  2 080 B (8.52 MB)
+// with no wrapper frame around a fault-free level or HCA3 pass, a 240 B
+// split frame, a 528 B sync_h2 frame, a 312 B Bruck frame and a 232 B
+// parked receive; 3 056 B (12.5 MB) before those cuts.
+TEST(ScaleMemory, H2hcaFramePoolBytesPerRankAt4kRanks) {
+#ifndef __OPTIMIZE__
+  GTEST_SKIP() << "the ceiling holds the frame sizes of an optimized build";
+#endif
+  constexpr double kCeiling = 2300.0;  // B per rank
+  World world(topology::titan().with_nodes(4096 / kCoresPerNode), 1);
+  world.run_all([](RankCtx& ctx) -> sim::Task<void> {
+    const auto sync =
+        clocksync::make_sync("top/hca3/50/skampi_offset/8/bottom/clockpropagation");
+    const clocksync::SyncResult res =
+        co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+    if (!res.report.clean()) throw std::logic_error("fault-free sync reported unclean");
+  });
+  const double per_rank = static_cast<double>(world.frame_pool_peak_bytes()) / world.size();
+  std::printf("H2HCA at 4096 ranks: %.0f B/rank of frame slabs (%zu B)\n", per_rank,
+              world.frame_pool_peak_bytes());
+  EXPECT_LE(per_rank, kCeiling);
 }
 
 }  // namespace

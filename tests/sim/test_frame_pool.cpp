@@ -166,6 +166,35 @@ TEST(FramePool, DestructorGivesTheSlabsBack) {
   EXPECT_EQ(FramePool::reserved_bytes(), reserved);
 }
 
+// Each pool keeps its own high-water mark of slab bytes: a World's frame
+// memory reads the same whatever pools held before or beside it.
+TEST(FramePool, EachPoolKeepsItsOwnPeak) {
+  FramePool big, small;
+  std::vector<void*> live;
+  {
+    const FramePool::Scope scope(big);
+    for (int i = 0; i < 100; ++i) live.push_back(FramePool::allocate(192));  // two slabs
+  }
+  for (void* p : live) FramePool::deallocate(p);
+  live.clear();
+  {
+    const FramePool::Scope scope(small);
+    live.push_back(FramePool::allocate(64));
+  }
+  EXPECT_EQ(big.peak_bytes(), 2 * kSlab);
+  EXPECT_EQ(small.peak_bytes(), kSlab);
+  {
+    // Reusing its emptied slabs does not raise a pool's peak.
+    const FramePool::Scope scope(big);
+    for (int i = 0; i < 32; ++i) live.push_back(FramePool::allocate(800));
+  }
+  EXPECT_EQ(big.peak_bytes(), 2 * kSlab);
+  EXPECT_EQ(small.peak_bytes(), kSlab);
+  for (void* p : live) FramePool::deallocate(p);
+  const FramePool fresh;
+  EXPECT_EQ(fresh.peak_bytes(), 0u);
+}
+
 // No frame outlives its shard: a pool destroyed with a live frame aborts
 // rather than leave the frame pointing at freed memory.
 TEST(FramePoolDeathTest, DestroyingAPoolWithALiveFrameAborts) {

@@ -113,6 +113,30 @@ TEST(Rng, SplitProducesIndependentStream) {
   EXPECT_LT(same, 2);
 }
 
+// ChannelStreams holds one Rng per channel: 32 B of xoshiro state and the
+// cached normal, no flag beside it.
+static_assert(sizeof(Rng) <= 40);
+
+// normal(), lognormal() and exponential() draws recorded when Rng still kept
+// a separate has-spare flag: the NaN encoding of "no spare" moves no draw,
+// and a copy taken with a spare pending continues exactly as the original.
+TEST(Rng, DrawSequenceMatchesRecording) {
+  Rng a(2024);
+  EXPECT_EQ(a.normal(), 0x1.9356a7a1bbe22p-1);
+  EXPECT_EQ(a.normal(), -0x1.7809adf637526p-1);
+  EXPECT_EQ(a.normal(), -0x1.45648f30d6b8ep-1);  // leaves a spare cached
+  Rng b = a;
+  for (Rng* rng : {&a, &b}) {
+    EXPECT_EQ(rng->lognormal(-1.0, 0.5), 0x1.6acdb12c2c87fp-3);  // the spare
+    EXPECT_EQ(rng->exponential(3.0), 0x1.38760cbef7bd1p+1);
+    EXPECT_EQ(rng->normal(), -0x1.3ce9a49919e4fp-1);
+    EXPECT_EQ(rng->normal(10.0, 2.0), 0x1.9106169c6e547p+3);
+    EXPECT_EQ(rng->lognormal(0.0, 1.0), 0x1.b5fe10cb020b6p+0);
+    EXPECT_EQ(rng->exponential(0.5), 0x1.072fada6fa57p-2);
+    EXPECT_EQ(rng->normal(), 0x1.1718b26a5b033p+0);
+  }
+}
+
 TEST(Splitmix, KnownFirstValueStable) {
   std::uint64_t s1 = 0, s2 = 0;
   EXPECT_EQ(splitmix64(s1), splitmix64(s2));

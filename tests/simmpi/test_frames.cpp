@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "clocksync/factory.hpp"
 #include "fault/fault_plan.hpp"
 #include "sim/frame_pool.hpp"
 #include "simmpi/collectives.hpp"
@@ -123,8 +124,8 @@ TEST_P(Frames, PingpongBurst) {
 }
 
 // The fault-free split exchanges nothing but a Bruck allgather of empty
-// blocks: Comm::split and allgather_bruck, then log2(p) rounds of one send
-// and one receive.
+// blocks: Comm::split's table path and allgather_bruck, then log2(p) rounds
+// of one send and one receive.
 TEST_P(Frames, SplitSharedNode) {
   const std::uint64_t rounds = p() == 2 ? 1 : 2;
   EXPECT_EQ(frames_of(p(),
@@ -199,6 +200,56 @@ TEST_P(Frames, OneCallOfEachCollective) {
                         }),
               ranks() * 2 + messages * (kSend + kRecvFt));
   }
+}
+
+// One sync of `label` on every rank of the 4-rank testbox (two nodes of two
+// cores): the frames of the algorithm alone.
+std::uint64_t sync_frames(const std::string& label, const fault::FaultPlan& plan = {}) {
+  return frames_of(
+      4,
+      [label](RankCtx& ctx) -> sim::Task<void> {
+        const auto sync = clocksync::make_sync(label);
+        const clocksync::SyncResult res =
+            co_await sync->sync_clocks(ctx.comm_world(), ctx.base_clock());
+        EXPECT_TRUE(res.report.clean());
+      },
+      plan);
+}
+
+constexpr std::uint64_t kFitPoints = 2;
+// One fit point: a measure_offset frame and its burst, on each side.
+constexpr std::uint64_t kFitPoint = 1 + kBurst;
+// learn_clock_model's frame and its fit points, on one side of a pair.
+constexpr std::uint64_t kLearn = 1 + kFitPoints * kFitPoint;
+
+// Without a failure detector HCA3Sync::sync_clocks returns its one tree
+// pass: 4 sync_once frames and the 3 pairs (0,2), (0,1), (2,3), each
+// learning on both sides.  No frame wraps the pass.
+TEST(SyncFrames, Hca3HasNoWrapperFrame) {
+  EXPECT_EQ(sync_frames("hca3/2/skampi_offset/2"), 4 + 3 * 2 * kLearn);
+}
+
+// H2HCA: per rank one sync_h2 frame and two splits (Comm::split's table
+// path and a Bruck allgather of two rounds over the 4 ranks); the node
+// leaders' HCA3 over 2 ranks (one pair); per rank a ClockPropSync frame and
+// its two binomial broadcasts, one message each per node.  No frame wraps a
+// level or the leaders' HCA3.
+TEST(SyncFrames, H2hcaHasNoWrapperFrame) {
+  constexpr std::uint64_t kSplit = 2 + 2 * (kSend + kRecvFt);
+  constexpr std::uint64_t kTop = 2 * (1 + kLearn);
+  constexpr std::uint64_t kBottom = 4 * (1 + 2) + 2 * 2 * (kSend + kRecvFt);
+  EXPECT_EQ(sync_frames("top/hca3/2/skampi_offset/2/bottom/clockpropagation"),
+            4 * (1 + 2 * kSplit) + kTop + kBottom);
+}
+
+// A crash plan arms the failure detector, so each rank's HCA3 runs in the
+// healing coroutine, one frame more per rank; the crash itself lies beyond
+// the sync, so the pass is the fault-free one.
+TEST(SyncFrames, Hca3UnderCrashPlanRunsInTheHealingCoroutine) {
+  fault::FaultPlan plan;
+  plan.add("crash:rank=1,at=10s");
+  EXPECT_EQ(sync_frames("hca3/2/skampi_offset/2", plan),
+            sync_frames("hca3/2/skampi_offset/2") + 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, Frames, ::testing::Values(2, 4),
